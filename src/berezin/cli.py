@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 property violation (a numerical gate failed),
 2 configuration error (bad flags, config file, or requested objects),
-3 numeric failure (integrand blew up, kernel degenerate, path too coarse).
+3 numeric failure (integrand blew up, kernel degenerate, path too coarse,
+linear algebra did not converge, overflow, out of memory).
 
 Flags may also be supplied via --config FILE with key=value lines
 ('#' comments allowed); explicit flags win.  CSV floats are written with
@@ -38,8 +39,10 @@ MU0 = 0.3 + 0.2j
 
 SLOPE_WINDOW = (-1.3, -0.7)
 
+# Caught before _CONFIG_ERRORS: LinAlgError subclasses ValueError.
 _NUMERIC_ERRORS = (NonFiniteIntegrand, ResourceLimit, DegenerateKernel,
-                   PathTooCoarse, SingularPair, DerivativeFailure)
+                   PathTooCoarse, SingularPair, DerivativeFailure,
+                   np.linalg.LinAlgError, OverflowError, MemoryError)
 _CONFIG_ERRORS = (ValueError, KeyError, OSError, DimensionMismatch,
                   IndexOutOfRange, OddLevel, OutOfDomain)
 
@@ -115,6 +118,15 @@ def _slope_ok(slope) -> bool:
     return slope is not None and SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]
 
 
+def _sweep_functions(args):
+    """Validate a sweep's --m-list, --f and --g; return the two functions."""
+    _require(args, ["m_list", "f", "g"])
+    _default(args, d=1)
+    if sorted(args.m_list) != args.m_list or len(set(args.m_list)) != len(args.m_list):
+        raise ValueError("m-list must be strictly increasing")
+    return get_function(args.f), get_function(args.g)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,12 +197,7 @@ def _cmd_kernel_check(args) -> int:
 
 
 def _cmd_star_sweep(args) -> int:
-    _require(args, ["m_list", "f", "g"])
-    _default(args, d=1)
-    if sorted(args.m_list) != args.m_list or len(set(args.m_list)) != len(args.m_list):
-        raise ValueError("m-list must be strictly increasing")
-    f = get_function(args.f)
-    g = get_function(args.g)
+    f, g = _sweep_functions(args)
     mu0 = np.zeros(args.d, dtype=complex)
     mu0[0] = MU0
 
@@ -214,12 +221,7 @@ def _cmd_star_sweep(args) -> int:
 
 
 def _cmd_toeplitz_sweep(args) -> int:
-    _require(args, ["m_list", "f", "g"])
-    _default(args, d=1)
-    if sorted(args.m_list) != args.m_list or len(set(args.m_list)) != len(args.m_list):
-        raise ValueError("m-list must be strictly increasing")
-    f = get_function(args.f)
-    g = get_function(args.g)
+    f, g = _sweep_functions(args)
     norms = toeplitz.norm_sweep(f, args.m_list, d=args.d)
     comms = toeplitz.commutator_sweep(f, g, args.m_list, d=args.d)
     ndef = [r[2] for r in norms.rows]

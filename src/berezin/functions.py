@@ -6,7 +6,8 @@ analytic Wirtinger gradients plus the metadata sweeps need: the power of
 sup norm for estimator tests.
 
 Evaluators are vectorized over an (n, d) complex array and return (n,).
-Gradients take a single point (d,) and return (d,) arrays (d/dmu, d/dmubar).
+Gradients take a single point (d,) or an (n, d) array of points and return
+an array of the same shape (d/dmu or d/dmubar, per coordinate).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ChartFunction:
-    """A scalar observable on the chart with analytic derivative data."""
+    """A scalar observable on the chart with analytic, vectorized derivative data."""
 
     name: str
     evaluator: Callable          # (n, d) complex -> (n,)
-    grad_mu: Callable            # (d,) point -> (d,) d/dmu_i
-    grad_mubar: Callable         # (d,) point -> (d,) d/dmubar_i
+    grad_mu: Callable            # (d,) or (n, d) points -> same shape, d/dmu_i
+    grad_mubar: Callable         # (d,) or (n, d) points -> same shape, d/dmubar_i
     weight_degree: int           # min p with (1+|mu|^2)^p * f polynomial in mu, mubar
     sup_exact: float
     description: str
@@ -42,7 +43,7 @@ class ChartFunction:
 
 
 def _s(pts: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(pts) ** 2, axis=1)
+    return np.sum(np.abs(pts) ** 2, axis=-1)
 
 
 def _one(pts):
@@ -50,76 +51,49 @@ def _one(pts):
 
 
 def _zero_grad(mu):
-    return np.zeros(mu.shape[0], dtype=complex)
+    return np.zeros(mu.shape, dtype=complex)
 
 
-# f = Re mu_1 / (1 + s).  With w = (1 + s):
-#   d/dmu_1 = 1/(2w) - Re(mu_1) mubar_1 / w^2, d/dmu_i = -Re(mu_1) mubar_i / w^2
+def _quotient_grads(num, num_dmu1: complex, num_dmubar1: complex):
+    """Analytic (d/dmu, d/dmubar) of f = num(mu_1) / w with w = 1 + |mu|^2.
+
+    ``num`` is affine in (mu_1, mubar_1) with the given constant derivatives,
+    so df/dmu_i = [i = 1] num_dmu1 / w - num * mubar_i / w^2, and df/dmubar_i
+    likewise with num_dmubar1 and mu_i.  Both take (d,) or (n, d) points.
+    """
+
+    def grad(mu, wrt, own):
+        w = 1.0 + _s(mu)[..., None]
+        g = -(num(mu[..., :1]) / w ** 2) * wrt
+        g[..., :1] += own / w
+        return g
+
+    return (lambda mu: grad(mu, np.conj(mu), num_dmu1),
+            lambda mu: grad(mu, mu, num_dmubar1))
+
+
 def _re_rational(pts):
     return pts[:, 0].real / (1.0 + _s(pts))
-
-
-def _re_rational_gmu(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    g = -(mu[0].real / w ** 2) * np.conj(mu)
-    g[0] += 0.5 / w
-    return g
-
-
-def _re_rational_gmubar(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    g = -(mu[0].real / w ** 2) * mu
-    g[0] += 0.5 / w
-    return g
 
 
 def _im_rational(pts):
     return pts[:, 0].imag / (1.0 + _s(pts))
 
 
-def _im_rational_gmu(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    g = -(mu[0].imag / w ** 2) * np.conj(mu)
-    g[0] += 1.0 / (2.0j * w)
-    return g
-
-
-def _im_rational_gmubar(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    g = -(mu[0].imag / w ** 2) * mu
-    g[0] += -1.0 / (2.0j * w)
-    return g
-
-
-# f = s / (1 + s): d/dmu_i = mubar_i / w^2, conjugate for mubar.
 def _abs2_rational(pts):
     s = _s(pts)
     return s / (1.0 + s)
-
-
-def _abs2_rational_gmu(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    return np.conj(mu) / w ** 2
-
-
-def _abs2_rational_gmubar(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    return mu / w ** 2
 
 
 def _inv_rational(pts):
     return 1.0 / (1.0 + _s(pts))
 
 
-def _inv_rational_gmu(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    return -np.conj(mu) / w ** 2
-
-
-def _inv_rational_gmubar(mu):
-    w = 1.0 + float(np.vdot(mu, mu).real)
-    return -mu / w ** 2
-
+_RE = _quotient_grads(lambda mu1: mu1.real, 0.5, 0.5)
+_IM = _quotient_grads(lambda mu1: mu1.imag, -0.5j, 0.5j)
+# s / (1 + s) = 1 - 1 / (1 + s) has the gradients of -1 / (1 + s).
+_ABS2 = _quotient_grads(lambda mu1: -1.0, 0.0, 0.0)
+_INV = _quotient_grads(lambda mu1: 1.0, 0.0, 0.0)
 
 REGISTRY: dict[str, ChartFunction] = {
     "one": ChartFunction(
@@ -127,22 +101,22 @@ REGISTRY: dict[str, ChartFunction] = {
         weight_degree=0, sup_exact=1.0, description="constant 1"),
     "re_rational": ChartFunction(
         name="re_rational", evaluator=_re_rational,
-        grad_mu=_re_rational_gmu, grad_mubar=_re_rational_gmubar,
+        grad_mu=_RE[0], grad_mubar=_RE[1],
         weight_degree=1, sup_exact=0.5,
         description="Re mu_1 / (1 + |mu|^2)"),
     "im_rational": ChartFunction(
         name="im_rational", evaluator=_im_rational,
-        grad_mu=_im_rational_gmu, grad_mubar=_im_rational_gmubar,
+        grad_mu=_IM[0], grad_mubar=_IM[1],
         weight_degree=1, sup_exact=0.5,
         description="Im mu_1 / (1 + |mu|^2)"),
     "abs2_rational": ChartFunction(
         name="abs2_rational", evaluator=_abs2_rational,
-        grad_mu=_abs2_rational_gmu, grad_mubar=_abs2_rational_gmubar,
+        grad_mu=_ABS2[0], grad_mubar=_ABS2[1],
         weight_degree=1, sup_exact=1.0,
         description="|mu|^2 / (1 + |mu|^2)"),
     "inv_rational": ChartFunction(
         name="inv_rational", evaluator=_inv_rational,
-        grad_mu=_inv_rational_gmu, grad_mubar=_inv_rational_gmubar,
+        grad_mu=_INV[0], grad_mubar=_INV[1],
         weight_degree=1, sup_exact=1.0,
         description="1 / (1 + |mu|^2)"),
 }

@@ -194,27 +194,43 @@ def wirtinger(f: Callable, mu, step: float | None = None):
     return dmu, dmubar
 
 
+def bracket_from_gradients(pts, dt_mu, dt_mubar, ds_mu, ds_mubar) -> np.ndarray:
+    """Chart Poisson bracket {t, s} from Wirtinger gradients, vectorized.
+
+    Arguments are (d,) vectors or (n, d) arrays, one row per point; the result
+    has shape () or (n,).  {t, s} = ds_mu.W.dt_mubar - dt_mu.W.ds_mubar with W
+    the inverse form matrix -i (1+s) (I + mu conj(mu)^T) of ``fs_form_inverse``,
+    so a.W.b = -i (1+s) [(a.b) + (a.mu)(conj(mu).b)] with unconjugated dot
+    products.  Exactly antisymmetric in (t, s).
+    """
+    pts = np.asarray(pts, dtype=complex)
+    conj = pts.conj()
+
+    def contract(a, b):
+        return (np.sum(a * b, axis=-1)
+                + np.sum(a * pts, axis=-1) * np.sum(conj * b, axis=-1))
+
+    s = np.sum(np.abs(pts) ** 2, axis=-1)
+    return -1j * (1.0 + s) * (contract(ds_mu, dt_mubar) - contract(dt_mu, ds_mubar))
+
+
 def poisson_bracket(t: Callable, s: Callable, mu,
                     t_grad=None, s_grad=None, step: float | None = None) -> complex:
-    """Chart Poisson bracket of two scalar functions at ``mu``.
+    """Chart Poisson bracket of two scalar functions at a single point ``mu``.
 
     {t, s} = sum_ij W[i, j] * (dt/dmubar_j ds/dmu_i - ds/dmubar_j dt/dmu_i)
-    with W the inverse form matrix.  Antisymmetric in (t, s) by construction.
+    with W the inverse form matrix; evaluated by ``bracket_from_gradients``.
+    Antisymmetric in (t, s) by construction.
 
     ``t_grad``/``s_grad`` optionally supply analytic derivatives as a pair of
-    callables (d_mu, d_mubar), each mapping a point to a (d,) array; otherwise
-    central Wirtinger differences are used.
+    callables (d_mu, d_mubar), each mapping a (d,) point to a (d,) array;
+    otherwise central Wirtinger differences are used.
     """
     mu = as_point(mu)
-    if t_grad is not None:
-        dt_mu = np.asarray(t_grad[0](mu), dtype=complex)
-        dt_mubar = np.asarray(t_grad[1](mu), dtype=complex)
-    else:
-        dt_mu, dt_mubar = wirtinger(t, mu, step=step)
-    if s_grad is not None:
-        ds_mu = np.asarray(s_grad[0](mu), dtype=complex)
-        ds_mubar = np.asarray(s_grad[1](mu), dtype=complex)
-    else:
-        ds_mu, ds_mubar = wirtinger(s, mu, step=step)
-    w = fs_form_inverse(mu)
-    return complex(ds_mu @ w @ dt_mubar - dt_mu @ w @ ds_mubar)
+
+    def gradients(fn, grad):
+        if grad is None:
+            return wirtinger(fn, mu, step=step)
+        return np.asarray(grad[0](mu), dtype=complex), np.asarray(grad[1](mu), dtype=complex)
+
+    return complex(bracket_from_gradients(mu, *gradients(t, t_grad), *gradients(s, s_grad)))

@@ -303,18 +303,6 @@ def _identity_map(params):
     return params
 
 
-def _transported_gram_deviation(spec: BasisSpec, chart: DiffeoChart,
-                                level: int | None = None) -> float:
-    params, wleb = _transported_nodes(spec, chart, level)
-    z = chart.forward(params)
-    s = np.sum(np.abs(z) ** 2, axis=1)
-    damp = np.exp(-(spec.m / 2.0) * np.log1p(s))
-    ehat = hilbert.eval_matrix(spec, z) * damp[:, None]
-    h = measure_factor(chart, params)
-    gram = spec.c_m * ((ehat.conj().T * (wleb * h)) @ ehat)
-    return float(np.max(np.abs(gram - np.eye(spec.N))))
-
-
 # ---------------------------------------------------------------------------
 # stock parameterizations
 

@@ -69,7 +69,10 @@ def toeplitz_matrix(spec: BasisSpec, f, level: int | None = None) -> ToeplitzMat
     if fv.shape != (nd.rule.nodes.shape[0],):
         raise DimensionMismatch(
             f"function returned shape {fv.shape}, expected ({nd.rule.nodes.shape[0]},)")
-    mat = spec.c_m * ((nd.ehat.conj().T * (nd.wcore * fv)) @ nd.ehat)
+    # One (n, N) temporary: weight the conjugated table in place.
+    bra = nd.ehat.conj()
+    bra *= (nd.wcore * fv)[:, None]
+    mat = spec.c_m * (bra.T @ nd.ehat)
     return ToeplitzMatrix(spec, mat, symbol=_symbol_name(f))
 
 
@@ -78,25 +81,29 @@ def operator_norm(op) -> float:
     return float(np.linalg.norm(getattr(op, "mat", op), 2))
 
 
+def _gradients(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dmu, d/dmubar) at (n, d) points: analytic, else per-point differences."""
+    if isinstance(fn, ChartFunction):
+        return fn.grad_mu(pts), fn.grad_mubar(pts)
+    diffs = np.array([geometry.wirtinger(fn, p) for p in pts], dtype=complex)
+    return diffs[:, 0], diffs[:, 1]
+
+
 def bracket_function(f, g):
     """Pointwise chart Poisson bracket {f, g} as a vectorized evaluator.
 
-    Uses analytic gradients when both arguments carry them (ChartFunction),
-    else Wirtinger differences.  The returned callable carries a weight_degree
-    attribute p_f + p_g + 1: the reduced bracket of bounded rational functions
-    stays within that weight class, which keeps Toeplitz integrands exact.
+    Gradients at all nodes (analytic for a ChartFunction, else Wirtinger
+    differences) go through one ``geometry.bracket_from_gradients`` call.
+    The returned callable carries a weight_degree attribute p_f + p_g + 1:
+    the reduced bracket of bounded rational functions stays within that
+    weight class, which keeps Toeplitz integrands exact.
     """
-    f_grad = (f.grad_mu, f.grad_mubar) if isinstance(f, ChartFunction) else None
-    g_grad = (g.grad_mu, g.grad_mubar) if isinstance(g, ChartFunction) else None
 
     def evaluate(points):
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        out = np.empty(pts.shape[0], dtype=complex)
-        for k in range(pts.shape[0]):
-            out[k] = geometry.poisson_bracket(f, g, pts[k], t_grad=f_grad, s_grad=g_grad)
-        return out
+        return geometry.bracket_from_gradients(pts, *_gradients(f, pts), *_gradients(g, pts))
 
     evaluate.weight_degree = _weight_degree(f) + _weight_degree(g) + 1
     evaluate.__name__ = "bracket"

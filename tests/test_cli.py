@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from berezin import cli, hilbert
+from berezin import cli, hilbert, toeplitz
 
 
 def run(capsys, *argv):
@@ -123,6 +124,18 @@ def test_toeplitz_sweep_artifacts(capsys, tmp_path):
                      "--m-list", "4,8")
     assert rc == 2
     assert "unknown function" in err
+
+
+def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not report as a config error
+    def fail(op):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(toeplitz, "operator_norm", fail)
+    rc, _, err = run(capsys, "toeplitz-sweep", "--f", "abs2_rational",
+                     "--g", "im_rational", "--m-list", "2")
+    assert rc == 3
+    assert "numeric failure: SVD did not converge" in err
 
 
 def test_torus_holonomy_artifacts(capsys, tmp_path):

@@ -1,11 +1,14 @@
 """Chart geometry: potential, metric, diastasis, Wirtinger calculus, bracket."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezin import geometry
 from berezin.errors import DerivativeFailure, DimensionMismatch, SingularPair
-from berezin.functions import get_function
+from berezin.functions import REGISTRY, get_function
 
 
 def test_as_point_shape_checks():
@@ -176,3 +179,54 @@ def test_bracket_antisymmetry(rng):
                                     t_grad=(f.grad_mu, f.grad_mubar),
                                     s_grad=(f.grad_mu, f.grad_mubar))
     assert abs(same) <= 1e-16
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_vectorized_gradients_match_wirtinger_differences(rng, d):
+    pts = rng.normal(size=(40, d)) * 0.8 + 1j * rng.normal(size=(40, d)) * 0.8
+    for name, fn in REGISTRY.items():
+        gmu, gmubar = fn.gradient(pts)
+        assert gmu.shape == gmubar.shape == (40, d), name
+        for k, mu in enumerate(pts):
+            dmu, dmubar = geometry.wirtinger(fn, mu)
+            assert np.max(np.abs(gmu[k] - dmu)) <= 1e-7, name
+            assert np.max(np.abs(gmubar[k] - dmubar)) <= 1e-7, name
+            # a single (d,) point gives that point's row
+            one_mu, one_mubar = fn.gradient(mu)
+            assert np.allclose(one_mu, gmu[k], rtol=0.0, atol=1e-15), name
+            assert np.allclose(one_mubar, gmubar[k], rtol=0.0, atol=1e-15), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bracket_from_gradients_matches_form_inverse_contraction(rng, d):
+    # reference: contract with the explicit inverse form matrix, point by point
+    pts = rng.normal(size=(30, d)) * 0.9 + 1j * rng.normal(size=(30, d)) * 0.9
+    grads = [rng.normal(size=(30, d)) + 1j * rng.normal(size=(30, d)) for _ in range(4)]
+    got = geometry.bracket_from_gradients(pts, *grads)
+    assert got.shape == (30,)
+    dt_mu, dt_mubar, ds_mu, ds_mubar = grads
+    for k, mu in enumerate(pts):
+        w = geometry.fs_form_inverse(mu)
+        want = ds_mu[k] @ w @ dt_mubar[k] - dt_mu[k] @ w @ ds_mubar[k]
+        assert abs(got[k] - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 8),
+       names=st.tuples(st.sampled_from(sorted(REGISTRY)), st.sampled_from(sorted(REGISTRY))))
+def test_bracket_antisymmetry_property(data, d, n, names):
+    parts = data.draw(hnp.arrays(float, (n, 2 * d),
+                                 elements=st.floats(-5.0, 5.0, allow_subnormal=False)))
+    pts = parts[:, :d] + 1j * parts[:, d:]
+    f, g = (REGISTRY[name] for name in names)
+
+    def bracket(a, b):
+        return geometry.bracket_from_gradients(pts, *a.gradient(pts), *b.gradient(pts))
+
+    assert np.array_equal(bracket(f, g), -bracket(g, f))
+    assert np.all(bracket(f, f) == 0.0)
+    # the single-point API agrees with the vectorized path row by row
+    for k in range(n):
+        single = geometry.poisson_bracket(f, g, pts[k], t_grad=(f.grad_mu, f.grad_mubar),
+                                          s_grad=(g.grad_mu, g.grad_mubar))
+        assert abs(single - bracket(f, g)[k]) <= 1e-13 * (1.0 + abs(single))

@@ -1,9 +1,11 @@
 """Toeplitz compressions: projections, closed-form matrix elements, sweeps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from berezin import hilbert, operators, toeplitz
+from berezin import geometry, hilbert, operators, toeplitz
 from berezin.functions import REGISTRY, get_function
 
 
@@ -31,6 +33,16 @@ def test_identity_and_constant_compressions(basis):
     c = 2.5 - 1.0j
     t_c = toeplitz.toeplitz_matrix(spec, lambda pts: np.full(pts.shape[0], c))
     assert np.max(np.abs(t_c.mat - c * np.eye(spec.N))) <= 1e-12
+
+
+def test_assembly_matches_two_copy_reference(basis):
+    # the in-place weighting must give the same bits as the plain expression
+    for d, m in [(1, 8), (2, 4), (3, 2)]:
+        spec = basis(d, m)
+        for fn in (get_function("re_rational"), get_function("im_rational")):
+            nd = spec.node_data(toeplitz._default_level(spec, fn))
+            want = spec.c_m * ((nd.ehat.conj().T * (nd.wcore * fn(nd.rule.nodes))) @ nd.ehat)
+            assert np.array_equal(toeplitz.toeplitz_matrix(spec, fn).mat, want)
 
 
 def test_toeplitz_matrix_type(basis):
@@ -148,6 +160,32 @@ def test_project_antiholomorphic_kills_all_modes(basis):
                     * (1.0 + s) ** (-(m + 2.0)))
         oracle = spec.c_m * leg_disc_integral(integrand)
         assert abs(got[q] - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bracket_function_matches_pointwise_bracket(rng, d):
+    pts = rng.normal(size=(200, d)) * 0.8 + 1j * rng.normal(size=(200, d)) * 0.8
+    for f, g in itertools.product(REGISTRY.values(), repeat=2):
+        got = toeplitz.bracket_function(f, g)(pts)
+        assert got.shape == (200,)
+        want = [geometry.poisson_bracket(f, g, mu, t_grad=(f.grad_mu, f.grad_mubar),
+                                         s_grad=(g.grad_mu, g.grad_mubar)) for mu in pts]
+        assert np.max(np.abs(got - want)) <= 1e-13, (f.name, g.name)
+    got = toeplitz.bracket_function(get_function("re_rational"),
+                                    get_function("im_rational"))(pts)
+    s = np.sum(np.abs(pts) ** 2, axis=1)
+    expected = -(1.0 - np.abs(pts[:, 0]) ** 2) / (2.0 * (1.0 + s))
+    assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+def test_bracket_function_mixed_arguments_use_differences(rng):
+    # a plain callable has no analytic gradients: the per-point path runs
+    f = get_function("re_rational")
+    g = get_function("im_rational")
+    pts = rng.normal(size=(5, 2)) * 0.5 + 1j * rng.normal(size=(5, 2)) * 0.5
+    want = toeplitz.bracket_function(f, g)(pts)
+    got = toeplitz.bracket_function(f, lambda p: g(p))(pts)
+    assert np.max(np.abs(got - want)) <= 1e-7
 
 
 def test_commutator_defect_degenerate_pairs(basis):
