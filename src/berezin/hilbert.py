@@ -28,6 +28,10 @@ from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
 
+# Largest (n, N) complex node table node_data may allocate; larger requests
+# raise ResourceLimit from build_rule before any table exists.
+TABLE_BYTES = 2 ** 30
+
 
 def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
     """All exponent multi-indices with |I| <= m, graded lexicographic order."""
@@ -92,9 +96,14 @@ class BasisSpec:
         return self._positions[key]
 
     def node_data(self, level: int | None = None) -> _NodeData:
+        """Node tables on the exact-family rule of ``level``, built once.
+
+        The rule's node count is capped so that ``ehat`` fits TABLE_BYTES.
+        """
         lv = self.level if level is None else int(level)
         if lv not in self._nodes:
-            rule = quadrature.build_rule(self.d, lv)
+            cap = min(quadrature.NODE_CAP, TABLE_BYTES // (16 * self.N))
+            rule = quadrature.build_rule(self.d, lv, cap, exact_family=True)
             s = np.sum(np.abs(rule.nodes) ** 2, axis=1)
             halfw = np.exp(-(self.m / 2.0) * np.log1p(s))
             ehat = eval_matrix(self, rule.nodes) * halfw[:, None]

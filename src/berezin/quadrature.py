@@ -4,10 +4,33 @@ The chart integral of f against the 2^d-normalized Lebesgue measure is
 approximated by a polar product rule: per complex dimension, a uniform
 angular grid and Gauss-Legendre radial nodes composed with the
 compactification u = r^2 / (1 + r^2).  For d >= 2 the radius of dimension j
-is additionally scaled by sqrt(1 + sum_{k<j} r_k^2); with that cascade every
-integrand of the form (polynomial of total degree <= 2 m') times
-(1 + |nu|^2)^-(m'+d+1) becomes polynomial in the u variables and the rule is
-exact (to rounding) whenever m' <= m_max(level) = 4 * level.
+is additionally scaled by sqrt(1 + sum_{k<j} r_k^2).
+
+Exact family.  The integrands that the level-m space needs (Gram matrix, T_f,
+star product, kernel checks) are
+
+    P(nu, conj(nu)) * (1 + |nu|^2)^-(m' + d + 1),
+
+with P of degree <= m' in nu and <= m' in conj(nu).  A level-L rule is exact
+(to rounding) for them whenever m' <= m_max(L) = 4 L, with these counts per
+dimension:
+
+* angular, n_theta = 4 L + 1: the monomial nu^a conj(nu)^b carries the
+  frequency a_j - b_j in dimension j, at most m' <= 4 L in modulus, and the
+  uniform grid of 4 L + 1 angles integrates every such frequency exactly;
+* radial, n_r = 2 L + ceil(d / 2).  After the angles only the moments
+  prod_j rho_j^q_j (1 + sum rho)^-(m'+d+1) d rho remain, rho_j = r_j^2,
+  |q| <= m'.  The cascade rho_j = u_j / (1 - u_j) * A_{j-1} with
+  A_j = 1 + sum_{k<=j} rho_k = prod_{k<=j} 1 / (1 - u_k) turns this into
+  u_j^q_j (1 - u_j)^(m' + j - 1 - sum_{k>=j} q_k) per dimension, a
+  polynomial in u_j of degree m' + j - 1 - sum_{k>j} q_k <= m' + d - 1.
+  Gauss-Legendre with n points is exact through degree 2 n - 1, so
+  2 n - 1 >= 4 L + d - 1 gives n = 2 L + ceil(d / 2).  One node fewer
+  breaks the Gram matrix at (d, m) = (1, 8), (2, 4) and (3, 4).
+
+``build_rule(..., exact_family=True)`` gives that rule; the node tables of
+``hilbert.BasisSpec`` use it.  The default rule keeps n_r = 8 L, a fourfold
+radial margin for ``integrate`` on integrands outside the family.
 
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
 all nodes and reduces with numpy's fixed pairwise summation, so results are
@@ -44,8 +67,10 @@ class QuadratureRule:
     ``radial_nodes``/``radial_weights`` are the shared per-dimension 1-d
     Gauss-Legendre data in the compactified variable u; ``nodes`` and
     ``weights`` are the assembled d-dimensional rule (weights include the
-    2^d volume convention).  ``coarse`` holds the next-lower-resolution rule
-    used for error estimates.
+    2^d volume convention).  ``exact_family`` records the radial sizing (see
+    the module docstring).  ``coarse`` is the next-lower-resolution rule of
+    the same sizing used for error estimates; it stays None until the first
+    ``integrate`` call on this rule builds it.
     """
 
     d: int
@@ -55,6 +80,7 @@ class QuadratureRule:
     n_theta: int
     nodes: np.ndarray
     weights: np.ndarray
+    exact_family: bool = False
     coarse: "QuadratureRule | None" = field(default=None, repr=False)
 
     @property
@@ -96,35 +122,50 @@ def _assemble(d: int, n_r: int, n_theta: int):
     return u, gw, nodes, weights
 
 
-def build_rule(d: int, level: int, node_cap: int = NODE_CAP) -> QuadratureRule:
+def _counts(d: int, level: int, exact_family: bool) -> tuple[int, int]:
+    """Per-dimension (n_r, n_theta); level 0 is the level-1 rule's companion."""
+    if level == 0:
+        return _counts(d, 1, exact_family)[0] // 2, 3
+    n_r = 2 * level + (d + 1) // 2 if exact_family else 8 * level
+    return n_r, 4 * level + 1
+
+
+def _make_rule(d: int, level: int, exact_family: bool) -> QuadratureRule:
+    n_r, n_theta = _counts(d, level, exact_family)
+    u, gw, nodes, weights = _assemble(d, n_r, n_theta)
+    return QuadratureRule(d, level, u, gw, n_theta, nodes, weights, exact_family)
+
+
+def build_rule(d: int, level: int, node_cap: int = NODE_CAP, *,
+               exact_family: bool = False) -> QuadratureRule:
     """Build the level rule for dimension d.
 
-    Counts are n_r = 8 * level radial and n_theta = 4 * level + 1 angular
-    nodes per dimension; total nodes (n_r * n_theta)^d must stay within
-    ``node_cap`` or ResourceLimit is raised.
+    Counts per dimension are n_theta = 4 * level + 1 angular and n_r =
+    8 * level radial nodes, or n_r = 2 * level + ceil(d / 2) with
+    ``exact_family`` (exact for the module's weighted-polynomial family and
+    nothing more).  Total nodes (n_r * n_theta)^d must stay within
+    ``node_cap`` or ResourceLimit is raised before anything is allocated.
+    The error-estimate companion is not built here (see ``integrate``).
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {d}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    n_r, n_theta = 8 * level, 4 * level + 1
+    n_r, n_theta = _counts(d, level, exact_family)
     total = (n_r * n_theta) ** d
     if total > node_cap:
         raise ResourceLimit(f"rule would need {total} nodes, cap is {node_cap}")
-    u, gw, nodes, weights = _assemble(d, n_r, n_theta)
-    # companion rule one level down (half resolution at level 1) for the
-    # error estimate in integrate()
-    c_nr, c_nt = (8 * (level - 1), 4 * (level - 1) + 1) if level > 1 else (4, 3)
-    cu, cgw, cn, cw = _assemble(d, c_nr, c_nt)
-    coarse = QuadratureRule(d, level - 1, cu, cgw, c_nt, cn, cw, coarse=None)
-    return QuadratureRule(d, level, u, gw, n_theta, nodes, weights, coarse=coarse)
+    return _make_rule(d, level, exact_family)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> IntegrationResult:
     """Integrate f over the chart against the 2^d Lebesgue convention.
 
     ``f`` receives the (n, d) complex node array and must return (n,) values.
-    The error estimate compares against the rule's coarse companion.  Raises
+    The error estimate compares against the rule's coarse companion: one
+    level down with the same sizing, half the radial nodes and 3 angles below
+    level 1.  The first call builds it and stores it as ``rule.coarse``; a
+    companion of level 0 has none, and its estimate is 0.  Raises
     NonFiniteIntegrand naming the first offending node.
     """
     def reduce(nodes, weights):
@@ -139,6 +180,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> In
         return complex(np.sum(weights * vals))
 
     value = reduce(rule.nodes, rule.weights)
+    if rule.coarse is None and rule.level > 0:
+        rule.coarse = _make_rule(rule.d, rule.level - 1, rule.exact_family)
     if rule.coarse is not None:
         err = abs(value - reduce(rule.coarse.nodes, rule.coarse.weights))
     else:

@@ -1,11 +1,12 @@
 """CLI surface: exit codes, artifact formats, config merging, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from berezin import cli, hilbert, toeplitz
+from berezin import cli, hilbert, quadrature, toeplitz
 
 
 def run(capsys, *argv):
@@ -136,6 +137,20 @@ def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
                      "--g", "im_rational", "--m-list", "2")
     assert rc == 3
     assert "numeric failure: SVD did not converge" in err
+
+
+def test_over_budget_table_is_a_numeric_failure(capsys, monkeypatch):
+    # d=3 m=12 needs 1.12M nodes x N=455, an 8 GB table: refused before
+    # any rule or table is assembled
+    def never(*args):
+        raise AssertionError("rule assembled for an over-budget request")
+
+    monkeypatch.setattr(quadrature, "_assemble", never)
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "kernel-check", "--d", "3", "--m", "12")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert "numeric failure" in err
 
 
 def test_torus_holonomy_artifacts(capsys, tmp_path):

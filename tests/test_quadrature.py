@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from berezin import quadrature
+from berezin import hilbert, quadrature
 from berezin.errors import (DimensionMismatch, IndexOutOfRange, NonFiniteIntegrand,
                             ResourceLimit)
 
@@ -33,12 +33,41 @@ def test_level_policy():
 def test_rule_counts_and_companion():
     rule = quadrature.build_rule(1, 2)
     assert rule.node_count == 16 * 9
-    assert rule.coarse is not None
+    assert rule.coarse is None
+    quadrature.integrate(weighted_monomial((0,), (0,), 0, 1), rule)
     assert rule.coarse.node_count == 8 * 5
     base = quadrature.build_rule(1, 1)
+    quadrature.integrate(weighted_monomial((0,), (0,), 0, 1), base)
     assert base.coarse.node_count == 4 * 3
     rule2 = quadrature.build_rule(2, 1)
     assert rule2.node_count == (8 * 5) ** 2
+
+
+def test_exact_family_counts():
+    # (2L + ceil(d/2)) radial times (4L + 1) angular nodes per dimension
+    for d, level in [(1, 1), (1, 2), (1, 32), (2, 1), (2, 4), (3, 1), (3, 2)]:
+        rule = quadrature.build_rule(d, level, exact_family=True)
+        n_r = 2 * level + (d + 1) // 2
+        assert rule.radial_nodes.shape == (n_r,)
+        assert rule.node_count == (n_r * (4 * level + 1)) ** d
+        assert rule.exact_family and rule.coarse is None
+
+
+def gram_deviation(d, m, n_r):
+    """Gram-matrix deviation at (d, m) on a level rule with n_r radial nodes."""
+    spec = hilbert.build_basis(d, m)
+    _, _, nodes, weights = quadrature._assemble(d, n_r, 4 * spec.level + 1)
+    s = np.sum(np.abs(nodes) ** 2, axis=1)
+    ehat = hilbert.eval_matrix_normalized(spec, nodes)
+    gram = spec.c_m * ((ehat.conj().T * (weights * (1.0 + s) ** -(d + 1.0))) @ ehat)
+    return np.max(np.abs(gram - np.eye(spec.N)))
+
+
+@pytest.mark.parametrize("d,m", [(1, 8), (2, 4), (3, 4)])
+def test_exact_family_count_is_tight(d, m):
+    n_r = 2 * quadrature.level_for(m) + (d + 1) // 2
+    assert gram_deviation(d, m, n_r) <= 1e-13
+    assert gram_deviation(d, m, n_r - 1) > 1e-6
 
 
 def test_build_rule_rejections():

@@ -109,11 +109,12 @@ def test_norm_contraction(basis):
             assert nrm <= fn.sup_exact + 1e-8, name
 
 
-def test_norm_saturation_closed_form(basis):
-    for m in (4, 9):
-        spec = basis(1, m)
+def test_norm_saturation_closed_form():
+    # ||T_abs2|| = (m + d) / (m + d + 1)
+    for d, m in ((1, 4), (1, 9), (1, 128), (2, 4), (2, 12), (3, 3), (3, 5)):
+        spec = hilbert.build_basis(d, m)  # fresh: large tables are not kept
         t = toeplitz.toeplitz_matrix(spec, get_function("abs2_rational"))
-        assert toeplitz.operator_norm(t) == pytest.approx((m + 1) / (m + 2), rel=1e-12)
+        assert toeplitz.operator_norm(t) == pytest.approx((m + d) / (m + d + 1), rel=1e-12)
 
 
 def test_operator_norm_examples(rng):
