@@ -20,7 +20,6 @@ Flags may also be supplied via --config FILE with key=value lines
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -202,12 +201,8 @@ def _cmd_star_sweep(args) -> int:
     mu0 = np.zeros(args.d, dtype=complex)
     mu0[0] = MU0
 
-    # f and g share one spec (and its node tables) per level; only the
-    # current level's spec is kept.
-    spec_at = functools.lru_cache(maxsize=1)(lambda m: hilbert.build_basis(args.d, m))
-
     def build(fn):
-        return lambda m: toeplitz.toeplitz_matrix(spec_at(m), fn)
+        return lambda m: toeplitz.toeplitz_matrix(hilbert.build_basis(args.d, m), fn)
 
     result = operators.correspondence_sweep(build(f), build(g), args.m_list, mu0)
     e0 = [r[1] for r in result.rows]

@@ -28,9 +28,13 @@ from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
 
-# Largest (n, N) complex node table node_data may allocate; larger requests
-# raise ResourceLimit from build_rule before any table exists.
+# Largest (n, N) complex node table node_data may keep; larger requests
+# raise ResourceLimit from build_rule before any table exists. Building a
+# table needs only row blocks of scratch on top of the table itself.
 TABLE_BYTES = 2 ** 30
+
+# Scratch bytes per block when eval_matrix gathers per-dimension powers.
+_GATHER_BYTES = 2 ** 25
 
 
 def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
@@ -106,7 +110,8 @@ class BasisSpec:
             rule = quadrature.build_rule(self.d, lv, cap, exact_family=True)
             s = np.sum(np.abs(rule.nodes) ** 2, axis=1)
             halfw = np.exp(-(self.m / 2.0) * np.log1p(s))
-            ehat = eval_matrix(self, rule.nodes) * halfw[:, None]
+            ehat = eval_matrix(self, rule.nodes)
+            ehat *= halfw[:, None]
             wcore = rule.weights * np.exp(-(self.d + 1.0) * np.log1p(s))
             self._nodes[lv] = _NodeData(rule=rule, s=s, ehat=ehat, halfw=halfw, wcore=wcore)
         return self._nodes[lv]
@@ -147,12 +152,15 @@ def eval_matrix(spec: BasisSpec, points) -> np.ndarray:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {spec.d}")
     n = pts.shape[0]
     E = np.ones((n, spec.N), dtype=complex)
+    rows = max(1, _GATHER_BYTES // (16 * spec.N))
     for j in range(spec.d):
         powers = np.empty((n, spec.m + 1), dtype=complex)
         powers[:, 0] = 1.0
         for k in range(1, spec.m + 1):
             powers[:, k] = powers[:, k - 1] * pts[:, j]
-        E *= powers[:, spec._exponents[:, j]]
+        exps = spec._exponents[:, j]
+        for a in range(0, n, rows):
+            E[a:a + rows] *= powers[a:a + rows, exps]
     E *= 1.0 / np.sqrt(spec.D)
     return E
 
