@@ -7,10 +7,14 @@ by closed-form normalizations: with q = |I|,
     c_m = (m + d)! / ((2 pi)^d m!)             (inner-product prefactor)
 
 so that Psi_I = mu^I / sqrt(D_I) satisfies the coherent-state resolution
-sum_I conj(Psi_I(mu)) Psi_I(nu) = (1 + conj(mu) . nu)^m.  Numeric inner
-products use the quadrature module; every node-side path is routed through
-row-normalized basis matrices (rows scaled by (1 + |nu|^2)^(-m/2)) so all
-intermediates stay bounded for any m and |mu|.
+sum_I conj(Psi_I(mu)) Psi_I(nu) = (1 + conj(mu) . nu)^m.  Evaluation works on
+the unit lift zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) of the chart C^d into
+C^(d+1): the normalized values ehat_I = Psi_I (1 + |nu|^2)^(-m/2) =
+sqrt(1/D_I) zeta^(I, m-|I|) and the pairing zeta(nu) . conj(zeta(mu)) are
+products of factors of modulus <= 1, finite at any m and any |nu| < 1e154
+(where |nu|^2 still fits a double).  Every other path (raw values, node
+tables, operators, pullbacks) goes through them.  At d = 1 node tables reach
+m = 256; m = 512 is over the TABLE_BYTES budget.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ SCHEMA = "berezin.basis/1"
 
 # Largest (n, N) complex node table node_data may keep; larger requests
 # raise ResourceLimit from build_rule before any table exists. Building a
-# table needs only row blocks of scratch on top of the table itself.
+# table adds one (n, m+1) power table and row blocks of scratch.
 TABLE_BYTES = 2 ** 30
 
-# Scratch bytes per block when eval_matrix gathers per-dimension powers.
+# Scratch bytes per block when eval_matrix_normalized gathers powers.
 _GATHER_BYTES = 2 ** 25
 
 
@@ -59,8 +63,8 @@ def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
 class _NodeData:
     """Cached per-rule arrays: normalized basis matrix and weight pieces."""
     rule: quadrature.QuadratureRule
-    s: np.ndarray        # |nu|^2 per node
-    ehat: np.ndarray     # (n, N) basis values scaled by (1+s)^(-m/2)
+    lift: np.ndarray     # (n, d+1) unit lifts zeta of the nodes
+    ehat: np.ndarray     # (n, N) normalized basis values on the unit lift
     halfw: np.ndarray    # (1+s)^(-m/2)
     wcore: np.ndarray    # rule weights times (1+s)^(-(d+1))
 
@@ -83,13 +87,15 @@ class BasisSpec:
     c_m: float
     hbar: float
     level: int
+    # Homogeneous exponents Ihat = (I, m - |I|), one (d+1,) row per index.
     _exponents: np.ndarray = field(default=None, repr=False)
     _positions: dict = field(default=None, repr=False)
     _nodes: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self._exponents is None:
-            self._exponents = np.array(self.indices, dtype=int)
+            exps = np.array(self.indices, dtype=int).reshape(self.N, self.d)
+            self._exponents = np.column_stack([exps, self.m - exps.sum(axis=1)])
         if self._positions is None:
             self._positions = {I: k for k, I in enumerate(self.indices)}
 
@@ -108,12 +114,12 @@ class BasisSpec:
         if lv not in self._nodes:
             cap = min(quadrature.NODE_CAP, TABLE_BYTES // (16 * self.N))
             rule = quadrature.build_rule(self.d, lv, cap, exact_family=True)
-            s = np.sum(np.abs(rule.nodes) ** 2, axis=1)
-            halfw = np.exp(-(self.m / 2.0) * np.log1p(s))
-            ehat = eval_matrix(self, rule.nodes)
-            ehat *= halfw[:, None]
-            wcore = rule.weights * np.exp(-(self.d + 1.0) * np.log1p(s))
-            self._nodes[lv] = _NodeData(rule=rule, s=s, ehat=ehat, halfw=halfw, wcore=wcore)
+            log1ps = np.log1p(np.sum(np.abs(rule.nodes) ** 2, axis=1))
+            self._nodes[lv] = _NodeData(
+                rule=rule, ehat=eval_matrix_normalized(self, rule.nodes),
+                lift=unit_lift(rule.nodes),
+                halfw=np.exp(-(self.m / 2.0) * log1ps),
+                wcore=rule.weights * np.exp(-(self.d + 1.0) * log1ps))
         return self._nodes[lv]
 
 
@@ -140,48 +146,68 @@ def build_basis(d: int, m: int, level: int | None = None) -> BasisSpec:
                      c_m=c_m, hbar=1.0 / m, level=lv)
 
 
-def eval_matrix(spec: BasisSpec, points) -> np.ndarray:
-    """Basis values Psi_I at many points; returns (n, N).
+def unit_lift(points: np.ndarray) -> np.ndarray:
+    """zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) per row of an (n, d) array: (n, d+1)."""
+    r = 1.0 / np.sqrt(1.0 + np.sum(points.real ** 2 + points.imag ** 2, axis=1))
+    return np.column_stack([points * r[:, None], r])
 
-    Uses cumulative per-dimension power tables, O(n m d + n N) work.
+
+def normalized_pairing(nu_pts: np.ndarray, mu_pts: np.ndarray) -> np.ndarray:
+    """what(nu_k, mu_l) = zeta(nu_k) . conj(zeta(mu_l)) as a (K, L) matrix.
+
+    Equals (1 + nu . conj(mu)) / sqrt((1+|nu|^2)(1+|mu|^2)), |entries| <= 1.
+    """
+    return unit_lift(nu_pts) @ unit_lift(mu_pts).conj().T
+
+
+def eval_matrix_normalized(spec: BasisSpec, points) -> np.ndarray:
+    """Unit-norm rows ehat_I = sqrt(1/D_I) zeta^Ihat at many points; (n, N).
+
+    One (n, m+1) power table is alive at a time; gathers use bounded scratch.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.shape[1] != spec.d:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {spec.d}")
-    n = pts.shape[0]
-    E = np.ones((n, spec.N), dtype=complex)
+    lift = unit_lift(pts)
+    n = lift.shape[0]
+    # The rounded lift has |zeta|^2 = 1 + eps, so rows would carry (1+eps)^(m/2),
+    # m ulps of noise; eps in extended precision scales it out of the zeta_h powers.
+    eps = np.full(n, -1.0, dtype=np.longdouble)
+    for part in lift.view(float).T:
+        eps += np.square(part, dtype=np.longdouble)
+    E = np.empty((n, spec.N), dtype=complex)
+    powers = np.empty((n, spec.m + 1), dtype=complex)
     rows = max(1, _GATHER_BYTES // (16 * spec.N))
-    for j in range(spec.d):
-        powers = np.empty((n, spec.m + 1), dtype=complex)
-        powers[:, 0] = 1.0
-        for k in range(1, spec.m + 1):
-            powers[:, k] = powers[:, k - 1] * pts[:, j]
+    # The homogeneous coordinate comes first so that its gather fills E.
+    for j in (spec.d, *range(spec.d)):
+        powers[:, 0] = np.exp(-(spec.m / 2.0) * np.log1p(eps)) if j == spec.d else 1.0
+        powers[:, 1:] = lift[:, j, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
         exps = spec._exponents[:, j]
+        if j == spec.d:
+            # mode="clip" writes into E directly; "raise" would buffer it.
+            np.take(powers, exps, axis=1, out=E, mode="clip")
+            continue
         for a in range(0, n, rows):
             E[a:a + rows] *= powers[a:a + rows, exps]
     E *= 1.0 / np.sqrt(spec.D)
     return E
 
 
-def eval_matrix_normalized(spec: BasisSpec, points) -> np.ndarray:
-    """Row-normalized basis values, rows scaled by (1 + |point|^2)^(-m/2)."""
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    s = np.sum(np.abs(pts) ** 2, axis=1)
-    return eval_matrix(spec, pts) * np.exp(-(spec.m / 2.0) * np.log1p(s))[:, None]
+def eval_matrix(spec: BasisSpec, points) -> np.ndarray:
+    """Basis values Psi_I = mu^I / sqrt(D_I): the normalized rows times (1+s)^(m/2)."""
+    E = eval_matrix_normalized(spec, points)
+    s = np.sum(np.abs(np.atleast_2d(points)) ** 2, axis=1)
+    E *= np.exp((spec.m / 2.0) * np.log1p(s))[:, None]
+    return E
 
 
 def basis_eval(spec: BasisSpec, index: Sequence[int], mu) -> complex:
     """Single basis function Psi_I(mu) = mu^I / sqrt(D_I)."""
     k = spec.position(index)
-    mu = as_point(mu, d=spec.d)
-    val = 1.0 + 0.0j
-    for j, q in enumerate(spec.indices[k]):
-        val *= mu[j] ** q
-    return complex(val / math.sqrt(spec.D[k]))
+    return complex(eval_matrix(spec, as_point(mu, d=spec.d))[0, k])
 
 
 def section_eval(spec: BasisSpec, v, points) -> np.ndarray:
@@ -194,9 +220,7 @@ def section_eval(spec: BasisSpec, v, points) -> np.ndarray:
 
 def coherent_eval(spec: BasisSpec, mu, nu) -> complex:
     """Coherent state of parameter mu evaluated at nu: (1 + conj(mu) . nu)^m."""
-    mu = as_point(mu, d=spec.d)
-    nu = as_point(nu, d=spec.d)
-    return complex((1.0 + np.vdot(mu, nu)) ** spec.m)
+    return kernel_L(spec, nu, mu)
 
 
 def coherent_coeffs(spec: BasisSpec, mu) -> np.ndarray:
@@ -245,19 +269,6 @@ def gram_matrix(spec: BasisSpec, level: int | None = None) -> np.ndarray:
     return spec.c_m * ((nd.ehat.conj().T * nd.wcore) @ nd.ehat)
 
 
-def _kernel_column(spec: BasisSpec, nd: _NodeData, mu) -> np.ndarray:
-    """Normalized kernel values what(mu, node)^m over the nodes.
-
-    what = (1 + mu . conj(nu)) / sqrt((1+|mu|^2)(1+|nu|^2)); the plain kernel
-    column is this times (1+|mu|^2)^(m/2) / halfw.
-    """
-    mu = as_point(mu, d=spec.d)
-    smu = float(np.vdot(mu, mu).real)
-    pair = 1.0 + nd.rule.nodes.conj() @ mu
-    what = pair * np.exp(-0.5 * (np.log1p(nd.s) + np.log1p(smu)))
-    return what ** spec.m
-
-
 def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> float:
     """|<psi_mu, v> - v(mu)| with the pairing done by numeric integration.
 
@@ -268,7 +279,7 @@ def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> fl
         raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
     mu = as_point(mu, d=spec.d)
     nd = spec.node_data(level)
-    khat = _kernel_column(spec, nd, mu)
+    khat = (nd.lift.conj() @ unit_lift(mu.reshape(1, -1))[0]) ** spec.m
     smu = float(np.vdot(mu, mu).real)
     scale = np.exp(0.5 * spec.m * np.log1p(smu))
     paired_hat = spec.c_m * np.sum(nd.wcore * khat * (nd.ehat @ v))

@@ -6,10 +6,10 @@ Its two-point symbol is
     S(nu, mu) = <psi_nu, A psi_mu> / <psi_nu, psi_mu>,
 
 holomorphic in mu and antiholomorphic in nu; the diagonal restriction is the
-usual lower symbol.  All evaluations run through row-normalized basis values
-and the unit-modulus normalized pairing
+usual lower symbol.  All evaluations run through the unit-lift basis values
+and normalized pairing of ``hilbert``,
 
-    what(nu, mu) = (1 + nu . conj(mu)) / sqrt((1+|nu|^2)(1+|mu|^2)),
+    what(nu, mu) = zeta(nu) . conj(zeta(mu)),  zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2),
 
 so nothing overflows at any level.  |what| <= 1 with equality only at
 coinciding points; the symbol denominator is what^m, and evaluation close to
@@ -82,33 +82,15 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.spec, a.mat @ b.mat - b.mat @ a.mat)
 
 
-def _normalized_pairing(spec: BasisSpec, nu_pts: np.ndarray, mu_pts: np.ndarray) -> np.ndarray:
-    """what(nu_k, mu_l) as a (K, L) matrix, |entries| <= 1."""
-    pair = 1.0 + nu_pts @ mu_pts.conj().T
-    ln_nu = np.log1p(np.sum(np.abs(nu_pts) ** 2, axis=1))
-    ln_mu = np.log1p(np.sum(np.abs(mu_pts) ** 2, axis=1))
-    return pair * np.exp(-0.5 * (ln_nu[:, None] + ln_mu[None, :]))
-
-
 def symbol_eval(op: OperatorMatrix, nu, mu) -> complex:
     """Two-point symbol S(nu, mu); the first argument indexes the bra side.
 
     Raises DegenerateKernel when |what(nu, mu)|^m < 1e-14: past that point the
     quotient amplifies rounding error beyond all of double precision.
     """
-    spec = op.spec
-    nu = geometry.as_point(nu, d=spec.d)
-    mu = geometry.as_point(mu, d=spec.d)
-    what = complex(_normalized_pairing(spec, nu.reshape(1, -1), mu.reshape(1, -1))[0, 0])
-    mag = abs(what)
-    if mag == 0.0 or spec.m * math.log(mag) < math.log(DEGENERATE_TOL):
-        raise DegenerateKernel(
-            f"|normalized pairing|^m = {mag:.3e}^{spec.m} is below {DEGENERATE_TOL:.0e}; "
-            "symbol undefined to working precision at this pair")
-    row_nu = hilbert.eval_matrix_normalized(spec, nu)[0]
-    row_mu = hilbert.eval_matrix_normalized(spec, mu)[0]
-    num = row_nu @ op.mat @ row_mu.conj()
-    return complex(num / what ** spec.m)
+    nu = geometry.as_point(nu, d=op.spec.d)
+    mu = geometry.as_point(mu, d=op.spec.d)
+    return complex(CovariantSymbol(op).cross(nu, mu)[0, 0])
 
 
 class CovariantSymbol:
@@ -147,7 +129,7 @@ class CovariantSymbol:
         weighted_vals = (ehat_nu @ self.op.mat) @ ehat_mu.conj().T
         if weighted:
             return weighted_vals
-        what = _normalized_pairing(self.spec, nu_pts, mu_pts)
+        what = hilbert.normalized_pairing(nu_pts, mu_pts)
         mag = np.abs(what)
         bad = (mag == 0.0) | (self.spec.m * np.log(np.where(mag > 0, mag, 1.0))
                               < math.log(DEGENERATE_TOL))
@@ -201,7 +183,7 @@ def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
         if isinstance(symbol, CovariantSymbol):
             mid = symbol.cross(nodes, nodes[lo:hi], weighted=True)
         else:
-            what = _normalized_pairing(spec, nodes, nodes[lo:hi])
+            what = hilbert.normalized_pairing(nodes, nodes[lo:hi])
             mid = np.asarray(symbol(nodes, nodes[lo:hi])) * what ** spec.m
         ket = nd.ehat[lo:hi] * nd.wcore[lo:hi, None]
         out += bra.T @ mid @ ket

@@ -211,10 +211,7 @@ def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2,
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     params, wleb = _transported_nodes(spec, chart, level)
-    z = chart.forward(params)
-    s = np.sum(np.abs(z) ** 2, axis=1)
-    damp = np.exp(-(spec.m / 2.0) * np.log1p(s))
-    ehat = hilbert.eval_matrix(spec, z) * damp[:, None]
+    ehat = hilbert.eval_matrix_normalized(spec, chart.forward(params))
     f1 = ehat @ v1
     f2 = ehat @ v2
     hvals = measure_factor(chart, params) if h is None else np.asarray(h(params), dtype=float)
@@ -261,11 +258,12 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
     rng = np.random.default_rng(0) if rng is None else rng
 
     params, wleb = _transported_nodes(spec, chart_a, None)
-    z = chart_a.forward(params)
-    s = np.sum(np.abs(z) ** 2, axis=1)
-    damp = np.exp(-(spec.m / 2.0) * np.log1p(s))
+    s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
     mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
-    emap = hilbert.eval_matrix(spec, mapped) * damp[:, None]
+    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
+    # Values at chart b's points, weighted by chart a's (1 + s_a)^(-m/2).
+    emap = hilbert.eval_matrix_normalized(spec, mapped)
+    emap *= np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))[:, None]
     h = measure_factor(chart_a, params)
     gram = spec.c_m * ((emap.conj().T * (wleb * h)) @ emap)
     ip_dev = float(np.max(np.abs(gram - np.eye(spec.N))))

@@ -63,6 +63,21 @@ def test_kernel_check_streams_to_stdout(capsys):
     assert out.startswith("pair,kernel_rel_err")
 
 
+def test_kernel_check_survives_kernel_overflow(capsys, tmp_path, monkeypatch):
+    # |K(mu, mu)|^2 = 5^512 ~ 1e358 at mu = 2, m = 256 is past the largest
+    # double; the check compares the kernel with its closed form in log form.
+    monkeypatch.setattr(cli, "_admissible_pair",
+                        lambda rng, d: (np.array([2.0 + 0j]), np.array([2.0 + 0j])))
+    out = tmp_path / "kc.csv"
+    rc, _, err = run(capsys, "kernel-check", "--m", "256", "--pairs", "2", "--out", str(out))
+    assert rc == 0, err
+    meta = json.loads(out.with_suffix(".json").read_text())
+    assert meta["passed"] is True
+    for key in ("worst_kernel_rel_err", "worst_reproducing_rel_err",
+                "worst_resolution_rel_err"):
+        assert meta[key] <= meta["tol"]
+
+
 def test_star_sweep_artifacts(capsys, tmp_path):
     out = tmp_path / "star.csv"
     rc, _, _ = run(capsys, "star-sweep", "--m-list", "4,8",
@@ -125,6 +140,17 @@ def test_toeplitz_sweep_artifacts(capsys, tmp_path):
                      "--m-list", "4,8")
     assert rc == 2
     assert "unknown function" in err
+
+
+def test_toeplitz_sweep_reaches_m256(capsys, tmp_path):
+    # Raw basis powers overflowed at d = 1 from m = 167 and the SVD failed.
+    out = tmp_path / "tp.csv"
+    rc, _, err = run(capsys, "toeplitz-sweep", "--f", "abs2_rational", "--g", "im_rational",
+                     "--m-list", "64,128,256", "--out", str(out))
+    assert rc == 0, err
+    for path in (out, tmp_path / "tp_commutator.csv"):
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
 
 
 def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):

@@ -52,13 +52,19 @@ def test_squared_norms_match_moments(basis):
             assert spec.D[k] == pytest.approx(want, rel=1e-13)
 
 
-def test_basis_eval_monomial_form(basis):
+def test_basis_eval_monomial_form(basis, rng):
     spec = basis(1, 4)
     mu = [0.3 - 0.5j]
     # Psi_q = z^q / sqrt(D_q) with 1/D_q the binomial coefficient
     for q in range(5):
         want = mu[0] ** q / np.sqrt(spec.D[q])
         assert hilbert.basis_eval(spec, (q,), mu) == pytest.approx(want, rel=1e-14)
+    # every index at d = 2, 3 against the direct product mu^I / sqrt(D_I)
+    for d, m in ((2, 7), (3, 5)):
+        spec = basis(d, m)
+        pts = sample_ball(rng, d, 2.0, 20)
+        want = np.prod(pts[:, None, :] ** np.array(spec.indices)[None], axis=2) / np.sqrt(spec.D)
+        assert np.allclose(hilbert.eval_matrix(spec, pts), want, rtol=1e-13, atol=0)
 
 
 def test_position_lookup(basis):
@@ -85,6 +91,37 @@ def test_gram_matrix_identity():
         spec = hilbert.build_basis(d, m)  # fresh: large tables are not kept
         dev = np.max(np.abs(hilbert.gram_matrix(spec) - np.eye(spec.N)))
         assert dev <= 1e-13
+
+
+def test_gram_matrix_identity_at_m256():
+    # The unit-lift rows stay finite past m = 167, where raw powers overflowed.
+    # The deviation is quadrature rounding over 33,153 nodes and N = 257
+    # (6.6e-13 measured), so this level has its own bound.
+    spec = hilbert.build_basis(1, 256)
+    dev = np.max(np.abs(hilbert.gram_matrix(spec) - np.eye(spec.N)))
+    assert dev <= 1e-12
+
+
+@pytest.mark.parametrize("d, m", [(1, 256), (1, 512), (2, 64), (3, 16)])
+def test_normalized_rows_are_unit_vectors(d, m):
+    # sum_I |ehat_I(nu)|^2 = |zeta(nu)|^(2m) = 1 for every nu, at every m.
+    spec = hilbert.build_basis(d, m)
+    rng = np.random.default_rng(d * 1000 + m)
+    radii = np.logspace(-3, 3, 61)
+    dirs = rng.normal(size=(61, d)) + 1j * rng.normal(size=(61, d))
+    pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * radii[:, None]
+    ehat = hilbert.eval_matrix_normalized(spec, pts)
+    assert np.all(np.isfinite(ehat))
+    assert np.max(np.abs(np.sum(np.abs(ehat) ** 2, axis=1) - 1.0)) <= 1e-12
+
+
+def test_normalized_pairing_closed_form(rng):
+    nu = sample_ball(rng, 2, 3.0, 5)
+    mu = sample_ball(rng, 2, 3.0, 4)
+    want = ((1.0 + nu @ mu.conj().T)
+            / np.sqrt(np.outer(1.0 + np.sum(np.abs(nu) ** 2, axis=1),
+                               1.0 + np.sum(np.abs(mu) ** 2, axis=1))))
+    assert np.allclose(hilbert.normalized_pairing(nu, mu), want, rtol=0, atol=1e-15)
 
 
 def test_gram_needs_adequate_level():

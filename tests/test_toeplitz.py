@@ -117,6 +117,14 @@ def test_norm_saturation_closed_form():
         assert toeplitz.operator_norm(t) == pytest.approx((m + d) / (m + d + 1), rel=1e-12)
 
 
+def test_norm_saturation_closed_form_at_m256():
+    # ||T_abs2|| = 257/258 past the old d = 1 overflow at m = 167; the
+    # quadrature rounding floor here is 1.4e-12, so the bound is 3e-12.
+    spec = hilbert.build_basis(1, 256)
+    t = toeplitz.toeplitz_matrix(spec, get_function("abs2_rational"))
+    assert toeplitz.operator_norm(t) == pytest.approx(257 / 258, rel=3e-12)
+
+
 def test_operator_norm_examples(rng):
     assert toeplitz.operator_norm(np.eye(7)) == pytest.approx(1.0, abs=1e-14)
     assert toeplitz.operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
