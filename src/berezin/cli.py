@@ -222,24 +222,23 @@ def _cmd_star_sweep(args) -> int:
 
 def _cmd_toeplitz_sweep(args) -> int:
     f, g = _sweep_functions(args)
-    norms = toeplitz.norm_sweep(f, args.m_list, d=args.d)
-    comms = toeplitz.commutator_sweep(f, g, args.m_list, d=args.d)
-    ndef = [r[2] for r in norms.rows]
-    cdef = [r[1] for r in comms.rows]
+    result = toeplitz.toeplitz_sweep(f, g, args.m_list, d=args.d)
+    ndef = [r[2] for r in result.rows]
+    cdef = [r[3] for r in result.rows]
     passed = bool(all(x > 0.0 for x in ndef) and _decreasing(ndef) and _decreasing(cdef))
     if len(args.m_list) >= 3:
-        passed = bool(passed and _slope_ok(norms.slope_e0)
-                      and comms.slope_e0 is not None and comms.slope_e0 <= -0.7)
-    _write_csv(args.out, ["m", "norm", "defect"], norms.rows)
+        passed = bool(passed and _slope_ok(result.slope_e0)
+                      and result.slope_e1 is not None and result.slope_e1 <= -0.7)
+    _write_csv(args.out, ["m", "norm", "defect"], [r[:3] for r in result.rows])
     if args.out is not None:
         cpath = str(Path(args.out).with_name(Path(args.out).stem + "_commutator.csv"))
     else:
         cpath = None
-    _write_csv(cpath, ["m", "commutator_defect"], comms.rows)
+    _write_csv(cpath, ["m", "commutator_defect"], [(r[0], r[3]) for r in result.rows])
     _write_sidecar(args.out, {
         "command": "toeplitz-sweep", "d": args.d, "m_list": args.m_list,
         "f": args.f, "g": args.g,
-        "norm_defect_slope": norms.slope_e0, "commutator_defect_slope": comms.slope_e0,
+        "norm_defect_slope": result.slope_e0, "commutator_defect_slope": result.slope_e1,
         "passed": passed})
     return 0 if passed else 1
 

@@ -11,14 +11,15 @@ sum_I conj(Psi_I(mu)) Psi_I(nu) = (1 + conj(mu) . nu)^m.  Evaluation works on
 the unit lift zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) of the chart C^d into
 C^(d+1): the normalized values ehat_I = Psi_I (1 + |nu|^2)^(-m/2) =
 sqrt(1/D_I) zeta^(I, m-|I|) and the pairing zeta(nu) . conj(zeta(mu)) are
-products of factors of modulus <= 1, finite at any m and any |nu| < 1e154
-(where |nu|^2 still fits a double).  Every other path (raw values, node
-tables, operators, pullbacks) goes through them.  At d = 1 node tables reach
-m = 256; m = 512 is over the TABLE_BYTES budget.
+products of factors of modulus <= 1, finite at any m and any finite nu.
+Every other path (raw values, node tables, operators, pullbacks) goes
+through them.  At d = 1 node tables reach m = 256; m = 512 is over the
+TABLE_BYTES budget.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -147,9 +148,19 @@ def build_basis(d: int, m: int, level: int | None = None) -> BasisSpec:
 
 
 def unit_lift(points: np.ndarray) -> np.ndarray:
-    """zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) per row of an (n, d) array: (n, d+1)."""
-    r = 1.0 / np.sqrt(1.0 + np.sum(points.real ** 2 + points.imag ** 2, axis=1))
-    return np.column_stack([points * r[:, None], r])
+    """zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) per row of an (n, d) array: (n, d+1).
+
+    Each row is scaled by a power of two near its largest modulus before
+    squaring, so |nu|^2 cannot overflow; the scaling is exact, and the lift is
+    bitwise the unscaled formula wherever |nu|^2 is finite.
+    """
+    # Column by column: numpy's max over a short row axis is ~40x slower.
+    _, e = np.frexp(functools.reduce(np.maximum, np.abs(points).T, 1.0))
+    scaled = points * np.ldexp(1.0, -e)[:, None]
+    r = 1.0 / np.sqrt(np.ldexp(1.0, -2 * e)
+                      + np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=1))
+    scaled *= r[:, None]
+    return np.column_stack([scaled, np.ldexp(r, -e)])
 
 
 def normalized_pairing(nu_pts: np.ndarray, mu_pts: np.ndarray) -> np.ndarray:

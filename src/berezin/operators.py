@@ -171,20 +171,22 @@ def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
     ``symbol`` is either a CovariantSymbol or a callable (nu_pts, mu_pts) ->
     (K, L) returning finite two-point symbol values.  Double quadrature over
     bra and ket nodes; for symbols of actual level-m operators the integrand
-    is in the rule's exact family and recovery is at rounding error.  Work is
-    chunked over ket nodes to bound memory.
+    is in the rule's exact family and recovery is at rounding error.  For a
+    CovariantSymbol of A that quadrature is G A G with G the numeric Gram
+    matrix, which is returned directly; a plain callable is integrated in
+    chunks of ket nodes to bound memory.
     """
+    if isinstance(symbol, CovariantSymbol):
+        gram = OperatorMatrix(spec, hilbert.gram_matrix(spec, level))
+        return gram @ symbol.op @ gram
     nd = spec.node_data(level)
     nodes, n = nd.rule.nodes, nd.rule.nodes.shape[0]
     bra = (nd.ehat.conj() * nd.wcore[:, None])
     out = np.zeros((spec.N, spec.N), dtype=complex)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        if isinstance(symbol, CovariantSymbol):
-            mid = symbol.cross(nodes, nodes[lo:hi], weighted=True)
-        else:
-            what = hilbert.normalized_pairing(nodes, nodes[lo:hi])
-            mid = np.asarray(symbol(nodes, nodes[lo:hi])) * what ** spec.m
+        what = hilbert.normalized_pairing(nodes, nodes[lo:hi])
+        mid = np.asarray(symbol(nodes, nodes[lo:hi])) * what ** spec.m
         ket = nd.ehat[lo:hi] * nd.wcore[lo:hi, None]
         out += bra.T @ mid @ ket
     return OperatorMatrix(spec, spec.c_m ** 2 * out)
@@ -192,7 +194,11 @@ def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
 
 @dataclass
 class SweepResult:
-    """Error decay rows (m, e0, e1) plus fitted log-log slopes (None if < 2 rows)."""
+    """Error decay rows plus log-log slopes of their e0 and e1 columns.
+
+    Rows are (m, e0, e1) from correspondence_sweep and (m, norm, e0, e1) from
+    toeplitz_sweep; a slope is None with fewer than two positive errors.
+    """
 
     rows: list
     slope_e0: float | None

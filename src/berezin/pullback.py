@@ -305,66 +305,44 @@ def _identity_map(params):
 # stock parameterizations
 
 
-def identity_chart(d: int = 1) -> DiffeoChart:
-    """Parameters are the real and imaginary parts themselves."""
+def _linear_chart(name: str, d: int, c, jacobian: float, descriptor: dict) -> DiffeoChart:
+    """z = c (x + iy) per coordinate; ``c`` keeps its type, so the arithmetic
+    is the plain real or complex product and quotient."""
 
     def fwd(p):
-        return p[:, 0::2] + 1j * p[:, 1::2]
+        return c * (p[:, 0::2] + 1j * p[:, 1::2])
 
     def inv(z):
-        out = np.empty((z.shape[0], 2 * d))
-        out[:, 0::2] = z.real
-        out[:, 1::2] = z.imag
-        return out
-
-    return DiffeoChart(
-        name="identity", d=d, forward_fn=fwd, inverse_fn=inv,
-        jacobian_fn=lambda p: np.ones(p.shape[0]),
-        sampler_fn=lambda rng, n: rng.normal(0.0, 0.7, size=(n, 2 * d)),
-        descriptor={"kind": "identity"})
-
-
-def rotation_chart(theta: float, d: int = 1) -> DiffeoChart:
-    """Identity parameters followed by a phase rotation of every coordinate."""
-    phase = complex(np.exp(1j * float(theta)))
-
-    def fwd(p):
-        return phase * (p[:, 0::2] + 1j * p[:, 1::2])
-
-    def inv(z):
-        w = z / phase
+        w = z / c
         out = np.empty((z.shape[0], 2 * d))
         out[:, 0::2] = w.real
         out[:, 1::2] = w.imag
         return out
 
     return DiffeoChart(
-        name=f"rotation({theta:g})", d=d, forward_fn=fwd, inverse_fn=inv,
-        jacobian_fn=lambda p: np.ones(p.shape[0]),
+        name=name, d=d, forward_fn=fwd, inverse_fn=inv,
+        jacobian_fn=lambda p: np.full(p.shape[0], jacobian),
         sampler_fn=lambda rng, n: rng.normal(0.0, 0.7, size=(n, 2 * d)),
-        descriptor={"kind": "rotation", "theta": float(theta)})
+        descriptor=descriptor)
+
+
+def identity_chart(d: int = 1) -> DiffeoChart:
+    """Parameters are the real and imaginary parts themselves."""
+    return _linear_chart("identity", d, 1.0, 1.0, {"kind": "identity"})
+
+
+def rotation_chart(theta: float, d: int = 1) -> DiffeoChart:
+    """Identity parameters followed by a phase rotation of every coordinate."""
+    phase = complex(np.exp(1j * float(theta)))
+    return _linear_chart(f"rotation({theta:g})", d, phase, 1.0,
+                         {"kind": "rotation", "theta": float(theta)})
 
 
 def scaling_chart(a: float, d: int = 1) -> DiffeoChart:
     """Identity parameters followed by scaling; a valid presentation of the
     plane but not of the two-point geometry (equivalence_check fails it)."""
     a = float(a)
-
-    def fwd(p):
-        return a * (p[:, 0::2] + 1j * p[:, 1::2])
-
-    def inv(z):
-        w = z / a
-        out = np.empty((z.shape[0], 2 * d))
-        out[:, 0::2] = w.real
-        out[:, 1::2] = w.imag
-        return out
-
-    return DiffeoChart(
-        name=f"scaling({a:g})", d=d, forward_fn=fwd, inverse_fn=inv,
-        jacobian_fn=lambda p: np.full(p.shape[0], a ** (2 * d)),
-        sampler_fn=lambda rng, n: rng.normal(0.0, 0.7, size=(n, 2 * d)),
-        descriptor={"kind": "scaling", "a": a})
+    return _linear_chart(f"scaling({a:g})", d, a, a ** (2 * d), {"kind": "scaling", "a": a})
 
 
 def torus_chart() -> DiffeoChart:

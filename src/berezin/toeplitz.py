@@ -137,28 +137,20 @@ def sup_estimate(f, d: int, n_radial: int = 16, n_theta: int = 16) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def norm_sweep(f, m_list, d: int = 1) -> SweepResult:
-    """Norm saturation sweep: rows (m, ||T_f||, sup|f| - ||T_f||).
+def toeplitz_sweep(f, g, m_list, d: int = 1) -> SweepResult:
+    """Norm saturation and commutator correspondence, one basis per level.
 
-    The sup is the grid estimate, so the table is self-contained; the defect
-    is nonnegative and decays like 1/m, and the fitted slope is over the
-    defect column.  (slope_e1 is None: there is one error track here.)
+    Rows are (m, ||T_f||, sup|f| - ||T_f||, commutator_defect(f, g)).  The
+    sup is the grid estimate, so the table is self-contained; both defects
+    decay like 1/m.  slope_e0 fits the norm defect, slope_e1 the commutator
+    defect.
     """
     sup = sup_estimate(f, d)
     rows = []
     for m in m_list:
         spec = hilbert.build_basis(d, int(m))
         nrm = operator_norm(toeplitz_matrix(spec, f))
-        rows.append((int(m), nrm, float(sup - nrm)))
-    slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows])
-    return SweepResult(rows=rows, slope_e0=slope, slope_e1=None)
-
-
-def commutator_sweep(f, g, m_list, d: int = 1) -> SweepResult:
-    """Commutator correspondence sweep: rows (m, defect) with fitted slope."""
-    rows = []
-    for m in m_list:
-        spec = hilbert.build_basis(d, int(m))
-        rows.append((int(m), commutator_defect(spec, f, g)))
-    slope = _fit_slope([r[0] for r in rows], [r[1] for r in rows])
-    return SweepResult(rows=rows, slope_e0=slope, slope_e1=None)
+        rows.append((int(m), nrm, float(sup - nrm), commutator_defect(spec, f, g)))
+    ms = [r[0] for r in rows]
+    return SweepResult(rows=rows, slope_e0=_fit_slope(ms, [r[2] for r in rows]),
+                       slope_e1=_fit_slope(ms, [r[3] for r in rows]))

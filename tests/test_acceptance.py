@@ -153,7 +153,8 @@ def test_criterion_6_toeplitz_norm_and_commutator_sweeps():
     details = []
     ok = True
     for name in ("abs2_rational", "inv_rational"):
-        res = toeplitz.norm_sweep(get_function(name), SWEEP_GRID)
+        fn = get_function(name)
+        res = toeplitz.toeplitz_sweep(fn, fn, SWEEP_GRID)
         norms = [r[1] for r in res.rows]
         defects = [r[2] for r in res.rows]
         nondecreasing = all(x <= y + 1e-12 for x, y in zip(norms, norms[1:]))
@@ -163,13 +164,13 @@ def test_criterion_6_toeplitz_norm_and_commutator_sweeps():
         ok = ok and nondecreasing and positive and slope_ok
         details.append(f"{name} slope {res.slope_e0:.3f}")
 
-    comm = toeplitz.commutator_sweep(get_function("re_rational"),
-                                     get_function("im_rational"), SWEEP_GRID)
-    cdef = [r[1] for r in comm.rows]
+    comm = toeplitz.toeplitz_sweep(get_function("re_rational"),
+                                   get_function("im_rational"), SWEEP_GRID)
+    cdef = [r[3] for r in comm.rows]
     nonincreasing = all(x >= y for x, y in zip(cdef, cdef[1:]))
-    comm_ok = nonincreasing and comm.slope_e0 is not None and comm.slope_e0 <= -0.7
+    comm_ok = nonincreasing and comm.slope_e1 is not None and comm.slope_e1 <= -0.7
     ok = ok and comm_ok
-    details.append(f"commutator slope {comm.slope_e0:.3f}")
+    details.append(f"commutator slope {comm.slope_e1:.3f}")
     assert verdict(6, "compression norms saturate and commutators vanish", ok,
                    "; ".join(details))
 

@@ -1,11 +1,16 @@
 """CLI surface: exit codes, artifact formats, config merging, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import berezin
 from berezin import cli, hilbert, quadrature, toeplitz
 
 
@@ -234,3 +239,17 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
         assert rc == 0
         outs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # numpy is the only runtime dependency; a fresh interpreter shows every
+    # top-level module the CLI pulls in.
+    probe = ("import sys; before = set(sys.modules); import berezin.cli; "
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(berezin.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "berezin" in out
+    assert set(out) - set(sys.stdlib_module_names) <= {"berezin", "numpy"}

@@ -104,15 +104,18 @@ def test_gram_matrix_identity_at_m256():
 
 @pytest.mark.parametrize("d, m", [(1, 256), (1, 512), (2, 64), (3, 16)])
 def test_normalized_rows_are_unit_vectors(d, m):
-    # sum_I |ehat_I(nu)|^2 = |zeta(nu)|^(2m) = 1 for every nu, at every m.
+    # sum_I |ehat_I(nu)|^2 = |zeta(nu)|^(2m) = 1 for every nu, at every m,
+    # also where |nu|^2 itself overflows a double (1e160, 1e300).
     spec = hilbert.build_basis(d, m)
     rng = np.random.default_rng(d * 1000 + m)
-    radii = np.logspace(-3, 3, 61)
-    dirs = rng.normal(size=(61, d)) + 1j * rng.normal(size=(61, d))
+    radii = np.append(np.logspace(-3, 3, 61), [1e160, 1e300])
+    dirs = rng.normal(size=(63, d)) + 1j * rng.normal(size=(63, d))
     pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * radii[:, None]
     ehat = hilbert.eval_matrix_normalized(spec, pts)
     assert np.all(np.isfinite(ehat))
     assert np.max(np.abs(np.sum(np.abs(ehat) ** 2, axis=1) - 1.0)) <= 1e-12
+    # |zeta(nu) . conj(zeta(mu))| <= 1, up to the rounding of the lifts
+    assert np.max(np.abs(hilbert.normalized_pairing(pts, pts))) <= 1.0 + 4 * np.finfo(float).eps
 
 
 def test_normalized_pairing_closed_form(rng):

@@ -163,6 +163,27 @@ def test_operator_from_symbol_roundtrip(basis, rng):
     assert np.max(np.abs(back2.mat - op.mat)) <= 1e-10 * scale
 
 
+def test_operator_from_symbol_reads_the_node_table(basis, rng, monkeypatch):
+    # A CovariantSymbol round trip is G A G from the cached table: no basis
+    # row is evaluated again once the table exists.
+    spec = basis(2, 4)
+    spec.node_data()
+    op = random_operator(spec, rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis rows re-evaluated")
+
+    monkeypatch.setattr(hilbert, "eval_matrix_normalized", refuse)
+    back = operators.operator_from_symbol(spec, operators.CovariantSymbol(op))
+    assert np.max(np.abs(back.mat - op.mat)) <= 1e-10 * (1.0 + np.max(np.abs(op.mat)))
+
+
+def test_operator_from_symbol_rejects_other_level(basis, rng):
+    op = random_operator(basis(1, 4), rng)
+    with pytest.raises(DimensionMismatch):
+        operators.operator_from_symbol(basis(1, 5), operators.CovariantSymbol(op))
+
+
 def test_correspondence_sweep_structure():
     f = get_function("re_rational")
     g = get_function("im_rational")

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berezin import geometry, hilbert, operators, toeplitz
 from berezin.functions import REGISTRY, get_function
@@ -74,15 +76,28 @@ def test_diagonal_closed_form_d2(basis):
         assert t_inv[k, k] == pytest.approx(want, rel=1e-12)
 
 
-def test_real_function_gives_hermitian(basis):
-    spec = basis(1, 8)
-    op = toeplitz.toeplitz_matrix(spec, get_function("re_rational")).mat
+# Every REGISTRY function is real-valued; these three are also nonnegative.
+NONNEGATIVE = ("one", "abs2_rational", "inv_rational")
+# Small (d, m): the session basis cache keeps every table it builds.
+SMALL_LEVELS = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, {1: 8, 2: 5, 3: 3}[d])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(level=SMALL_LEVELS, name=st.sampled_from(sorted(REGISTRY)))
+@example(level=(1, 8), name="re_rational")
+def test_real_function_gives_hermitian(basis, level, name):
+    spec = basis(*level)
+    op = toeplitz.toeplitz_matrix(spec, get_function(name)).mat
     assert np.max(np.abs(op - op.conj().T)) <= 1e-12
 
 
-def test_nonnegative_function_gives_nonnegative_operator(basis):
-    spec = basis(1, 8)
-    op = toeplitz.toeplitz_matrix(spec, get_function("abs2_rational")).mat
+@settings(max_examples=30, deadline=None)
+@given(level=SMALL_LEVELS, name=st.sampled_from(NONNEGATIVE))
+@example(level=(1, 8), name="abs2_rational")
+def test_nonnegative_function_gives_nonnegative_operator(basis, level, name):
+    spec = basis(*level)
+    op = toeplitz.toeplitz_matrix(spec, get_function(name)).mat
     assert np.min(np.linalg.eigvalsh(op)) >= -1e-10
 
 
@@ -215,8 +230,9 @@ def test_commutator_defect_closed_form(basis):
 
 
 def test_norm_sweep_flat_for_identity():
-    res = toeplitz.norm_sweep(get_function("one"), [2, 4, 8])
-    for m, nrm, defect in res.rows:
+    one = get_function("one")
+    res = toeplitz.toeplitz_sweep(one, one, [2, 4, 8])
+    for m, nrm, defect, _ in res.rows:
         assert nrm == pytest.approx(1.0, abs=1e-12)
         assert abs(defect) <= 1e-12
     assert res.slope_e0 is None  # no positive errors to fit
@@ -224,20 +240,21 @@ def test_norm_sweep_flat_for_identity():
 
 def test_norm_sweep_saturation():
     for name in ("abs2_rational", "inv_rational"):
-        res = toeplitz.norm_sweep(get_function(name), [4, 8, 16])
+        fn = get_function(name)
+        res = toeplitz.toeplitz_sweep(fn, fn, [4, 8, 16])
         defects = [r[2] for r in res.rows]
-        for (m, nrm, defect) in res.rows:
+        for (m, nrm, defect, _) in res.rows:
             assert defect == pytest.approx(1.0 / (m + 2), rel=1e-9)
         assert defects[0] > defects[1] > defects[2] > 0.0
         assert res.slope_e0 == pytest.approx(-np.log(3.0) / np.log(4.0), abs=0.02)
 
 
 def test_commutator_sweep_rows():
-    res = toeplitz.commutator_sweep(get_function("re_rational"),
-                                    get_function("im_rational"), [4, 8, 16])
-    for m, defect in res.rows:
+    res = toeplitz.toeplitz_sweep(get_function("re_rational"),
+                                  get_function("im_rational"), [4, 8, 16])
+    for m, _, _, defect in res.rows:
         assert defect == pytest.approx(m / (m + 2) ** 2, rel=1e-8)
-    assert res.slope_e0 is not None and res.slope_e0 < -0.4
+    assert res.slope_e1 is not None and res.slope_e1 < -0.4
 
 
 def test_sup_estimate_exact_on_bundled_family():
