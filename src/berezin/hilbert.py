@@ -12,9 +12,20 @@ the unit lift zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) of the chart C^d into
 C^(d+1): the normalized values ehat_I = Psi_I (1 + |nu|^2)^(-m/2) =
 sqrt(1/D_I) zeta^(I, m-|I|) and the pairing zeta(nu) . conj(zeta(mu)) are
 products of factors of modulus <= 1, finite at any m and any finite nu.
-Every other path (raw values, node tables, operators, pullbacks) goes
-through them.  At d = 1 node tables reach m = 256; m = 512 is over the
-TABLE_BYTES budget.
+Off-grid points (raw values, symbols, pullbacks) go through them.
+
+Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
+radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
+R_I(r) e^(i I . theta) exactly.  ``node_data`` builds the real radial table R
+(n_r^d, N) in log form and the angular characters from exact integers, and
+writes ehat as their product.  ``compress`` contracts c_m sum_n w_n v_n
+conj(ehat_nI) ehat_nJ (Toeplitz matrices, the Gram matrix) as one d-dim
+FFT of w v over the angles per radial node and a sum over radial nodes:
+O(n_r^d N^2) work instead of the dense O(n N^2).  At d = 2, m = 24 (189,225
+nodes, N = 325), on a 2-core Xeon with numpy 2.4, one Toeplitz matrix takes
+0.26 s (2.9 s as a dense product) and the table build 1.3 s (2.8 s through
+the per-point evaluator).  At d = 1 node tables reach m = 256; m = 512 is
+over the TABLE_BYTES budget.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ SCHEMA = "berezin.basis/1"
 
 # Largest (n, N) complex node table node_data may keep; larger requests
 # raise ResourceLimit from build_rule before any table exists. Building a
-# table adds one (n, m+1) power table and row blocks of scratch.
+# table adds only its radial and angular factors.
 TABLE_BYTES = 2 ** 30
 
 # Scratch bytes per block when eval_matrix_normalized gathers powers.
@@ -62,10 +73,11 @@ def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class _NodeData:
-    """Cached per-rule arrays: normalized basis matrix and weight pieces."""
+    """Cached per-rule arrays: normalized basis matrix, its factors, weight pieces."""
     rule: quadrature.QuadratureRule
     lift: np.ndarray     # (n, d+1) unit lifts zeta of the nodes
     ehat: np.ndarray     # (n, N) normalized basis values on the unit lift
+    R: np.ndarray        # (n_r^d, N) radial factor: ehat = R (x) angular characters
     halfw: np.ndarray    # (1+s)^(-m/2)
     wcore: np.ndarray    # rule weights times (1+s)^(-(d+1))
 
@@ -114,13 +126,8 @@ class BasisSpec:
         lv = self.level if level is None else int(level)
         if lv not in self._nodes:
             cap = min(quadrature.NODE_CAP, TABLE_BYTES // (16 * self.N))
-            rule = quadrature.build_rule(self.d, lv, cap, exact_family=True)
-            log1ps = np.log1p(np.sum(np.abs(rule.nodes) ** 2, axis=1))
-            self._nodes[lv] = _NodeData(
-                rule=rule, ehat=eval_matrix_normalized(self, rule.nodes),
-                lift=unit_lift(rule.nodes),
-                halfw=np.exp(-(self.m / 2.0) * log1ps),
-                wcore=rule.weights * np.exp(-(self.d + 1.0) * log1ps))
+            self._nodes[lv] = _node_data(
+                self, quadrature.build_rule(self.d, lv, cap, exact_family=True))
         return self._nodes[lv]
 
 
@@ -171,29 +178,44 @@ def normalized_pairing(nu_pts: np.ndarray, mu_pts: np.ndarray) -> np.ndarray:
     return unit_lift(nu_pts) @ unit_lift(mu_pts).conj().T
 
 
-def eval_matrix_normalized(spec: BasisSpec, points) -> np.ndarray:
-    """Unit-norm rows ehat_I = sqrt(1/D_I) zeta^Ihat at many points; (n, N).
-
-    One (n, m+1) power table is alive at a time; gathers use bounded scratch.
-    """
+def _as_points(spec: BasisSpec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.shape[1] != spec.d:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {spec.d}")
-    lift = unit_lift(pts)
-    n = lift.shape[0]
-    # The rounded lift has |zeta|^2 = 1 + eps, so rows would carry (1+eps)^(m/2),
-    # m ulps of noise; eps in extended precision scales it out of the zeta_h powers.
-    eps = np.full(n, -1.0, dtype=np.longdouble)
+    return pts
+
+
+def eval_matrix_normalized(spec: BasisSpec, points) -> np.ndarray:
+    """Unit-norm rows ehat_I = sqrt(1/D_I) zeta^Ihat at many points; (n, N).
+
+    One (n, m+1) power table is alive at a time; gathers use bounded scratch.
+    """
+    return _lift_rows(spec, unit_lift(_as_points(spec, points)))
+
+
+def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
+    """-(m/2) log |zeta|^2 per lift row, in extended precision.
+
+    The rounded lift has |zeta|^2 = 1 + eps, so degree-m rows would carry
+    (1+eps)^(m/2), m ulps of noise; this scale takes it out.
+    """
+    eps = np.full(lift.shape[0], -1.0, dtype=np.longdouble)
     for part in lift.view(float).T:
         eps += np.square(part, dtype=np.longdouble)
+    return -(spec.m / 2.0) * np.log1p(eps)
+
+
+def _lift_rows(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
+    """eval_matrix_normalized from the (n, d+1) unit lifts of the points."""
+    n = lift.shape[0]
     E = np.empty((n, spec.N), dtype=complex)
     powers = np.empty((n, spec.m + 1), dtype=complex)
     rows = max(1, _GATHER_BYTES // (16 * spec.N))
     # The homogeneous coordinate comes first so that its gather fills E.
     for j in (spec.d, *range(spec.d)):
-        powers[:, 0] = np.exp(-(spec.m / 2.0) * np.log1p(eps)) if j == spec.d else 1.0
+        powers[:, 0] = np.exp(_log_row_scale(spec, lift)) if j == spec.d else 1.0
         powers[:, 1:] = lift[:, j, None]
         np.multiply.accumulate(powers, axis=1, out=powers)
         exps = spec._exponents[:, j]
@@ -207,11 +229,71 @@ def eval_matrix_normalized(spec: BasisSpec, points) -> np.ndarray:
     return E
 
 
+def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
+    """Node tables from the rule's factored form (``quadrature`` layout).
+
+    At node (r, k) the lift is zeta_j = |zeta_j(radii[r])| exp(2 pi i k_j /
+    n_theta), so ehat_I = R_rI Phi_kI with the real radial factor R_rI =
+    sqrt(1/D_I) prod_j |zeta_j(radii[r])|^Ihat_j, taken in log form (finite
+    at any m) with the rounding scale of ``_log_row_scale``, and the
+    character Phi_kI = exp(2 pi i ((k . I) mod n_theta) / n_theta) indexed
+    by exact integers.  Nothing of size (n, m+1) is built.
+    """
+    d, n_theta = spec.d, rule.n_theta
+    n_rad = rule.radii.shape[0]
+    rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
+    R = np.empty((n_rad, spec.N))
+    R[:] = -0.5 * np.log(spec.D)
+    R += _log_row_scale(spec, rlift).astype(float)[:, None]
+    for j in range(d + 1):
+        R += np.log(rlift[:, j, None]) * spec._exponents[:, j]
+    np.exp(R, out=R)
+    roots = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    k = np.indices((n_theta,) * d).reshape(d, -1).T    # C-order angle multi-indices
+    phi = roots[(k @ spec._exponents[:, :d].T) % n_theta]
+    chars = np.column_stack([roots[k], np.ones(k.shape[0])])
+    ehat = np.empty((n_rad, k.shape[0], spec.N), dtype=complex)
+    np.multiply(R[:, None, :], phi[None], out=ehat)
+    log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
+    return _NodeData(
+        rule=rule, ehat=ehat.reshape(-1, spec.N), R=R,
+        lift=(rlift[:, None, :] * chars[None]).reshape(-1, d + 1),
+        halfw=np.repeat(np.exp(-(spec.m / 2.0) * log1ps), k.shape[0]),
+        wcore=rule.weights * np.repeat(np.exp(-(d + 1.0) * log1ps), k.shape[0]))
+
+
+def compress(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
+    """c_m sum_n wcore_n v_n conj(ehat_nI) ehat_nJ for node values v; (N, N).
+
+    With ehat = R (x) Phi the angular sum at radial node r is the d-dim FFT
+    F_r of wcore v over the n_theta^d angles, so the entry is c_m sum_r
+    R_rI R_rJ F_r[(I - J) mod n_theta]; the sum runs one radial node at a
+    time, so its scratch is a few (N, N) arrays whatever the node count.
+    """
+    d, n_theta = spec.d, nd.rule.n_theta
+    n_rad = nd.R.shape[0]
+    g = (nd.wcore * values).reshape((n_rad,) + (n_theta,) * d)
+    F = np.fft.fftn(g, axes=tuple(range(1, d + 1))).reshape(n_rad, -1)
+    # Flat C-order index of (I - J) mod n_theta over the angular grid.
+    diff = np.zeros((spec.N, spec.N), dtype=np.intp)
+    for j in range(d):
+        col = spec._exponents[:, j]
+        diff = diff * n_theta + (col[:, None] - col[None, :]) % n_theta
+    out = np.zeros((spec.N, spec.N), dtype=complex)
+    for r in range(n_rad):
+        out += (nd.R[r, :, None] * F[r, diff]) * nd.R[r]
+    out *= spec.c_m
+    return out
+
+
 def eval_matrix(spec: BasisSpec, points) -> np.ndarray:
-    """Basis values Psi_I = mu^I / sqrt(D_I): the normalized rows times (1+s)^(m/2)."""
-    E = eval_matrix_normalized(spec, points)
-    s = np.sum(np.abs(np.atleast_2d(points)) ** 2, axis=1)
-    E *= np.exp((spec.m / 2.0) * np.log1p(s))[:, None]
+    """Basis values Psi_I = mu^I / sqrt(D_I): the normalized rows times (1+s)^(m/2).
+
+    The scale is zeta_h^(-m) in log form, from the overflow-free lift.
+    """
+    lift = unit_lift(_as_points(spec, points))
+    E = _lift_rows(spec, lift)
+    E *= np.exp(-spec.m * np.log(lift[:, spec.d].real))[:, None]
     return E
 
 
@@ -276,8 +358,7 @@ def inner_product(spec: BasisSpec, f: Callable, g: Callable, level: int | None =
 
 def gram_matrix(spec: BasisSpec, level: int | None = None) -> np.ndarray:
     """Numeric Gram matrix of the basis; identity when normalizations are right."""
-    nd = spec.node_data(level)
-    return spec.c_m * ((nd.ehat.conj().T * nd.wcore) @ nd.ehat)
+    return compress(spec, spec.node_data(level), 1.0)
 
 
 def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> float:

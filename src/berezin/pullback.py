@@ -283,9 +283,10 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
         zb = chart_b.forward(pb)
         if math.exp(0.5 * geometry.diastasis(za[0], za[1])) < 0.5:
             continue
-        ka = hilbert.kernel_L(spec, za[0], za[1])
-        kb = hilbert.kernel_L(spec, zb[0], zb[1])
-        kernel_dev = max(kernel_dev, abs(kb - ka) / abs(ka))
+        # |K_b / K_a - 1| in log form: the kernels themselves overflow at large m.
+        log_ratio = (hilbert.log_kernel(spec, zb[0], zb[1])
+                     - hilbert.log_kernel(spec, za[0], za[1]))
+        kernel_dev = max(kernel_dev, abs(np.expm1(log_ratio)))
         used += 1
 
     return EquivalenceReport(

@@ -32,6 +32,15 @@ dimension:
 ``hilbert.BasisSpec`` use it.  The default rule keeps n_r = 8 L, a fourfold
 radial margin for ``integrate`` on integrands outside the family.
 
+Layout.  A rule keeps its factored form: ``radii`` (n_r^d, d) and
+``radii_weights`` (n_r^d,) for the radial product grid, and ``n_theta``
+uniform angles per dimension.  The assembled ``nodes``/``weights`` put the
+radial index outer and the angle inner: node r * n_theta^d + k is
+radii[r] * exp(2 pi i k_vec / n_theta) with weight radii_weights[r], where
+k_vec is the C-order multi-index of k over (n_theta,) * d.  Node tables
+(``hilbert``) rely on this to factor each basis row into a radial part times
+an angular character.
+
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
 all nodes and reduces with numpy's fixed pairwise summation, so results are
 bitwise reproducible.
@@ -65,10 +74,12 @@ class QuadratureRule:
     """Product rule over C^d.
 
     ``radial_nodes``/``radial_weights`` are the shared per-dimension 1-d
-    Gauss-Legendre data in the compactified variable u; ``nodes`` and
-    ``weights`` are the assembled d-dimensional rule (weights include the
-    2^d volume convention).  ``exact_family`` records the radial sizing (see
-    the module docstring).  ``coarse`` is the next-lower-resolution rule of
+    Gauss-Legendre data in the compactified variable u; ``radii`` and
+    ``radii_weights`` are the radial product grid and its weights (angular
+    cell 2 pi / n_theta per dimension included); ``nodes`` and ``weights``
+    are the assembled d-dimensional rule in the module's layout (weights
+    include the 2^d volume convention).  ``exact_family`` records the radial
+    sizing (see the module docstring).  ``coarse`` is the next-lower-resolution rule of
     the same sizing used for error estimates; it stays None until the first
     ``integrate`` call on this rule builds it.
     """
@@ -78,6 +89,8 @@ class QuadratureRule:
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
     n_theta: int
+    radii: np.ndarray
+    radii_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     exact_family: bool = False
@@ -95,7 +108,7 @@ class IntegrationResult:
 
 
 def _assemble(d: int, n_r: int, n_theta: int):
-    """Build nodes/weights for given 1-d counts. Returns (u, gw, nodes, weights)."""
+    """Rule arrays for given 1-d counts: (u, gw, radii, radii_weights, nodes, weights)."""
     x, wx = np.polynomial.legendre.leggauss(n_r)
     u = 0.5 * (x + 1.0)
     gw = 0.5 * wx
@@ -119,7 +132,7 @@ def _assemble(d: int, n_r: int, n_theta: int):
     th_grid = np.stack(np.meshgrid(*([theta] * d), indexing="ij"), axis=-1).reshape(-1, d)
     nodes = (radii[:, None, :] * np.exp(1j * th_grid[None, :, :])).reshape(-1, d)
     weights = np.repeat(wr, th_grid.shape[0])
-    return u, gw, nodes, weights
+    return u, gw, radii, wr, nodes, weights
 
 
 def _counts(d: int, level: int, exact_family: bool) -> tuple[int, int]:
@@ -132,8 +145,8 @@ def _counts(d: int, level: int, exact_family: bool) -> tuple[int, int]:
 
 def _make_rule(d: int, level: int, exact_family: bool) -> QuadratureRule:
     n_r, n_theta = _counts(d, level, exact_family)
-    u, gw, nodes, weights = _assemble(d, n_r, n_theta)
-    return QuadratureRule(d, level, u, gw, n_theta, nodes, weights, exact_family)
+    u, gw, radii, wr, nodes, weights = _assemble(d, n_r, n_theta)
+    return QuadratureRule(d, level, u, gw, n_theta, radii, wr, nodes, weights, exact_family)
 
 
 def build_rule(d: int, level: int, node_cap: int = NODE_CAP, *,

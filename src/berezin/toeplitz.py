@@ -69,11 +69,7 @@ def toeplitz_matrix(spec: BasisSpec, f, level: int | None = None) -> ToeplitzMat
     if fv.shape != (nd.rule.nodes.shape[0],):
         raise DimensionMismatch(
             f"function returned shape {fv.shape}, expected ({nd.rule.nodes.shape[0]},)")
-    # One (n, N) temporary: weight the conjugated table in place.
-    bra = nd.ehat.conj()
-    bra *= (nd.wcore * fv)[:, None]
-    mat = spec.c_m * (bra.T @ nd.ehat)
-    return ToeplitzMatrix(spec, mat, symbol=_symbol_name(f))
+    return ToeplitzMatrix(spec, hilbert.compress(spec, nd, fv), symbol=_symbol_name(f))
 
 
 def operator_norm(op) -> float:
@@ -115,8 +111,7 @@ def commutator_defect(spec: BasisSpec, f, g, level: int | None = None) -> float:
     tf = toeplitz_matrix(spec, f, level=level)
     tg = toeplitz_matrix(spec, g, level=level)
     tb = toeplitz_matrix(spec, bracket_function(f, g), level=level)
-    defect = spec.m * commutator(tf, tg).mat - 1j * tb.mat
-    return float(np.linalg.norm(defect, 2))
+    return operator_norm(spec.m * commutator(tf, tg).mat - 1j * tb.mat)
 
 
 def sup_estimate(f, d: int, n_radial: int = 16, n_theta: int = 16) -> float:

@@ -102,6 +102,40 @@ def test_gram_matrix_identity_at_m256():
     assert dev <= 1e-12
 
 
+@pytest.mark.parametrize("d, m", [(1, 8), (1, 256), (2, 12), (3, 5)])
+def test_factored_table_matches_the_evaluator(d, m):
+    # ehat = R (x) Phi against the direct evaluator at the rule's nodes.  Each
+    # entry on either side carries O(m) rounded factors (the reference's power
+    # products, the factored log-sum), so the bound is 8 m eps.
+    spec = hilbert.build_basis(d, m)
+    nd = spec.node_data()
+    want = hilbert.eval_matrix_normalized(spec, nd.rule.nodes)
+    assert np.max(np.abs(nd.ehat - want)) <= 8 * m * np.finfo(float).eps
+    assert np.max(np.abs(nd.lift - hilbert.unit_lift(nd.rule.nodes))) <= 8 * np.finfo(float).eps
+    n_ang = nd.rule.n_theta ** d
+    assert np.array_equal(nd.ehat.reshape(-1, n_ang, spec.N)[:, 0], nd.R.astype(complex))
+
+
+def test_node_data_does_not_call_the_evaluator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node tables are built from their factors")
+
+    monkeypatch.setattr(hilbert, "eval_matrix_normalized", refuse)
+    monkeypatch.setattr(hilbert, "_lift_rows", refuse)
+    spec = hilbert.build_basis(2, 6)
+    assert spec.node_data().ehat.shape == (spec.node_data().rule.node_count, spec.N)
+    assert np.max(np.abs(hilbert.gram_matrix(spec) - np.eye(spec.N))) <= 1e-13
+
+
+def test_eval_matrix_finite_at_huge_points():
+    # Psi_1(nu) = nu at m = 1: the (1+s)^(m/2) scale comes from the lift in
+    # log form, so |nu|^2 = 1e320 is never formed.
+    spec = hilbert.build_basis(1, 1)
+    got = hilbert.basis_eval(spec, (1,), 1e160)
+    assert np.isfinite(got) and got == pytest.approx(1e160, rel=1e-13)
+    assert hilbert.basis_eval(spec, (0,), 1e160) == pytest.approx(1.0, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("d, m", [(1, 256), (1, 512), (2, 64), (3, 16)])
 def test_normalized_rows_are_unit_vectors(d, m):
     # sum_I |ehat_I(nu)|^2 = |zeta(nu)|^(2m) = 1 for every nu, at every m,

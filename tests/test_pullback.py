@@ -1,5 +1,6 @@
 """Chart presentations, transported inner products, connection and holonomy."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -203,6 +204,24 @@ def test_equivalence_rejects_rescaling(basis, rng):
     with pytest.raises(DimensionMismatch):
         pullback.equivalence_check(basis(2, 2), pullback.identity_chart(1),
                                    pullback.identity_chart(1), rng=rng)
+
+
+def test_equivalence_kernel_probe_survives_kernel_overflow():
+    # At m = 256, pairs drawn with sigma = 3 reach |1 + mu . conj(nu)| >= 16,
+    # where the kernel itself overflows a double; the probe compares in log form.
+    spec = hilbert.build_basis(1, 256)
+
+    def wide(chart):
+        return dataclasses.replace(chart, sampler_fn=lambda rng, n: rng.normal(0.0, 3.0, (n, 2)))
+
+    ident = wide(pullback.identity_chart(1))
+    rep = pullback.equivalence_check(spec, ident, wide(pullback.rotation_chart(0.9)),
+                                     rng=np.random.default_rng(7), pairs=32)
+    assert rep.equivalent and rep.pairs_used == 32
+    assert np.isfinite(rep.kernel_deviation) and rep.kernel_deviation <= 1e-10
+    rep = pullback.equivalence_check(spec, ident, wide(pullback.scaling_chart(2.0)),
+                                     rng=np.random.default_rng(7), pairs=32)
+    assert not rep.equivalent and rep.kernel_deviation > 1e-2
 
 
 def test_connection_constant_path_is_zero():

@@ -56,7 +56,7 @@ def test_exact_family_counts():
 def gram_deviation(d, m, n_r):
     """Gram-matrix deviation at (d, m) on a level rule with n_r radial nodes."""
     spec = hilbert.build_basis(d, m)
-    _, _, nodes, weights = quadrature._assemble(d, n_r, 4 * spec.level + 1)
+    *_, nodes, weights = quadrature._assemble(d, n_r, 4 * spec.level + 1)
     s = np.sum(np.abs(nodes) ** 2, axis=1)
     ehat = hilbert.eval_matrix_normalized(spec, nodes)
     gram = spec.c_m * ((ehat.conj().T * (weights * (1.0 + s) ** -(d + 1.0))) @ ehat)
@@ -79,6 +79,19 @@ def test_build_rule_rejections():
         quadrature.build_rule(2, 12)
     with pytest.raises(ResourceLimit):
         quadrature.build_rule(1, 2, node_cap=10)
+
+
+@pytest.mark.parametrize("d, level", [(1, 2), (2, 1), (3, 1)])
+def test_layout_is_radii_times_angles(d, level):
+    # node r * n_theta^d + k is radii[r] * exp(i theta_k), k in C order
+    for rule in (quadrature.build_rule(d, level), quadrature.build_rule(d, level, exact_family=True)):
+        n_ang = rule.n_theta ** d
+        k = np.indices((rule.n_theta,) * d).reshape(d, -1).T
+        angles = np.exp(1j * (2.0 * np.pi * k / rule.n_theta))
+        assert rule.radii.shape == (rule.radial_nodes.shape[0] ** d, d)
+        assert np.array_equal(rule.nodes.reshape(-1, n_ang, d),
+                              rule.radii[:, None, :] * angles[None])
+        assert np.array_equal(rule.weights, np.repeat(rule.radii_weights, n_ang))
 
 
 def test_build_rule_deterministic():

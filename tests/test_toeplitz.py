@@ -38,13 +38,21 @@ def test_identity_and_constant_compressions(basis):
 
 
 def test_assembly_matches_two_copy_reference(basis):
-    # the in-place weighting must give the same bits as the plain expression
-    for d, m in [(1, 8), (2, 4), (3, 2)]:
-        spec = basis(d, m)
-        for fn in (get_function("re_rational"), get_function("im_rational")):
-            nd = spec.node_data(toeplitz._default_level(spec, fn))
-            want = spec.c_m * ((nd.ehat.conj().T * (nd.wcore * fn(nd.rule.nodes))) @ nd.ehat)
-            assert np.array_equal(toeplitz.toeplitz_matrix(spec, fn).mat, want)
+    # The FFT contraction against the dense sum over the same node table.
+    # Both sides are sums whose absolute terms add up to at most sup|f| (the
+    # Gram diagonal is 1) over n <= 2.4e4 nodes; float64 rounding of such sums
+    # is ~sqrt(n) eps <= 4e-14, so entries must agree to 1e-13.
+    def wavy(pts):
+        return np.cos(3.0 * pts[:, 0].real) + 1j * np.sin(pts[:, -1].imag)
+
+    cases = [(d, m, fn) for d, m in [(1, 8), (2, 4), (3, 2), (1, 128), (2, 12)]
+             for fn in (get_function("re_rational"), get_function("im_rational"))]
+    for d, m, fn in cases + [(2, 6, wavy)]:
+        spec = basis(d, m) if m <= 8 else hilbert.build_basis(d, m)
+        nd = spec.node_data(toeplitz._default_level(spec, fn))
+        want = spec.c_m * ((nd.ehat.conj().T * (nd.wcore * fn(nd.rule.nodes))) @ nd.ehat)
+        got = toeplitz.toeplitz_matrix(spec, fn).mat
+        assert np.max(np.abs(got - want)) <= 1e-13, (d, m)
 
 
 def test_toeplitz_matrix_type(basis):
@@ -126,7 +134,7 @@ def test_norm_contraction(basis):
 
 def test_norm_saturation_closed_form():
     # ||T_abs2|| = (m + d) / (m + d + 1)
-    for d, m in ((1, 4), (1, 9), (1, 128), (2, 4), (2, 12), (3, 3), (3, 5)):
+    for d, m in ((1, 4), (1, 9), (1, 128), (2, 4), (2, 12), (2, 24), (3, 3), (3, 5)):
         spec = hilbert.build_basis(d, m)  # fresh: large tables are not kept
         t = toeplitz.toeplitz_matrix(spec, get_function("abs2_rational"))
         assert toeplitz.operator_norm(t) == pytest.approx((m + d) / (m + d + 1), rel=1e-12)
@@ -227,6 +235,25 @@ def test_commutator_defect_closed_form(basis):
         spec = basis(1, m)
         got = toeplitz.commutator_defect(spec, f, g)
         assert got == pytest.approx(m / (m + 2) ** 2, rel=1e-8)
+
+
+# (d, m, relative bound), each bound fixed before the first run: ten times the
+# rounding floor measured with the dense assembly where one was known (4e-14
+# for d = 1 up to m = 64, 3.4e-13 at m = 128, 1e-14 for d = 2 up to m = 12,
+# 12 digits at d = 3), and that floor's growth with m extrapolated beyond.
+COMMUTATOR_ORACLE_CASES = (
+    [(1, m, 4e-13) for m in (8, 16, 32, 64)] + [(1, 128, 4e-12), (1, 256, 1.5e-11)]
+    + [(2, m, 1e-13) for m in (4, 8, 12)] + [(2, 16, 1e-12), (2, 24, 1e-12)]
+    + [(3, m, 1e-11) for m in (3, 4, 5)])
+
+
+@pytest.mark.parametrize("d, m, rel", COMMUTATOR_ORACLE_CASES)
+def test_commutator_defect_closed_form_abs2_im(d, m, rel):
+    # || m [T_abs2, T_im] - i T_{abs2, im} || = (d + 1) m / (2 (m + d + 1)^2)
+    spec = hilbert.build_basis(d, m)  # fresh: large tables are not kept
+    got = toeplitz.commutator_defect(spec, get_function("abs2_rational"),
+                                     get_function("im_rational"))
+    assert got == pytest.approx((d + 1) * m / (2.0 * (m + d + 1) ** 2), rel=rel, abs=0)
 
 
 def test_norm_sweep_flat_for_identity():
