@@ -16,16 +16,16 @@ Off-grid points (raw values, symbols, pullbacks) go through them.
 
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
-R_I(r) e^(i I . theta) exactly.  ``node_data`` builds the real radial table R
-(n_r^d, N) in log form and the angular characters from exact integers, and
-writes ehat as their product.  ``compress`` contracts c_m sum_n w_n v_n
-conj(ehat_nI) ehat_nJ (Toeplitz matrices, the Gram matrix) as one d-dim
-FFT of w v over the angles per radial node and a sum over radial nodes:
-O(n_r^d N^2) work instead of the dense O(n N^2).  At d = 2, m = 24 (189,225
-nodes, N = 325), on a 2-core Xeon with numpy 2.4, one Toeplitz matrix takes
-0.26 s (2.9 s as a dense product) and the table build 1.3 s (2.8 s through
-the per-point evaluator).  At d = 1 node tables reach m = 256; m = 512 is
-over the TABLE_BYTES budget.
+R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
+(n_r^d, N), computed in log form, and the angular characters from exact
+integers; no (nodes x N) table is built.  Every product with the table runs
+through the angular FFT, one radial node at a time: ``synthesize`` (node
+values ehat v), ``analyze`` (ehat^H x) and ``compress`` (c_m sum_n w_n v_n
+conj(ehat_nI) ehat_nJ, for Toeplitz matrices and the Gram matrix, which the
+node data caches on first use).  At d = 2, m = 24 (189,225 nodes, N = 325),
+on a 2-core Xeon with numpy 2.4, one Toeplitz matrix takes 0.26 s (2.9 s as a
+dense product); the dense table would be 984 MB.  The only resource budget
+is the rule's node cap, quadrature.NODE_CAP.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ from .errors import DimensionMismatch, IndexOutOfRange
 from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
-
-# Largest (n, N) complex node table node_data may keep; larger requests
-# raise ResourceLimit from build_rule before any table exists. Building a
-# table adds only its radial and angular factors.
-TABLE_BYTES = 2 ** 30
 
 # Scratch bytes per block when eval_matrix_normalized gathers powers.
 _GATHER_BYTES = 2 ** 25
@@ -73,13 +68,28 @@ def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class _NodeData:
-    """Cached per-rule arrays: normalized basis matrix, its factors, weight pieces."""
+    """Cached per-rule arrays: the factors of the basis table and weight pieces.
+
+    At node r * n_theta^d + k the normalized basis row is R[r] * phi[k]; the
+    angular mode of index I is ``flat[I]``, the C-order flat index of
+    I mod n_theta on the (n_theta,)^d grid.
+    """
     rule: quadrature.QuadratureRule
     lift: np.ndarray     # (n, d+1) unit lifts zeta of the nodes
-    ehat: np.ndarray     # (n, N) normalized basis values on the unit lift
-    R: np.ndarray        # (n_r^d, N) radial factor: ehat = R (x) angular characters
+    R: np.ndarray        # (n_r^d, N) real radial factor
+    phi: np.ndarray      # (n_theta^d, N) angular characters exp(i I . theta_k)
+    flat: np.ndarray     # (N,) angular mode of each index
     halfw: np.ndarray    # (1+s)^(-m/2)
     wcore: np.ndarray    # rule weights times (1+s)^(-(d+1))
+    gram: np.ndarray | None = None  # compress(spec, self, 1), set by _gram
+
+    @functools.cached_property
+    def ehat(self) -> np.ndarray:
+        """Dense (n, N) table R (x) phi, built on first read and kept.
+
+        Nothing in the package reads it; the transforms use the factors.
+        """
+        return (self.R[:, None, :] * self.phi[None]).reshape(-1, self.R.shape[1])
 
 
 @dataclass(eq=False)
@@ -121,13 +131,13 @@ class BasisSpec:
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level``, built once.
 
-        The rule's node count is capped so that ``ehat`` fits TABLE_BYTES.
+        They hold the factors R and phi of the basis table, not the table;
+        the Gram matrix is cached on them by its first use.
         """
         lv = self.level if level is None else int(level)
         if lv not in self._nodes:
-            cap = min(quadrature.NODE_CAP, TABLE_BYTES // (16 * self.N))
             self._nodes[lv] = _node_data(
-                self, quadrature.build_rule(self.d, lv, cap, exact_family=True))
+                self, quadrature.build_rule(self.d, lv, exact_family=True))
         return self._nodes[lv]
 
 
@@ -237,12 +247,11 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     sqrt(1/D_I) prod_j |zeta_j(radii[r])|^Ihat_j, taken in log form (finite
     at any m) with the rounding scale of ``_log_row_scale``, and the
     character Phi_kI = exp(2 pi i ((k . I) mod n_theta) / n_theta) indexed
-    by exact integers.  Nothing of size (n, m+1) is built.
+    by exact integers.  Nothing of size (n, N) or (n, m+1) is built.
     """
     d, n_theta = spec.d, rule.n_theta
-    n_rad = rule.radii.shape[0]
     rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
-    R = np.empty((n_rad, spec.N))
+    R = np.empty((rule.radii.shape[0], spec.N))
     R[:] = -0.5 * np.log(spec.D)
     R += _log_row_scale(spec, rlift).astype(float)[:, None]
     for j in range(d + 1):
@@ -250,16 +259,47 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     np.exp(R, out=R)
     roots = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
     k = np.indices((n_theta,) * d).reshape(d, -1).T    # C-order angle multi-indices
-    phi = roots[(k @ spec._exponents[:, :d].T) % n_theta]
+    flat = np.zeros(spec.N, dtype=np.intp)
+    for j in range(d):
+        flat = flat * n_theta + spec._exponents[:, j] % n_theta
     chars = np.column_stack([roots[k], np.ones(k.shape[0])])
-    ehat = np.empty((n_rad, k.shape[0], spec.N), dtype=complex)
-    np.multiply(R[:, None, :], phi[None], out=ehat)
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
     return _NodeData(
-        rule=rule, ehat=ehat.reshape(-1, spec.N), R=R,
+        rule=rule, R=R, phi=roots[(k @ spec._exponents[:, :d].T) % n_theta], flat=flat,
         lift=(rlift[:, None, :] * chars[None]).reshape(-1, d + 1),
         halfw=np.repeat(np.exp(-(spec.m / 2.0) * log1ps), k.shape[0]),
         wcore=rule.weights * np.repeat(np.exp(-(d + 1.0) * log1ps), k.shape[0]))
+
+
+def synthesize(spec: BasisSpec, nd: _NodeData, v) -> np.ndarray:
+    """ehat @ v: node values (n,) or (n, k) of coefficients v, (N,) or (N, k).
+
+    At radial node r, R_rI v_I goes to angular mode ``flat[I]`` and an
+    unnormalized inverse d-dim FFT over the angles gives sum_I R_rI v_I
+    exp(i I . theta_k).  Below the default level n_theta can be <= m, and
+    indices that agree mod n_theta share a mode; np.add.at sums them.
+    """
+    v = np.asarray(v, dtype=complex)
+    n_rad, n_theta, tail = nd.R.shape[0], nd.rule.n_theta, v.shape[1:]
+    grid = np.zeros((n_rad, n_theta ** spec.d) + tail, dtype=complex)
+    np.add.at(grid, (slice(None), nd.flat), nd.R.reshape(nd.R.shape + (1,) * len(tail)) * v)
+    grid = grid.reshape((n_rad,) + (n_theta,) * spec.d + tail)
+    out = np.fft.ifftn(grid, axes=tuple(range(1, spec.d + 1)), norm="forward")
+    return out.reshape((-1,) + tail)
+
+
+def analyze(spec: BasisSpec, nd: _NodeData, x) -> np.ndarray:
+    """ehat^H x: coefficients (N,) or (N, k) of node values x, (n,) or (n, k).
+
+    A forward d-dim FFT over the angles per radial node, read at angular
+    mode ``flat[I]`` and summed over radial nodes with weights R_rI.
+    """
+    x = np.asarray(x)
+    n_rad, n_theta, tail = nd.R.shape[0], nd.rule.n_theta, x.shape[1:]
+    F = np.fft.fftn(x.reshape((n_rad,) + (n_theta,) * spec.d + tail),
+                    axes=tuple(range(1, spec.d + 1)))
+    F = F.reshape((n_rad, n_theta ** spec.d) + tail)[:, nd.flat]
+    return np.einsum("ri,ri...->i...", nd.R, F)
 
 
 def compress(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
@@ -280,8 +320,15 @@ def compress(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
         col = spec._exponents[:, j]
         diff = diff * n_theta + (col[:, None] - col[None, :]) % n_theta
     out = np.zeros((spec.N, spec.N), dtype=complex)
+    # One scratch for all radial nodes: with fresh (N, N) temporaries per
+    # node, glibc maps and unmaps each one past 128 KiB (a page fault per
+    # page), which took 2.3x the time of this loop at d = 1, m = 256.
+    buf = np.empty_like(out)
     for r in range(n_rad):
-        out += (nd.R[r, :, None] * F[r, diff]) * nd.R[r]
+        np.take(F[r], diff, out=buf, mode="clip")
+        buf *= nd.R[r, :, None]
+        buf *= nd.R[r]
+        out += buf
     out *= spec.c_m
     return out
 
@@ -356,9 +403,19 @@ def inner_product(spec: BasisSpec, f: Callable, g: Callable, level: int | None =
     return spec.c_m * complex(np.sum(nd.wcore * np.conj(fv) * gv))
 
 
+def _gram(spec: BasisSpec, nd: _NodeData) -> np.ndarray:
+    """The Gram matrix on the node data, computed on first use and cached there."""
+    if nd.gram is None:
+        nd.gram = compress(spec, nd, 1.0)
+    return nd.gram
+
+
 def gram_matrix(spec: BasisSpec, level: int | None = None) -> np.ndarray:
-    """Numeric Gram matrix of the basis; identity when normalizations are right."""
-    return compress(spec, spec.node_data(level), 1.0)
+    """Numeric Gram matrix of the basis; identity when normalizations are right.
+
+    Returns a copy of the matrix cached on ``spec.node_data(level)``.
+    """
+    return _gram(spec, spec.node_data(level)).copy()
 
 
 def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> float:
@@ -374,7 +431,7 @@ def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> fl
     khat = (nd.lift.conj() @ unit_lift(mu.reshape(1, -1))[0]) ** spec.m
     smu = float(np.vdot(mu, mu).real)
     scale = np.exp(0.5 * spec.m * np.log1p(smu))
-    paired_hat = spec.c_m * np.sum(nd.wcore * khat * (nd.ehat @ v))
+    paired_hat = spec.c_m * np.sum(nd.wcore * khat * synthesize(spec, nd, v))
     value_hat = complex(eval_matrix_normalized(spec, mu)[0] @ v)
     return float(abs(paired_hat - value_hat) * scale)
 
@@ -382,19 +439,18 @@ def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> fl
 def resolution_check(spec: BasisSpec, v1, v2, level: int | None = None) -> float:
     """Defect of the resolution of the identity on a vector pair.
 
-    |c_m * integral <v1, psi_mu><psi_mu, v2> dweight - <v1, v2>|; the
-    (1+s)^(+-m) factors cancel analytically and are cancelled here too.
+    |c_m * integral <v1, psi_mu><psi_mu, v2> dweight - <v1, v2>|.  The
+    (1+s)^(+-m) factors cancel analytically and are cancelled here too, and
+    the node sum is taken in the order v1^H G v2 with G the cached Gram
+    matrix: the same discrete sum as on the nodes.
     """
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     for v in (v1, v2):
         if v.shape != (spec.N,):
             raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
-    nd = spec.node_data(level)
-    f1 = nd.ehat @ v1
-    f2 = nd.ehat @ v2
-    integral = spec.c_m * complex(np.sum(nd.wcore * np.conj(f1) * f2))
-    return float(abs(integral - complex(np.vdot(v1, v2))))
+    gram = _gram(spec, spec.node_data(level))
+    return float(abs(complex(np.vdot(v1, gram @ v2)) - complex(np.vdot(v1, v2))))
 
 
 def to_json(spec: BasisSpec) -> str:

@@ -159,9 +159,10 @@ def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu,
     mu = geometry.as_point(mu, d=spec.d)
     nd = spec.node_data(level)
     row = hilbert.eval_matrix_normalized(spec, mu)[0]
-    left = nd.ehat.conj() @ (row @ op1.mat)     # <psi_mu, A1 psi_nu> normalized
-    right = nd.ehat @ (op2.mat @ row.conj())    # <psi_nu, A2 psi_mu> normalized
-    return spec.c_m * complex(np.sum(nd.wcore * left * right))
+    # Columns: conj <psi_mu, A1 psi_nu> and <psi_nu, A2 psi_mu>, normalized.
+    vals = hilbert.synthesize(spec, nd, np.column_stack([np.conj(row @ op1.mat),
+                                                         op2.mat @ row.conj()]))
+    return spec.c_m * complex(np.sum(nd.wcore * np.conj(vals[:, 0]) * vals[:, 1]))
 
 
 def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
@@ -181,14 +182,15 @@ def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
         return gram @ symbol.op @ gram
     nd = spec.node_data(level)
     nodes, n = nd.rule.nodes, nd.rule.nodes.shape[0]
-    bra = (nd.ehat.conj() * nd.wcore[:, None])
+    n_ang = nd.phi.shape[0]
     out = np.zeros((spec.N, spec.N), dtype=complex)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         what = hilbert.normalized_pairing(nodes, nodes[lo:hi])
         mid = np.asarray(symbol(nodes, nodes[lo:hi])) * what ** spec.m
-        ket = nd.ehat[lo:hi] * nd.wcore[lo:hi, None]
-        out += bra.T @ mid @ ket
+        i = np.arange(lo, hi)
+        ket = nd.R[i // n_ang] * nd.phi[i % n_ang] * nd.wcore[lo:hi, None]
+        out += hilbert.analyze(spec, nd, nd.wcore[:, None] * mid) @ ket
     return OperatorMatrix(spec, spec.c_m ** 2 * out)
 
 

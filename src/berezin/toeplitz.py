@@ -53,7 +53,7 @@ def project(spec: BasisSpec, f, level: int | None = None) -> np.ndarray:
     lv = _default_level(spec, f) if level is None else int(level)
     nd = spec.node_data(lv)
     fv = np.asarray(f(nd.rule.nodes), dtype=complex) * nd.halfw
-    return spec.c_m * (nd.ehat.conj().T @ (nd.wcore * fv))
+    return spec.c_m * hilbert.analyze(spec, nd, nd.wcore * fv)
 
 
 def toeplitz_matrix(spec: BasisSpec, f, level: int | None = None) -> ToeplitzMatrix:

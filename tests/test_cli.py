@@ -158,6 +158,28 @@ def test_toeplitz_sweep_reaches_m256(capsys, tmp_path):
         assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
 
 
+def test_star_sweep_d2_m24_memory(capsys, tmp_path):
+    # Node data hold radial and angular factors, never an (n, N) table: the
+    # d=2 m=24 table alone would be 984 MB, and this run peaked at 3.6 GB
+    # when star products read it.  The child's own rusage gives its peak.
+    argv = ["star-sweep", "--d", "2", "--m-list", "8,16,24", "--f", "re_rational",
+            "--g", "im_rational"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(berezin.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "berezin.cli", *argv, "--out",
+                                 str(tmp_path / "child.csv")],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 1, (tmp_path / "err.txt").read_text()  # the d=2 slope gate
+    assert usage.ru_maxrss < 512 * 1024  # KiB on Linux
+    rc, _, _ = run(capsys, *argv, "--out", str(tmp_path / "here.csv"))
+    assert rc == 1
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
 def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it must not report as a config error
     def fail(op):
@@ -171,14 +193,14 @@ def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
 
 
 def test_over_budget_table_is_a_numeric_failure(capsys, monkeypatch):
-    # d=3 m=12 needs 1.12M nodes x N=455, an 8 GB table: refused before
-    # any rule or table is assembled
+    # d=3 m=20 needs 252^3 = 16.0M nodes, over quadrature.NODE_CAP: refused
+    # before any rule is assembled
     def never(*args):
         raise AssertionError("rule assembled for an over-budget request")
 
     monkeypatch.setattr(quadrature, "_assemble", never)
     start = time.perf_counter()
-    rc, _, err = run(capsys, "kernel-check", "--d", "3", "--m", "12")
+    rc, _, err = run(capsys, "kernel-check", "--d", "3", "--m", "20")
     assert time.perf_counter() - start < 1.0
     assert rc == 3
     assert "numeric failure" in err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from berezin import geometry, hilbert, quadrature
+from berezin import cli, geometry, hilbert, operators, quadrature, toeplitz
 from berezin.errors import DimensionMismatch, IndexOutOfRange
 from conftest import sample_ball, admissible
 
@@ -114,6 +114,75 @@ def test_factored_table_matches_the_evaluator(d, m):
     assert np.max(np.abs(nd.lift - hilbert.unit_lift(nd.rule.nodes))) <= 8 * np.finfo(float).eps
     n_ang = nd.rule.n_theta ** d
     assert np.array_equal(nd.ehat.reshape(-1, n_ang, spec.N)[:, 0], nd.R.astype(complex))
+
+
+# (d, m, level): the default levels of the table test above, and two levels
+# below the default where n_theta <= m, so that indices share angular modes.
+TRANSFORM_CASES = [(1, 8, None), (1, 256, None), (2, 12, None), (3, 5, None),
+                   (1, 8, 1), (2, 12, 2)]
+
+
+@pytest.mark.parametrize("d, m, level", TRANSFORM_CASES)
+def test_transforms_match_the_dense_table(d, m, level):
+    # synthesize = E v and analyze = E^H x against the dense evaluator E at
+    # the rule's nodes.  Columns have unit l1 norm, so the table's entry
+    # error (8 m eps, the bound above) moves a result by at most 8 m eps; the
+    # FFT adds O(log n_theta^d) eps.  The bound, 16 m eps, was fixed first.
+    spec = hilbert.build_basis(d, m, level=level)
+    nd = spec.node_data()
+    if level is not None:
+        assert nd.rule.n_theta <= m
+    E = hilbert.eval_matrix_normalized(spec, nd.rule.nodes)
+    rng = np.random.default_rng(d * 1000 + m)
+    bound = 16 * m * np.finfo(float).eps
+    for shape in ((spec.N,), (spec.N, 3)):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v /= np.sum(np.abs(v), axis=0)
+        got = hilbert.synthesize(spec, nd, v)
+        assert got.shape == (E.shape[0],) + shape[1:]
+        assert np.max(np.abs(got - E @ v)) <= bound
+    for shape in ((E.shape[0],), (E.shape[0], 3)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x /= np.sum(np.abs(x), axis=0)
+        got = hilbert.analyze(spec, nd, x)
+        assert got.shape == (spec.N,) + shape[1:]
+        assert np.max(np.abs(got - E.conj().T @ x)) <= bound
+
+
+def test_no_query_reads_the_dense_table(monkeypatch, capsys, tmp_path):
+    # The transforms read R and phi only: reading the dense table fails, and
+    # so does evaluating basis rows at more than a handful of points.
+    def refuse(self):
+        raise AssertionError("dense node table read")
+
+    lift_rows = hilbert._lift_rows
+
+    def few_rows(spec, lift):
+        assert lift.shape[0] <= 64, f"{lift.shape[0]} basis rows evaluated"
+        return lift_rows(spec, lift)
+
+    monkeypatch.setattr(hilbert._NodeData, "ehat", property(refuse))
+    monkeypatch.setattr(hilbert, "_lift_rows", few_rows)
+    out = str(tmp_path / "a.csv")
+    for argv in (["star-sweep", "--d", "2", "--m-list", "4,6", "--f", "re_rational",
+                  "--g", "im_rational"],
+                 ["kernel-check", "--d", "2", "--m", "6", "--pairs", "3"],
+                 ["toeplitz-sweep", "--d", "2", "--m-list", "4,6", "--f", "abs2_rational",
+                  "--g", "im_rational"]):
+        assert cli.main(argv + ["--out", out]) in (0, 1), argv
+        assert "failure" not in capsys.readouterr().err
+    spec = hilbert.build_basis(2, 4)
+    v = np.arange(spec.N) + 1j
+
+    def section(pts):
+        # a degree-m polynomial in closed form, not through the evaluator
+        return np.prod(pts[:, None, :] ** np.array(spec.indices), axis=2) / np.sqrt(spec.D) @ v
+    section.weight_degree = 0
+    assert np.max(np.abs(toeplitz.project(spec, section) - v)) <= 1e-12
+    # The identity's two-point symbol is 1: the callable path gives G I G = I.
+    back = operators.operator_from_symbol(
+        spec, lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])), chunk=100)
+    assert np.max(np.abs(back.mat - np.eye(spec.N))) <= 1e-12
 
 
 def test_node_data_does_not_call_the_evaluator(monkeypatch):
