@@ -44,8 +44,9 @@ from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
 
-# Scratch bytes per block when eval_matrix_normalized gathers powers.
-_GATHER_BYTES = 2 ** 25
+# Bytes per block of basis rows: the scratch of the gathers in
+# eval_matrix_normalized, and the row blocks that pullback streams.
+_BLOCK_BYTES = 2 ** 21
 
 
 def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
@@ -222,7 +223,7 @@ def _lift_rows(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
     n = lift.shape[0]
     E = np.empty((n, spec.N), dtype=complex)
     powers = np.empty((n, spec.m + 1), dtype=complex)
-    rows = max(1, _GATHER_BYTES // (16 * spec.N))
+    rows = max(1, _BLOCK_BYTES // (16 * spec.N))
     # The homogeneous coordinate comes first so that its gather fills E.
     for j in (spec.d, *range(spec.d)):
         powers[:, 0] = np.exp(_log_row_scale(spec, lift)) if j == spec.d else 1.0
@@ -418,6 +419,25 @@ def gram_matrix(spec: BasisSpec, level: int | None = None) -> np.ndarray:
     return _gram(spec, spec.node_data(level)).copy()
 
 
+def _power(z: np.ndarray, m: int) -> np.ndarray:
+    """z ** m for an integer m >= 1 by repeated squaring, overwriting z.
+
+    numpy's integer power squares only for m < 100; above that it takes a
+    complex log and exp per entry, 30x the time of this loop at m = 512.
+    """
+    out = None
+    while True:
+        if m & 1:
+            if out is None:
+                out = z if m == 1 else z.copy()
+            else:
+                out *= z
+        m >>= 1
+        if not m:
+            return out
+        z *= z
+
+
 def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> float:
     """|<psi_mu, v> - v(mu)| with the pairing done by numeric integration.
 
@@ -428,7 +448,7 @@ def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> fl
         raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
     mu = as_point(mu, d=spec.d)
     nd = spec.node_data(level)
-    khat = (nd.lift.conj() @ unit_lift(mu.reshape(1, -1))[0]) ** spec.m
+    khat = _power(np.conj(nd.lift @ unit_lift(mu.reshape(1, -1))[0].conj()), spec.m)
     smu = float(np.vdot(mu, mu).real)
     scale = np.exp(0.5 * spec.m * np.log1p(smu))
     paired_hat = spec.c_m * np.sum(nd.wcore * khat * synthesize(spec, nd, v))

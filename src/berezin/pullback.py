@@ -197,6 +197,18 @@ def _transported_nodes(spec: BasisSpec, chart: DiffeoChart, level: int | None):
     return params, wleb
 
 
+def _row_blocks(spec: BasisSpec, points: np.ndarray):
+    """Consecutive row blocks of eval_matrix_normalized at ``points``.
+
+    Yields (slice, block) pairs; a block holds at most hilbert._BLOCK_BYTES
+    of rows, so no (n, N) table is built whatever the node count.
+    """
+    rows = max(1, hilbert._BLOCK_BYTES // (16 * spec.N))
+    for a in range(0, points.shape[0], rows):
+        sl = slice(a, a + rows)
+        yield sl, hilbert.eval_matrix_normalized(spec, points[sl])
+
+
 def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2,
                               h: Callable | None = None,
                               level: int | None = None) -> complex:
@@ -206,16 +218,42 @@ def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2,
     integrand from the chart-side pieces (normalized sections, the parameter
     measure factor ``h``).  ``h`` defaults to the one induced by the chart
     Jacobian; a supplied evaluator must satisfy the same change-of-variables
-    identity or the result will disagree with the chart-side pairing.
+    identity or the result will disagree with the chart-side pairing.  The
+    section values are formed in bounded row blocks and summed block by
+    block, so memory stays bounded beyond the O(n) per-node arrays.
     """
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
+    v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
     params, wleb = _transported_nodes(spec, chart, level)
-    ehat = hilbert.eval_matrix_normalized(spec, chart.forward(params))
-    f1 = ehat @ v1
-    f2 = ehat @ v2
     hvals = measure_factor(chart, params) if h is None else np.asarray(h(params), dtype=float)
-    return spec.c_m * complex(np.sum(wleb * hvals * np.conj(f1) * f2))
+    w = wleb * hvals
+    total = 0j
+    for sl, blk in _row_blocks(spec, chart.forward(params)):
+        f = blk @ v
+        total += complex(np.sum(w[sl] * np.conj(f[:, 0]) * f[:, 1]))
+    return spec.c_m * total
+
+
+def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
+                 psi: Callable) -> np.ndarray:
+    """Gram matrix of chart b's basis carried by ``psi``, under chart a's measure.
+
+    c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
+    chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
+    The rescaling and sqrt(wleb h) (> 0) make one positive factor per row;
+    each row block is scaled in place and accumulated as blk^H blk.
+    """
+    params, wleb = _transported_nodes(spec, chart_a, None)
+    s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
+    mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
+    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
+    scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
+    scale *= np.sqrt(wleb * measure_factor(chart_a, params))
+    gram = np.zeros((spec.N, spec.N), dtype=complex)
+    for sl, blk in _row_blocks(spec, mapped):
+        blk *= scale[sl, None]
+        gram += blk.conj().T @ blk
+    gram *= spec.c_m
+    return gram
 
 
 @dataclass
@@ -249,7 +287,9 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
 
     Equivalent only when both deviations are <= tol.  Presentations differing
     by a kernel isometry (a rotation) pass; a same-domain rescaling changes
-    the two-point geometry and fails.
+    the two-point geometry and fails.  The Gram matrix is accumulated from
+    bounded row blocks, so memory stays bounded beyond the O(n) per-node
+    arrays and the (N, N) result.
     """
     if chart_a.d != spec.d or chart_b.d != spec.d:
         raise DimensionMismatch("chart dimensions do not match the basis spec")
@@ -257,15 +297,7 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
         psi = _identity_map
     rng = np.random.default_rng(0) if rng is None else rng
 
-    params, wleb = _transported_nodes(spec, chart_a, None)
-    s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
-    mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
-    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
-    # Values at chart b's points, weighted by chart a's (1 + s_a)^(-m/2).
-    emap = hilbert.eval_matrix_normalized(spec, mapped)
-    emap *= np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))[:, None]
-    h = measure_factor(chart_a, params)
-    gram = spec.c_m * ((emap.conj().T * (wleb * h)) @ emap)
+    gram = _pulled_gram(spec, chart_a, chart_b, psi)
     ip_dev = float(np.max(np.abs(gram - np.eye(spec.N))))
 
     kernel_dev = 0.0

@@ -4,9 +4,15 @@ Basis construction caches quadrature node tables, so reusing one spec
 per (d, m, level) keeps the suite fast without changing any semantics.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import berezin
 from berezin import hilbert
 
 
@@ -58,3 +64,39 @@ def ball_sampler():
 @pytest.fixture
 def admissible_pair():
     return admissible
+
+
+# A bare interpreter that starts the measured child and reports its exit code
+# and peak RSS.  On Linux a process's ru_maxrss starts from the peak RSS of the
+# process that spawned it, and the test process may have grown far past the
+# bounds the memory tests assert; this launcher stays small.
+_LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    fh.write(f'{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}')\n")
+
+
+def run_child(args, tmp_path):
+    """Run ``python *args`` in a fresh process with this package importable.
+
+    Returns (exit code, stdout, stderr, peak RSS in KiB).  The peak is the
+    child's own rusage (os.wait4), taken through ``_LAUNCHER``, so the
+    memory of the test process does not count.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(berezin.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out_path, err_path = tmp_path / "child.out", tmp_path / "child.err"
+    report = tmp_path / "child.rusage"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        subprocess.run([sys.executable, "-c", _LAUNCHER, str(report), *args],
+                       env=env, stdout=out, stderr=err, check=True)
+    returncode, peak = (int(x) for x in report.read_text().split())
+    return returncode, out_path.read_text(), err_path.read_text(), peak
+
+
+@pytest.fixture
+def child_process():
+    return run_child

@@ -1,16 +1,12 @@
 """CLI surface: exit codes, artifact formats, config merging, determinism."""
 
 import json
-import os
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import berezin
 from berezin import cli, hilbert, quadrature, toeplitz
 
 
@@ -158,23 +154,16 @@ def test_toeplitz_sweep_reaches_m256(capsys, tmp_path):
         assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
 
 
-def test_star_sweep_d2_m24_memory(capsys, tmp_path):
+def test_star_sweep_d2_m24_memory(capsys, tmp_path, child_process):
     # Node data hold radial and angular factors, never an (n, N) table: the
     # d=2 m=24 table alone would be 984 MB, and this run peaked at 3.6 GB
     # when star products read it.  The child's own rusage gives its peak.
     argv = ["star-sweep", "--d", "2", "--m-list", "8,16,24", "--f", "re_rational",
             "--g", "im_rational"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(berezin.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    with open(tmp_path / "err.txt", "wb") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "berezin.cli", *argv, "--out",
-                                 str(tmp_path / "child.csv")],
-                                env=env, stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 1, (tmp_path / "err.txt").read_text()  # the d=2 slope gate
-    assert usage.ru_maxrss < 512 * 1024  # KiB on Linux
+    returncode, _, err, peak = child_process(
+        ["-m", "berezin.cli", *argv, "--out", str(tmp_path / "child.csv")], tmp_path)
+    assert returncode == 1, err  # the d=2 slope gate
+    assert peak < 512 * 1024  # KiB on Linux
     rc, _, _ = run(capsys, *argv, "--out", str(tmp_path / "here.csv"))
     assert rc == 1
     assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
@@ -263,15 +252,13 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_imports_only_numpy_and_the_standard_library():
+def test_cli_imports_only_numpy_and_the_standard_library(tmp_path, child_process):
     # numpy is the only runtime dependency; a fresh interpreter shows every
     # top-level module the CLI pulls in.
     probe = ("import sys; before = set(sys.modules); import berezin.cli; "
              "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(berezin.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    returncode, out, err, _ = child_process(["-c", probe], tmp_path)
+    assert returncode == 0, err
+    out = out.split()
     assert "berezin" in out
     assert set(out) - set(sys.stdlib_module_names) <= {"berezin", "numpy"}

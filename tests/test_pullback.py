@@ -170,6 +170,73 @@ def test_manifold_inner_product_general(basis, rng):
     assert zero == 0.0
 
 
+def dense_gram(spec, chart_a, chart_b, psi):
+    """Gram probe of equivalence_check from one table of all transported rows."""
+    params, wleb = pullback._transported_nodes(spec, chart_a, None)
+    s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
+    mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
+    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
+    emap = hilbert.eval_matrix_normalized(spec, mapped)
+    emap *= np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))[:, None]
+    h = pullback.measure_factor(chart_a, params)
+    return spec.c_m * ((emap.conj().T * (wleb * h)) @ emap)
+
+
+def dense_inner_product(spec, chart, v1, v2):
+    """inner_product_on_manifold from one table of all transported rows."""
+    params, wleb = pullback._transported_nodes(spec, chart, None)
+    ehat = hilbert.eval_matrix_normalized(spec, chart.forward(params))
+    h = pullback.measure_factor(chart, params)
+    return spec.c_m * complex(np.sum(wleb * h * np.conj(ehat @ v1) * (ehat @ v2)))
+
+
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (2, 8)])
+def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
+    # Blocks of 7 rows, which divide no node count here, so the last block
+    # is short; entries agree to 1e-13 relative to the largest one.
+    spec = basis(d, m)
+    n = spec.node_data().rule.nodes.shape[0]
+    assert n > 7 and n % 7 != 0
+    monkeypatch.setattr(hilbert, "_BLOCK_BYTES", 7 * 16 * spec.N)
+    ident = pullback.identity_chart(d)
+    q, _ = np.linalg.qr(np.arange(4 * d * d).reshape(2 * d, 2 * d) % 5 + np.eye(2 * d))
+    cases = [(ident, pullback.rotation_chart(0.9, d), pullback._identity_map),
+             (ident, pullback.scaling_chart(2.0, d), pullback._identity_map),
+             (ident, ident, lambda p: p @ q.T)]
+    charts = [ident, pullback.rotation_chart(0.9, d), pullback.scaling_chart(2.0, d)]
+    if d == 1:
+        torus = pullback.torus_chart()
+        cases += [(torus, ident, pullback._identity_map),
+                  (ident, torus, lambda p: torus.inverse(ident.forward(p)))]
+        charts.append(torus)
+    for chart_a, chart_b, psi in cases:
+        want = dense_gram(spec, chart_a, chart_b, psi)
+        got = pullback._pulled_gram(spec, chart_a, chart_b, psi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), \
+            (chart_a.name, chart_b.name)
+    v1 = rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
+    v2 = rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
+    v1 /= np.linalg.norm(v1)
+    v2 /= np.linalg.norm(v2)
+    for chart in charts:
+        want = dense_inner_product(spec, chart, v1, v2)
+        got = pullback.inner_product_on_manifold(spec, chart, v1, v2)
+        assert abs(got - want) <= 1e-13, chart.name
+
+
+def test_equivalence_d2_m16_memory(tmp_path, child_process):
+    # Transported rows are streamed in bounded blocks.  With the whole
+    # (23,409 x 153) table and its weighted copy this check peaked at 238 MB.
+    probe = ("from berezin import hilbert, pullback as pb\n"
+             "spec = hilbert.build_basis(2, 16)\n"
+             "for other in (pb.rotation_chart(0.8, d=2), pb.scaling_chart(2.0, d=2)):\n"
+             "    print(pb.equivalence_check(spec, pb.identity_chart(2), other).equivalent)\n")
+    returncode, out, err, peak = child_process(["-c", probe], tmp_path)
+    assert returncode == 0, err
+    assert out.split() == ["True", "False"]
+    assert peak < 128 * 1024  # KiB on Linux
+
+
 def test_equivalence_accepts_isometric_presentations(basis, rng):
     spec = basis(1, 6)
     ident = pullback.identity_chart(1)
