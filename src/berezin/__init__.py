@@ -9,9 +9,9 @@ from .geometry import (diastasis, fs_form, fs_form_inverse, fs_metric,
 from .quadrature import (IntegrationResult, QuadratureRule, build_rule, integrate,
                          level_for, m_max, moment, total_volume)
 from .hilbert import (BasisSpec, basis_eval, build_basis, coherent_coeffs,
-                      coherent_eval, enumerate_indices, gram_matrix, inner_product,
-                      kernel_L, load_spec, log_kernel, reproducing_residual,
-                      resolution_check, save_spec, section_eval)
+                      enumerate_indices, gram_matrix, inner_product, kernel_L,
+                      load_spec, log_kernel, reproducing_residual, resolution_check,
+                      save_spec, section_eval)
 from .functions import REGISTRY, ChartFunction, get_function
 from .operators import (CovariantSymbol, OperatorMatrix, SweepResult, commutator,
                         correspondence_sweep, identity_operator,

@@ -359,11 +359,6 @@ def section_eval(spec: BasisSpec, v, points) -> np.ndarray:
     return eval_matrix(spec, points) @ v
 
 
-def coherent_eval(spec: BasisSpec, mu, nu) -> complex:
-    """Coherent state of parameter mu evaluated at nu: (1 + conj(mu) . nu)^m."""
-    return kernel_L(spec, nu, mu)
-
-
 def coherent_coeffs(spec: BasisSpec, mu) -> np.ndarray:
     """Coefficient vector of the coherent state, conj(Psi_I(mu))."""
     return np.conj(eval_matrix(spec, as_point(mu, d=spec.d))[0])
@@ -438,22 +433,34 @@ def _power(z: np.ndarray, m: int) -> np.ndarray:
         z *= z
 
 
-def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None) -> float:
+def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None):
     """|<psi_mu, v> - v(mu)| with the pairing done by numeric integration.
+
+    ``mu`` is one point (d,), which gives a float, or k points (k, d), which
+    give a (k,) array: the node values wcore (ehat v) are synthesized once
+    and the k normalized basis rows evaluated in one call.  The kernel
+    pairings are then formed one point at a time, an (n,) array each, so no
+    (n, k) array is built; each residual is bitwise the single-point one.
 
     Contract: <= 1e-8 * (1 + |v(mu)|) at the spec's default level.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (spec.N,):
         raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
-    mu = as_point(mu, d=spec.d)
+    single = np.ndim(mu) <= 1
+    pts = as_point(mu, d=spec.d).reshape(1, -1) if single else _as_points(spec, mu)
     nd = spec.node_data(level)
-    khat = _power(np.conj(nd.lift @ unit_lift(mu.reshape(1, -1))[0].conj()), spec.m)
-    smu = float(np.vdot(mu, mu).real)
-    scale = np.exp(0.5 * spec.m * np.log1p(smu))
-    paired_hat = spec.c_m * np.sum(nd.wcore * khat * synthesize(spec, nd, v))
-    value_hat = complex(eval_matrix_normalized(spec, mu)[0] @ v)
-    return float(abs(paired_hat - value_hat) * scale)
+    wv = synthesize(spec, nd, v)
+    wv *= nd.wcore
+    lifts = unit_lift(pts)
+    rows = _lift_rows(spec, lifts)
+    scale = np.exp(0.5 * spec.m * np.log1p(np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)))
+    out = np.empty(pts.shape[0])
+    for k in range(pts.shape[0]):
+        khat = _power(np.conj(nd.lift @ lifts[k].conj()), spec.m)
+        paired_hat = spec.c_m * (khat @ wv)
+        out[k] = abs(paired_hat - rows[k] @ v) * scale[k]
+    return float(out[0]) if single else out
 
 
 def resolution_check(spec: BasisSpec, v1, v2, level: int | None = None) -> float:

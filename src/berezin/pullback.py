@@ -22,6 +22,7 @@ otherwise).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -240,7 +241,10 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
     chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
     The rescaling and sqrt(wleb h) (> 0) make one positive factor per row;
-    each row block is scaled in place and accumulated as blk^H blk.
+    each row block is scaled in place.  With S the real (rows, 2N) view of a
+    block (columns re e_I, im e_I interleaved), blk^H blk is read off the
+    symmetric S^T S, which numpy forms as a rank-k update (BLAS syrk) of one
+    triangle: half the flops of the complex product, exactly Hermitian.
     """
     params, wleb = _transported_nodes(spec, chart_a, None)
     s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
@@ -248,10 +252,12 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     s_b = np.sum(np.abs(mapped) ** 2, axis=1)
     scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
     scale *= np.sqrt(wleb * measure_factor(chart_a, params))
-    gram = np.zeros((spec.N, spec.N), dtype=complex)
+    P = np.zeros((2 * spec.N, 2 * spec.N))
     for sl, blk in _row_blocks(spec, mapped):
         blk *= scale[sl, None]
-        gram += blk.conj().T @ blk
+        S = blk.view(float)
+        P += S.T @ S
+    gram = (P[0::2, 0::2] + P[1::2, 1::2]) + 1j * (P[0::2, 1::2] - P[1::2, 0::2])
     gram *= spec.c_m
     return gram
 
@@ -524,13 +530,15 @@ def curvature_disk_integral(center: complex = 0.0, radius: float = 1.0,
     return float(np.sum(wr * vals))
 
 
+@functools.lru_cache
 def _torus_cycle_integral(which: int, base: float, n: int = 4096) -> float:
     """Parameter-space integral of theta along one fundamental cycle.
 
     which = 0: u varies with v = base; which = 1: v varies with u = base.
     The integrand extends smoothly across the seam; midpoint sums on the
     periodic parameter converge spectrally and are Richardson-combined for
-    uniformity with the path machinery.
+    uniformity with the path machinery.  Cached: a holonomy table asks for
+    the same two cycles at every (k1, k2).
     """
 
     def integrand(tvals: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from berezin import cli, hilbert, quadrature, toeplitz
+from berezin import cli, geometry, hilbert, pullback, quadrature, toeplitz
 
 
 def run(capsys, *argv):
@@ -77,6 +77,51 @@ def test_kernel_check_survives_kernel_overflow(capsys, tmp_path, monkeypatch):
     for key in ("worst_kernel_rel_err", "worst_reproducing_rel_err",
                 "worst_resolution_rel_err"):
         assert meta[key] <= meta["tol"]
+
+
+def test_kernel_check_matches_per_pair_reference(capsys, tmp_path):
+    # The reference checks one pair at a time, drawing mu, nu, va, vb per
+    # pair.  The command draws every pair first and batches the reproducing
+    # residuals, so equal kernel and resolution columns prove the draw order
+    # unchanged; the reproducing column moves at rounding level only.
+    d, m, pairs, seed = 2, 6, 20, 31
+    out = tmp_path / "kc.csv"
+    rc, _, _ = run(capsys, "kernel-check", "--d", str(d), "--m", str(m), "--pairs",
+                   str(pairs), "--seed", str(seed), "--out", str(out))
+    assert rc == 0
+    spec = hilbert.build_basis(d, m)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
+    want = []
+    for k in range(pairs):
+        mu, nu = cli._admissible_pair(rng, spec.d)
+        log_rhs = spec.m * (geometry.diastasis(mu, nu)
+                            + np.log1p(float(np.vdot(mu, mu).real))
+                            + np.log1p(float(np.vdot(nu, nu).real)))
+        rel_kernel = abs(np.expm1(2.0 * hilbert.log_kernel(spec, mu, nu).real - log_rhs))
+        value = abs(hilbert.section_eval(spec, v, mu.reshape(1, -1))[0])
+        rel_repro = hilbert.reproducing_residual(spec, v, mu) / (1.0 + value)
+        va = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
+        vb = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
+        rel_ident = (hilbert.resolution_check(spec, va, vb)
+                     / float(np.linalg.norm(va) * np.linalg.norm(vb)))
+        want.append((k, rel_kernel, rel_repro, rel_ident))
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = np.array(want)
+    np.testing.assert_array_equal(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
+    assert np.max(np.abs(got[:, 2] - want[:, 2])) <= 1e-14
+
+
+def test_kernel_check_d1_m512_memory(tmp_path, child_process):
+    # The README runs kernel-check to m = 512 at d = 1 (131,841 nodes).  The
+    # residuals are batched over the pairs without an (n, pairs) pairing
+    # table, which would be 105 MB here; the run peaked at 69 MiB.
+    argv = ["kernel-check", "--d", "1", "--m", "512", "--pairs", "50"]
+    returncode, _, err, peak = child_process(
+        ["-m", "berezin.cli", *argv, "--out", str(tmp_path / "kc.csv")], tmp_path)
+    assert returncode == 0, err
+    assert json.loads((tmp_path / "kc.json").read_text())["passed"] is True
+    assert peak < 96 * 1024  # KiB on Linux
 
 
 def test_star_sweep_artifacts(capsys, tmp_path):
@@ -208,6 +253,23 @@ def test_torus_holonomy_artifacts(capsys, tmp_path):
     assert meta["worst_modulus_defect"] <= 1e-9
     assert meta["worst_multiplicativity_defect"] <= 1e-10
     assert meta["base"] == [0.25, 0.25]
+
+
+def test_torus_holonomy_integrates_each_cycle_once(capsys, tmp_path):
+    # 51 holonomies share the same two cycle integrals i_u and i_v.
+    pullback._torus_cycle_integral.cache_clear()
+    out = tmp_path / "th.csv"
+    rc, _, _ = run(capsys, "torus-holonomy", "--m", "2", "--kmax", "3", "--out", str(out))
+    assert rc == 0
+    info = pullback._torus_cycle_integral.cache_info()
+    assert (info.misses, info.hits) == (2, 100)
+    i_u = pullback._torus_cycle_integral(0, 0.25, 4096)
+    i_v = pullback._torus_cycle_integral(1, 0.25, 4096)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (49, 6)
+    for k1, k2, m, re, im, phase in rows:
+        h = complex(np.exp(-1j * (m * (k1 * i_u + k2 * i_v))))
+        assert (re, im, phase) == (h.real, h.imag, np.angle(h)), (k1, k2)
 
 
 def test_torus_holonomy_rejects_odd_level(capsys):

@@ -266,7 +266,7 @@ def test_coherent_state_expansion(basis, rng):
         coeffs = hilbert.coherent_coeffs(spec, mu)
         row = hilbert.eval_matrix(spec, nu)[0]
         assert complex(coeffs @ row) == pytest.approx(
-            hilbert.coherent_eval(spec, mu, nu), rel=1e-12)
+            hilbert.kernel_L(spec, nu, mu), rel=1e-12)
 
 
 def test_parseval_for_coherent_states(basis):
@@ -319,6 +319,23 @@ def test_reproducing_residual_contract(basis, rng):
         assert res <= 1e-8 * (1.0 + abs(value))
     with pytest.raises(DimensionMismatch):
         hilbert.reproducing_residual(spec, np.ones(3), [0.1])
+
+
+@pytest.mark.parametrize("d, m", [(1, 8), (2, 6), (1, 256)])
+def test_batched_reproducing_residual_matches_single_points(basis, rng, d, m):
+    # k points share one synthesis of v and one row evaluation; each residual
+    # is then formed as for a single point, so the two agree bitwise.
+    spec = basis(d, m)
+    v = rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
+    mus = sample_ball(rng, d, 1.0, 7)
+    got = hilbert.reproducing_residual(spec, v, mus)
+    assert isinstance(got, np.ndarray) and got.shape == (7,)
+    want = [hilbert.reproducing_residual(spec, v, mu) for mu in mus]
+    assert all(isinstance(r, float) for r in want)
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got <= 1e-8 * (1.0 + np.abs(hilbert.section_eval(spec, v, mus))))
+    with pytest.raises(DimensionMismatch):
+        hilbert.reproducing_residual(spec, v, np.zeros((3, d + 1)))
 
 
 def test_resolution_of_identity_on_basis(basis):

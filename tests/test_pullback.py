@@ -214,6 +214,7 @@ def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
         got = pullback._pulled_gram(spec, chart_a, chart_b, psi)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), \
             (chart_a.name, chart_b.name)
+        assert np.array_equal(got, got.conj().T), (chart_a.name, chart_b.name)
     v1 = rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
     v2 = rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N)
     v1 /= np.linalg.norm(v1)
