@@ -149,8 +149,8 @@ def wirtinger_step(mu) -> float:
     return WIRTINGER_STEP * max(1.0, float(np.linalg.norm(mu)))
 
 
-def wirtinger(f: Callable, mu, step: float | None = None):
-    """Central-difference Wirtinger derivatives of a scalar function.
+def wirtinger(f: Callable, mu):
+    """Central-difference Wirtinger derivatives of a scalar function, step ``wirtinger_step``.
 
     Parameters
     ----------
@@ -158,8 +158,6 @@ def wirtinger(f: Callable, mu, step: float | None = None):
         Accepts a (d,) complex vector, returns a scalar.
     mu : array_like
         Evaluation point.
-    step : float, optional
-        Override for the documented default step.
 
     Returns
     -------
@@ -167,7 +165,7 @@ def wirtinger(f: Callable, mu, step: float | None = None):
         Derivatives with respect to mu_i and conj(mu_i).
     """
     mu = as_point(mu)
-    h = wirtinger_step(mu) if step is None else float(step)
+    h = wirtinger_step(mu)
     d = mu.shape[0]
     dmu = np.empty(d, dtype=complex)
     dmubar = np.empty(d, dtype=complex)
@@ -214,8 +212,7 @@ def bracket_from_gradients(pts, dt_mu, dt_mubar, ds_mu, ds_mubar) -> np.ndarray:
     return -1j * (1.0 + s) * (contract(ds_mu, dt_mubar) - contract(dt_mu, ds_mubar))
 
 
-def poisson_bracket(t: Callable, s: Callable, mu,
-                    t_grad=None, s_grad=None, step: float | None = None) -> complex:
+def poisson_bracket(t: Callable, s: Callable, mu, t_grad=None, s_grad=None) -> complex:
     """Chart Poisson bracket of two scalar functions at a single point ``mu``.
 
     {t, s} = sum_ij W[i, j] * (dt/dmubar_j ds/dmu_i - ds/dmubar_j dt/dmu_i)
@@ -230,7 +227,7 @@ def poisson_bracket(t: Callable, s: Callable, mu,
 
     def gradients(fn, grad):
         if grad is None:
-            return wirtinger(fn, mu, step=step)
+            return wirtinger(fn, mu)
         return np.asarray(grad[0](mu), dtype=complex), np.asarray(grad[1](mu), dtype=complex)
 
     return complex(bracket_from_gradients(mu, *gradients(t, t_grad), *gradients(s, s_grad)))

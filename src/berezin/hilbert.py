@@ -17,9 +17,9 @@ Off-grid points (raw values, symbols, pullbacks) go through them.
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
-(n_r^d, N), computed in log form, and the angular characters from exact
-integers; no (nodes x N) table is built.  Every product with the table runs
-through the angular FFT, one radial node at a time: ``synthesize`` (node
+(n_r^d, N), basis rows at the radial points, and the angular characters from
+exact integers; no (nodes x N) table is built.  Every product with the table
+runs through the angular FFT, one radial node at a time: ``synthesize`` (node
 values ehat v), ``analyze`` (ehat^H x) and ``compress`` (c_m sum_n w_n v_n
 conj(ehat_nI) ehat_nJ, for Toeplitz matrices and the Gram matrix, which the
 node data caches on first use).  At d = 2, m = 24 (189,225 nodes, N = 325),
@@ -45,7 +45,7 @@ from .geometry import as_point
 SCHEMA = "berezin.basis/1"
 
 # Bytes per block of basis rows: the scratch of the gathers in
-# eval_matrix_normalized, and the row blocks that pullback streams.
+# eval_matrix_normalized, and the row blocks of _row_blocks.
 _BLOCK_BYTES = 2 ** 21
 
 
@@ -71,9 +71,9 @@ def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
 class _NodeData:
     """Cached per-rule arrays: the factors of the basis table and weight pieces.
 
-    At node r * n_theta^d + k the normalized basis row is R[r] * phi[k]; the
-    angular mode of index I is ``flat[I]``, the C-order flat index of
-    I mod n_theta on the (n_theta,)^d grid.
+    At node r * n_theta^d + k the normalized basis row is R[r] * phi[k]
+    (``rows``); the angular mode of index I is ``flat[I]``, the C-order flat
+    index of I mod n_theta on the (n_theta,)^d grid.
     """
     rule: quadrature.QuadratureRule
     lift: np.ndarray     # (n, d+1) unit lifts zeta of the nodes
@@ -84,13 +84,18 @@ class _NodeData:
     wcore: np.ndarray    # rule weights times (1+s)^(-(d+1))
     gram: np.ndarray | None = None  # compress(spec, self, 1), set by _gram
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Normalized basis rows of nodes lo .. hi-1, (hi - lo, N)."""
+        r, k = np.divmod(np.arange(lo, hi), self.phi.shape[0])
+        return self.phi[k] * self.R[r]
+
     @functools.cached_property
     def ehat(self) -> np.ndarray:
-        """Dense (n, N) table R (x) phi, built on first read and kept.
+        """Dense (n, N) table ``rows(0, n)``, built on first read and kept.
 
         Nothing in the package reads it; the transforms use the factors.
         """
-        return (self.R[:, None, :] * self.phi[None]).reshape(-1, self.R.shape[1])
+        return self.rows(0, self.lift.shape[0])
 
 
 @dataclass(eq=False)
@@ -218,12 +223,23 @@ def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
     return -(spec.m / 2.0) * np.log1p(eps)
 
 
+def _blocks(spec: BasisSpec, n: int):
+    """Slices of consecutive rows of n, each at most _BLOCK_BYTES of basis rows."""
+    step = max(1, _BLOCK_BYTES // (16 * spec.N))
+    return (slice(a, a + step) for a in range(0, n, step))
+
+
+def _row_blocks(spec: BasisSpec, points: np.ndarray):
+    """(slice, eval_matrix_normalized(spec, points[slice])) per block of rows."""
+    for sl in _blocks(spec, points.shape[0]):
+        yield sl, eval_matrix_normalized(spec, points[sl])
+
+
 def _lift_rows(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
     """eval_matrix_normalized from the (n, d+1) unit lifts of the points."""
     n = lift.shape[0]
     E = np.empty((n, spec.N), dtype=complex)
     powers = np.empty((n, spec.m + 1), dtype=complex)
-    rows = max(1, _BLOCK_BYTES // (16 * spec.N))
     # The homogeneous coordinate comes first so that its gather fills E.
     for j in (spec.d, *range(spec.d)):
         powers[:, 0] = np.exp(_log_row_scale(spec, lift)) if j == spec.d else 1.0
@@ -234,8 +250,8 @@ def _lift_rows(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
             # mode="clip" writes into E directly; "raise" would buffer it.
             np.take(powers, exps, axis=1, out=E, mode="clip")
             continue
-        for a in range(0, n, rows):
-            E[a:a + rows] *= powers[a:a + rows, exps]
+        for sl in _blocks(spec, n):
+            E[sl] *= powers[sl, exps]
     E *= 1.0 / np.sqrt(spec.D)
     return E
 
@@ -244,20 +260,15 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     """Node tables from the rule's factored form (``quadrature`` layout).
 
     At node (r, k) the lift is zeta_j = |zeta_j(radii[r])| exp(2 pi i k_j /
-    n_theta), so ehat_I = R_rI Phi_kI with the real radial factor R_rI =
-    sqrt(1/D_I) prod_j |zeta_j(radii[r])|^Ihat_j, taken in log form (finite
-    at any m) with the rounding scale of ``_log_row_scale``, and the
-    character Phi_kI = exp(2 pi i ((k . I) mod n_theta) / n_theta) indexed
-    by exact integers.  Nothing of size (n, N) or (n, m+1) is built.
+    n_theta), so ehat_I = R_rI Phi_kI with the real radial factor R_rI, the
+    normalized row at the real point radii[r] (``_lift_rows``, rounding
+    scale included), and the character Phi_kI = exp(2 pi i ((k . I) mod
+    n_theta) / n_theta) indexed by exact integers.  Rows are evaluated at the
+    n_r^d radial points only; nothing of size (n, N) or (n, m+1) is built.
     """
     d, n_theta = spec.d, rule.n_theta
     rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
-    R = np.empty((rule.radii.shape[0], spec.N))
-    R[:] = -0.5 * np.log(spec.D)
-    R += _log_row_scale(spec, rlift).astype(float)[:, None]
-    for j in range(d + 1):
-        R += np.log(rlift[:, j, None]) * spec._exponents[:, j]
-    np.exp(R, out=R)
+    R = _lift_rows(spec, rlift).real.copy()
     roots = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
     k = np.indices((n_theta,) * d).reshape(d, -1).T    # C-order angle multi-indices
     flat = np.zeros(spec.N, dtype=np.intp)
@@ -379,11 +390,6 @@ def log_kernel(spec: BasisSpec, mu, nu) -> complex:
     mu = as_point(mu, d=spec.d)
     nu = as_point(nu, d=spec.d)
     return complex(spec.m * np.log(1.0 + np.vdot(nu, mu)))
-
-
-def fs_weight_exponent(spec: BasisSpec) -> int:
-    """Power K = m + d + 1 of (1 + |nu|^2) dividing every inner-product integrand."""
-    return spec.m + spec.d + 1
 
 
 def inner_product(spec: BasisSpec, f: Callable, g: Callable, level: int | None = None) -> complex:

@@ -33,6 +33,10 @@ from .hilbert import BasisSpec
 # has no trustworthy digits in double precision.
 DEGENERATE_TOL = 1e-14
 
+# Ket nodes per block of operator_from_symbol's callable path.  Blocks of
+# 2 MiB of basis rows made the d=3, m=3 round trip 40% slower.
+_SYMBOL_CHUNK = 512
+
 
 @dataclass(eq=False)
 class OperatorMatrix:
@@ -122,8 +126,8 @@ class CovariantSymbol:
         the operator norm and needs no division; this is the form consumed by
         quadrature against kernel weights.
         """
-        nu_pts = np.asarray(nu_pts, dtype=complex).reshape(-1, self.spec.d)
-        mu_pts = np.asarray(mu_pts, dtype=complex).reshape(-1, self.spec.d)
+        nu_pts = hilbert._as_points(self.spec, nu_pts)
+        mu_pts = hilbert._as_points(self.spec, mu_pts)
         ehat_nu = hilbert.eval_matrix_normalized(self.spec, nu_pts)
         ehat_mu = hilbert.eval_matrix_normalized(self.spec, mu_pts)
         weighted_vals = (ehat_nu @ self.op.mat) @ ehat_mu.conj().T
@@ -140,10 +144,9 @@ class CovariantSymbol:
                 f"|normalized pairing| = {mag[k, l]:.3e} at level m = {self.spec.m}")
         return weighted_vals / what ** self.spec.m
 
-    def gradient(self, mu, step: float | None = None):
+    def gradient(self, mu):
         """Numeric Wirtinger gradient of the diagonal symbol at one point."""
-        return geometry.wirtinger(lambda z: self(z), geometry.as_point(mu, d=self.spec.d),
-                                  step=step)
+        return geometry.wirtinger(lambda z: self(z), geometry.as_point(mu, d=self.spec.d))
 
 
 def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu,
@@ -165,8 +168,7 @@ def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu,
     return spec.c_m * complex(np.sum(nd.wcore * np.conj(vals[:, 0]) * vals[:, 1]))
 
 
-def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
-                         chunk: int = 512) -> OperatorMatrix:
+def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None) -> OperatorMatrix:
     """Reconstruct the operator whose two-point symbol is ``symbol``.
 
     ``symbol`` is either a CovariantSymbol or a callable (nu_pts, mu_pts) ->
@@ -175,21 +177,20 @@ def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None,
     is in the rule's exact family and recovery is at rounding error.  For a
     CovariantSymbol of A that quadrature is G A G with G the numeric Gram
     matrix, which is returned directly; a plain callable is integrated in
-    chunks of ket nodes to bound memory.
+    blocks of _SYMBOL_CHUNK ket nodes to bound memory, with the pairings
+    taken from the node data's cached unit lifts.
     """
     if isinstance(symbol, CovariantSymbol):
         gram = OperatorMatrix(spec, hilbert.gram_matrix(spec, level))
         return gram @ symbol.op @ gram
     nd = spec.node_data(level)
-    nodes, n = nd.rule.nodes, nd.rule.nodes.shape[0]
-    n_ang = nd.phi.shape[0]
+    nodes, n = nd.rule.nodes, nd.rule.node_count
     out = np.zeros((spec.N, spec.N), dtype=complex)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        what = hilbert.normalized_pairing(nodes, nodes[lo:hi])
+    for lo in range(0, n, _SYMBOL_CHUNK):
+        hi = min(lo + _SYMBOL_CHUNK, n)
+        what = nd.lift @ nd.lift[lo:hi].conj().T
         mid = np.asarray(symbol(nodes, nodes[lo:hi])) * what ** spec.m
-        i = np.arange(lo, hi)
-        ket = nd.R[i // n_ang] * nd.phi[i % n_ang] * nd.wcore[lo:hi, None]
+        ket = nd.rows(lo, hi) * nd.wcore[lo:hi, None]
         out += hilbert.analyze(spec, nd, nd.wcore[:, None] * mid) @ ket
     return OperatorMatrix(spec, spec.c_m ** 2 * out)
 

@@ -198,18 +198,6 @@ def _transported_nodes(spec: BasisSpec, chart: DiffeoChart, level: int | None):
     return params, wleb
 
 
-def _row_blocks(spec: BasisSpec, points: np.ndarray):
-    """Consecutive row blocks of eval_matrix_normalized at ``points``.
-
-    Yields (slice, block) pairs; a block holds at most hilbert._BLOCK_BYTES
-    of rows, so no (n, N) table is built whatever the node count.
-    """
-    rows = max(1, hilbert._BLOCK_BYTES // (16 * spec.N))
-    for a in range(0, points.shape[0], rows):
-        sl = slice(a, a + rows)
-        yield sl, hilbert.eval_matrix_normalized(spec, points[sl])
-
-
 def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2,
                               h: Callable | None = None,
                               level: int | None = None) -> complex:
@@ -228,7 +216,7 @@ def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2,
     hvals = measure_factor(chart, params) if h is None else np.asarray(h(params), dtype=float)
     w = wleb * hvals
     total = 0j
-    for sl, blk in _row_blocks(spec, chart.forward(params)):
+    for sl, blk in hilbert._row_blocks(spec, chart.forward(params)):
         f = blk @ v
         total += complex(np.sum(w[sl] * np.conj(f[:, 0]) * f[:, 1]))
     return spec.c_m * total
@@ -253,7 +241,7 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
     scale *= np.sqrt(wleb * measure_factor(chart_a, params))
     P = np.zeros((2 * spec.N, 2 * spec.N))
-    for sl, blk in _row_blocks(spec, mapped):
+    for sl, blk in hilbert._row_blocks(spec, mapped):
         blk *= scale[sl, None]
         S = blk.view(float)
         P += S.T @ S
@@ -514,19 +502,19 @@ def quarter_arc() -> Callable:
     return path
 
 
-def curvature_disk_integral(center: complex = 0.0, radius: float = 1.0,
-                            n_r: int = 64, n_t: int = 256) -> float:
+def curvature_disk_integral(center: complex = 0.0, radius: float = 1.0) -> float:
     """Surface integral of d theta = 2 dx dy / (1 + |z|^2)^2 over a disk.
 
-    Matches the connection integral around the disk's boundary circle.
+    Matches the connection integral around the disk's boundary circle.  A
+    64-point Gauss-Legendre rule in r times 256 midpoint angles.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_r)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(64)
     r = 0.5 * radius * (gl_x + 1.0)
     wr = 0.5 * radius * gl_w
-    t = 2.0 * np.pi * (np.arange(n_t) + 0.5) / n_t
+    t = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
     z = complex(center) + r[:, None] * np.exp(1j * t)[None, :]
     dens = 2.0 / (1.0 + np.abs(z) ** 2) ** 2
-    vals = np.sum(dens * r[:, None], axis=1) * (2.0 * np.pi / n_t)
+    vals = np.sum(dens * r[:, None], axis=1) * (2.0 * np.pi / 256)
     return float(np.sum(wr * vals))
 
 

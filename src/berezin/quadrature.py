@@ -149,16 +149,16 @@ def _make_rule(d: int, level: int, exact_family: bool) -> QuadratureRule:
     return QuadratureRule(d, level, u, gw, n_theta, radii, wr, nodes, weights, exact_family)
 
 
-def build_rule(d: int, level: int, node_cap: int = NODE_CAP, *,
-               exact_family: bool = False) -> QuadratureRule:
+def build_rule(d: int, level: int, *, exact_family: bool = False) -> QuadratureRule:
     """Build the level rule for dimension d.
 
     Counts per dimension are n_theta = 4 * level + 1 angular and n_r =
     8 * level radial nodes, or n_r = 2 * level + ceil(d / 2) with
     ``exact_family`` (exact for the module's weighted-polynomial family and
     nothing more).  Total nodes (n_r * n_theta)^d must stay within
-    ``node_cap`` or ResourceLimit is raised before anything is allocated.
-    The error-estimate companion is not built here (see ``integrate``).
+    ``NODE_CAP`` (read at call time) or ResourceLimit is raised before
+    anything is allocated.  The error-estimate companion is not built here
+    (see ``integrate``).
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {d}")
@@ -166,8 +166,8 @@ def build_rule(d: int, level: int, node_cap: int = NODE_CAP, *,
         raise ValueError(f"level must be >= 1, got {level}")
     n_r, n_theta = _counts(d, level, exact_family)
     total = (n_r * n_theta) ** d
-    if total > node_cap:
-        raise ResourceLimit(f"rule would need {total} nodes, cap is {node_cap}")
+    if total > NODE_CAP:
+        raise ResourceLimit(f"rule would need {total} nodes, cap is {NODE_CAP}")
     return _make_rule(d, level, exact_family)
 
 

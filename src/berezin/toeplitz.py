@@ -106,25 +106,28 @@ def bracket_function(f, g):
     return evaluate
 
 
-def commutator_defect(spec: BasisSpec, f, g, level: int | None = None) -> float:
-    """Spectral-norm defect || m [T_f, T_g] - i T_{{f,g}} || at the spec level."""
-    tf = toeplitz_matrix(spec, f, level=level)
-    tg = toeplitz_matrix(spec, g, level=level)
-    tb = toeplitz_matrix(spec, bracket_function(f, g), level=level)
+def _defect(spec: BasisSpec, tf, tg, tb) -> float:
+    """|| m [T_f, T_g] - i T_b || from the three assembled matrices."""
     return operator_norm(spec.m * commutator(tf, tg).mat - 1j * tb.mat)
 
 
-def sup_estimate(f, d: int, n_radial: int = 16, n_theta: int = 16) -> float:
+def commutator_defect(spec: BasisSpec, f, g, level: int | None = None) -> float:
+    """Spectral-norm defect || m [T_f, T_g] - i T_{{f,g}} || at the spec level."""
+    return _defect(spec, *(toeplitz_matrix(spec, h, level=level)
+                           for h in (f, g, bracket_function(f, g))))
+
+
+def sup_estimate(f, d: int) -> float:
     """Estimate sup |f| over the compactified chart by dense grid sampling.
 
-    Per dimension: radii from u = r^2/(1+r^2) on a uniform [0, 1) grid plus a
-    near-boundary ring at u = 1 - 1e-12, times uniform angles.  The grid hits
+    Per dimension: radii from u = r^2/(1+r^2) on a 16-point uniform [0, 1)
+    grid plus a ring at u = 1 - 1e-12, times 16 uniform angles.  The grid hits
     u in {0, 1/2, 1} and the coordinate axes, where the bundled function
     family takes its extrema, so the estimate is exact for all of them.
     """
-    u = np.append(np.linspace(0.0, 1.0, n_radial, endpoint=False), 1.0 - 1e-12)
+    u = np.append(np.linspace(0.0, 1.0, 16, endpoint=False), 1.0 - 1e-12)
     r = np.sqrt(u / (1.0 - u))
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    theta = 2.0 * np.pi * np.arange(16) / 16
     ring = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     grids = np.meshgrid(*([ring] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -144,8 +147,11 @@ def toeplitz_sweep(f, g, m_list, d: int = 1) -> SweepResult:
     rows = []
     for m in m_list:
         spec = hilbert.build_basis(d, int(m))
-        nrm = operator_norm(toeplitz_matrix(spec, f))
-        rows.append((int(m), nrm, float(sup - nrm), commutator_defect(spec, f, g)))
+        tf = toeplitz_matrix(spec, f)
+        nrm = operator_norm(tf)
+        defect = _defect(spec, tf, toeplitz_matrix(spec, g),
+                         toeplitz_matrix(spec, bracket_function(f, g)))
+        rows.append((int(m), nrm, float(sup - nrm), defect))
     ms = [r[0] for r in rows]
     return SweepResult(rows=rows, slope_e0=_fit_slope(ms, [r[2] for r in rows]),
                        slope_e1=_fit_slope(ms, [r[3] for r in rows]))

@@ -105,8 +105,9 @@ def test_gram_matrix_identity_at_m256():
 @pytest.mark.parametrize("d, m", [(1, 8), (1, 256), (2, 12), (3, 5)])
 def test_factored_table_matches_the_evaluator(d, m):
     # ehat = R (x) Phi against the direct evaluator at the rule's nodes.  Each
-    # entry on either side carries O(m) rounded factors (the reference's power
-    # products, the factored log-sum), so the bound is 8 m eps.
+    # entry on either side carries O(m) rounded factors (power products at
+    # the nodes, or at the radial points times a character), so the bound is
+    # 8 m eps.
     spec = hilbert.build_basis(d, m)
     nd = spec.node_data()
     want = hilbert.eval_matrix_normalized(spec, nd.rule.nodes)
@@ -180,20 +181,34 @@ def test_no_query_reads_the_dense_table(monkeypatch, capsys, tmp_path):
     section.weight_degree = 0
     assert np.max(np.abs(toeplitz.project(spec, section) - v)) <= 1e-12
     # The identity's two-point symbol is 1: the callable path gives G I G = I.
+    monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 100)
     back = operators.operator_from_symbol(
-        spec, lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])), chunk=100)
+        spec, lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])))
     assert np.max(np.abs(back.mat - np.eye(spec.N))) <= 1e-12
 
 
 def test_node_data_does_not_call_the_evaluator(monkeypatch):
+    # A node-data build evaluates basis rows once, through the one row
+    # evaluator, at the n_r^d radial points only: never at the nodes.
     def refuse(*args, **kwargs):
         raise AssertionError("node tables are built from their factors")
 
+    lift_rows, seen = hilbert._lift_rows, []
+
+    def spy(spec, lift):
+        seen.append(lift.shape[0])
+        return lift_rows(spec, lift)
+
     monkeypatch.setattr(hilbert, "eval_matrix_normalized", refuse)
-    monkeypatch.setattr(hilbert, "_lift_rows", refuse)
+    monkeypatch.setattr(hilbert, "_lift_rows", spy)
     spec = hilbert.build_basis(2, 6)
-    assert spec.node_data().ehat.shape == (spec.node_data().rule.node_count, spec.N)
-    assert np.max(np.abs(hilbert.gram_matrix(spec) - np.eye(spec.N))) <= 1e-13
+    want = []
+    for level in (None, spec.level + 1):
+        nd = spec.node_data(level)
+        want.append(nd.rule.radii.shape[0])
+        assert nd.ehat.shape == (nd.rule.node_count, spec.N)
+        assert np.max(np.abs(hilbert.gram_matrix(spec, level) - np.eye(spec.N))) <= 1e-13
+        assert seen == want
 
 
 def test_eval_matrix_finite_at_huge_points():
@@ -297,7 +312,6 @@ def test_log_kernel_consistency(basis):
     mu, nu = [0.8 + 0.1j], [0.5 - 0.6j]
     assert np.exp(hilbert.log_kernel(spec, mu, nu)) == pytest.approx(
         hilbert.kernel_L(spec, mu, nu), rel=1e-12)
-    assert hilbert.fs_weight_exponent(spec) == 12 + 1 + 1
 
 
 def test_section_eval_linear_combination(basis, rng):

@@ -146,7 +146,7 @@ def test_star_adjoint_symmetry(basis, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_operator_from_symbol_roundtrip(basis, rng):
+def test_operator_from_symbol_roundtrip(basis, rng, monkeypatch):
     spec = basis(1, 4)
     ident = operators.operator_from_symbol(spec, lambda nu, mu: np.ones((len(nu), len(mu))))
     assert np.max(np.abs(ident.mat - np.eye(spec.N))) <= 1e-8
@@ -158,9 +158,38 @@ def test_operator_from_symbol_roundtrip(basis, rng):
 
     # plain-callable path with chunking smaller than the node count
     sym = operators.CovariantSymbol(op)
-    back2 = operators.operator_from_symbol(spec, lambda nu, mu: sym.cross(nu, mu),
-                                           chunk=37)
+    monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 37)
+    back2 = operators.operator_from_symbol(spec, lambda nu, mu: sym.cross(nu, mu))
     assert np.max(np.abs(back2.mat - op.mat)) <= 1e-10 * scale
+
+
+def test_operator_from_symbol_pairs_nodes_from_the_node_data(basis, monkeypatch):
+    # The callable path takes the node pairings from the cached unit lifts:
+    # no chunk lifts all n nodes again.
+    spec = basis(2, 4)
+    n = spec.node_data().rule.node_count
+    unit_lift = hilbert.unit_lift
+
+    def few_rows(points):
+        assert points.shape[0] < n, "all nodes lifted again"
+        return unit_lift(points)
+
+    monkeypatch.setattr(hilbert, "unit_lift", few_rows)
+    monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 37)
+    back = operators.operator_from_symbol(
+        spec, lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])))
+    assert np.max(np.abs(back.mat - np.eye(spec.N))) <= 1e-12
+
+
+def test_cross_symbol_rejects_points_of_the_wrong_dimension(basis, rng):
+    spec = basis(2, 3)
+    sym = operators.CovariantSymbol(random_operator(spec, rng))
+    good = np.zeros((2, 2))
+    for bad in (np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(DimensionMismatch):
+            sym.cross(bad, good)
+        with pytest.raises(DimensionMismatch):
+            sym.cross(good, bad)
 
 
 def test_operator_from_symbol_reads_the_node_table(basis, rng, monkeypatch):

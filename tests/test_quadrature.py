@@ -70,15 +70,16 @@ def test_exact_family_count_is_tight(d, m):
     assert gram_deviation(d, m, n_r - 1) > 1e-6
 
 
-def test_build_rule_rejections():
+def test_build_rule_rejections(monkeypatch):
     with pytest.raises(DimensionMismatch):
         quadrature.build_rule(0, 1)
     with pytest.raises(ValueError):
         quadrature.build_rule(1, 0)
     with pytest.raises(ResourceLimit):
         quadrature.build_rule(2, 12)
+    monkeypatch.setattr(quadrature, "NODE_CAP", 10)
     with pytest.raises(ResourceLimit):
-        quadrature.build_rule(1, 2, node_cap=10)
+        quadrature.build_rule(1, 2)
 
 
 @pytest.mark.parametrize("d, level", [(1, 2), (2, 1), (3, 1)])
