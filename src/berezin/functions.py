@@ -2,8 +2,14 @@
 
 Each entry is smooth on the whole compactified space, bounded, and carries
 analytic Wirtinger gradients plus the metadata sweeps need: the power of
-(1 + |mu|^2) required to clear its denominator (weight_degree) and its exact
-sup norm for estimator tests.
+(1 + |mu|^2) required to clear its denominator (weight_degree), its exact
+sup norm for estimator tests, its angular modes and whether it is real.
+
+The modes come from the U(1)^d symmetry of the chart weight: in polar
+coordinates mu_j = r_j e^(i theta_j) each entry is a finite sum
+f = sum_{k in K} f_k(r) e^(i k . theta), and ``modes(d)`` is that set K of
+integer d-vectors.  Toeplitz assembly and operator norms use it
+(``hilbert.compress``, ``toeplitz.operator_norm``).
 
 Evaluators are vectorized over an (n, d) complex array and return (n,).
 Gradients take a single point (d,) or an (n, d) array of points and return
@@ -29,6 +35,8 @@ class ChartFunction:
     weight_degree: int           # min p with (1+|mu|^2)^p * f polynomial in mu, mubar
     sup_exact: float
     description: str
+    modes: Callable              # d -> tuple of angular modes k (d-tuples of ints)
+    real: bool                   # real-valued, so its Toeplitz operator is Hermitian
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=complex)
@@ -72,6 +80,17 @@ def _quotient_grads(num, num_dmu1: complex, num_dmubar1: complex):
             lambda mu: grad(mu, mu, num_dmubar1))
 
 
+def _radial(d: int) -> tuple:
+    """{0}: functions of the radii alone."""
+    return ((0,) * d,)
+
+
+def _first_axis(d: int) -> tuple:
+    """{e_1, -e_1}: functions of the radii times e^(+-i theta_1)."""
+    e1 = (1,) + (0,) * (d - 1)
+    return (e1, tuple(-q for q in e1))
+
+
 def _re_rational(pts):
     return pts[:, 0].real / (1.0 + _s(pts))
 
@@ -98,27 +117,32 @@ _INV = _quotient_grads(lambda mu1: 1.0, 0.0, 0.0)
 REGISTRY: dict[str, ChartFunction] = {
     "one": ChartFunction(
         name="one", evaluator=_one, grad_mu=_zero_grad, grad_mubar=_zero_grad,
-        weight_degree=0, sup_exact=1.0, description="constant 1"),
+        weight_degree=0, sup_exact=1.0, description="constant 1",
+        modes=_radial, real=True),
     "re_rational": ChartFunction(
         name="re_rational", evaluator=_re_rational,
         grad_mu=_RE[0], grad_mubar=_RE[1],
         weight_degree=1, sup_exact=0.5,
-        description="Re mu_1 / (1 + |mu|^2)"),
+        description="Re mu_1 / (1 + |mu|^2)",
+        modes=_first_axis, real=True),
     "im_rational": ChartFunction(
         name="im_rational", evaluator=_im_rational,
         grad_mu=_IM[0], grad_mubar=_IM[1],
         weight_degree=1, sup_exact=0.5,
-        description="Im mu_1 / (1 + |mu|^2)"),
+        description="Im mu_1 / (1 + |mu|^2)",
+        modes=_first_axis, real=True),
     "abs2_rational": ChartFunction(
         name="abs2_rational", evaluator=_abs2_rational,
         grad_mu=_ABS2[0], grad_mubar=_ABS2[1],
         weight_degree=1, sup_exact=1.0,
-        description="|mu|^2 / (1 + |mu|^2)"),
+        description="|mu|^2 / (1 + |mu|^2)",
+        modes=_radial, real=True),
     "inv_rational": ChartFunction(
         name="inv_rational", evaluator=_inv_rational,
         grad_mu=_INV[0], grad_mubar=_INV[1],
         weight_degree=1, sup_exact=1.0,
-        description="1 / (1 + |mu|^2)"),
+        description="1 / (1 + |mu|^2)",
+        modes=_radial, real=True),
 }
 
 

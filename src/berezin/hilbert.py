@@ -18,19 +18,25 @@ Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
 (n_r^d, N), basis rows at the radial points, and the angular characters from
-exact integers; no (nodes x N) table is built.  Every product with the table
-runs through the angular FFT, one radial node at a time: ``synthesize`` (node
-values ehat v), ``analyze`` (ehat^H x) and ``compress`` (c_m sum_n w_n v_n
-conj(ehat_nI) ehat_nJ, for Toeplitz matrices and the Gram matrix, which the
-node data caches on first use).  At d = 2, m = 24 (189,225 nodes, N = 325),
-on a 2-core Xeon with numpy 2.4, one Toeplitz matrix takes 0.26 s (2.9 s as a
-dense product); the dense table would be 984 MB.  The only resource budget
-is the rule's node cap, quadrature.NODE_CAP.
+exact integers; no (nodes x N) table is built.  ``synthesize`` (node values
+ehat v) and ``analyze`` (ehat^H x) run through the angular FFT, one radial
+node at a time.  ``compress`` (c_m sum_n w_n f_n conj(ehat_nI) ehat_nJ: the
+Toeplitz matrices, and the Gram matrix as the compression of the constant 1,
+cached with the node data) uses the symmetry once more.  A function with
+angular modes K has entries only on the bands I - J in K, and each band is
+one radial column of Fourier coefficients times R, so assembly costs
+O(|K| N n_r^d) and the Gram matrix is diagonal at the default level.  On a
+2-core Xeon with numpy 2.4, one Toeplitz matrix of a registry function takes
+1-4 ms at d = 2, m = 24 and 40-70 ms at d = 2, m = 48 (N = 1,225, 729
+radial points).  Callables that declare no modes are summed one radial node
+at a time over the full grid instead.  The only resource budget is the
+rule's node cap, quadrature.NODE_CAP.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +46,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DimensionMismatch, IndexOutOfRange
+from .functions import REGISTRY
 from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
@@ -82,7 +89,7 @@ class _NodeData:
     flat: np.ndarray     # (N,) angular mode of each index
     halfw: np.ndarray    # (1+s)^(-m/2)
     wcore: np.ndarray    # rule weights times (1+s)^(-(d+1))
-    gram: np.ndarray | None = None  # compress(spec, self, 1), set by _gram
+    gram: np.ndarray | None = None  # compress of the constant 1, set by _gram
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Normalized basis rows of nodes lo .. hi-1, (hi - lo, N)."""
@@ -314,13 +321,82 @@ def analyze(spec: BasisSpec, nd: _NodeData, x) -> np.ndarray:
     return np.einsum("ri,ri...->i...", nd.R, F)
 
 
-def compress(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
-    """c_m sum_n wcore_n v_n conj(ehat_nI) ehat_nJ for node values v; (N, N).
+def _values(f: Callable, pts: np.ndarray) -> np.ndarray:
+    """f at the (n, d) points, checked to be one value per point."""
+    vals = np.asarray(f(pts))
+    if vals.shape != (pts.shape[0],):
+        raise DimensionMismatch(
+            f"function returned shape {vals.shape}, expected ({pts.shape[0]},)")
+    return vals
+
+
+def band_modes(spec: BasisSpec, modes, n_theta: int) -> dict:
+    """{delta: [k, ...]}: the differences I - J that modes k reach on n_theta angles.
+
+    The angular grid reads mode k at every delta in [-m, m]^d congruent to k
+    mod n_theta.  At or above the default level that is delta = k alone;
+    below it, n_theta <= m and a mode also reaches its aliases.
+    """
+    out: dict = {}
+    for k in modes:
+        axes = [range(-spec.m + (q + spec.m) % n_theta, spec.m + 1, n_theta) for q in k]
+        for delta in itertools.product(*axes):
+            out.setdefault(delta, []).append(tuple(k))
+    return out
+
+
+def compress(spec: BasisSpec, nd: _NodeData, f: Callable) -> np.ndarray:
+    """T_f = c_m sum_n wcore_n f(nu_n) conj(ehat_nI) ehat_nJ on the node data; (N, N).
+
+    A function that declares its angular modes (``f.modes(d)``, see
+    ``functions``) is assembled one band I - J = delta at a time; any other
+    callable is evaluated at every node and summed one radial node at a time.
+    """
+    modes = getattr(f, "modes", None)
+    if modes is None:
+        return _compress_nodes(spec, nd, _values(f, nd.rule.nodes))
+    return _compress_bands(spec, nd, f, modes(spec.d))
+
+
+def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> np.ndarray:
+    """(T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta), zero off the bands.
+
+    F_r[delta] is the node sum over the angles, n_theta^d wcore_r times the
+    sum of the Fourier coefficients f_k(r) of the modes k that reach delta
+    (``band_modes``).  With B = max |k_j|, the f_k are exact from an FFT of f
+    at 2B + 1 angles per dimension, so f is evaluated at n_r^d (2B+1)^d
+    points, and each band costs one (2, n_r^d) x (n_r^d, N) product.
+    """
+    d, m, n_theta = spec.d, spec.m, nd.rule.n_theta
+    radii = nd.rule.radii
+    n_s = 2 * max(abs(q) for k in modes for q in k) + 1
+    angles = np.exp(2j * np.pi * np.arange(n_s) / n_s)[np.indices((n_s,) * d).reshape(d, -1).T]
+    vals = _values(f, (radii[:, None, :] * angles[None]).reshape(-1, d))
+    fhat = np.fft.fftn(vals.reshape((-1,) + (n_s,) * d), axes=tuple(range(1, d + 1)))
+    fhat = fhat.reshape(radii.shape[0], -1)
+    fhat *= (nd.wcore[::n_theta ** d] * (n_theta / n_s) ** d)[:, None]
+    exps = spec._exponents[:, :d]
+    position = np.zeros((m + 1,) * d, dtype=np.intp)
+    position[tuple(exps.T)] = np.arange(spec.N)
+    out = np.zeros((spec.N, spec.N), dtype=complex)
+    for delta, ks in band_modes(spec, modes, n_theta).items():
+        col = sum(fhat[:, np.ravel_multi_index(np.mod(k, n_s), (n_s,) * d)] for k in ks)
+        J = exps - np.array(delta)
+        rows = np.flatnonzero(np.all(J >= 0, axis=1) & (J.sum(axis=1) <= m))
+        cols = position[tuple(J[rows].T)]
+        band = np.stack([col.real, col.imag]) @ (nd.R[:, rows] * nd.R[:, cols])
+        out[rows, cols] = band[0] + 1j * band[1]
+    out *= spec.c_m
+    return out
+
+
+def _compress_nodes(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
+    """compress from the values v at every node, one radial node at a time.
 
     With ehat = R (x) Phi the angular sum at radial node r is the d-dim FFT
     F_r of wcore v over the n_theta^d angles, so the entry is c_m sum_r
-    R_rI R_rJ F_r[(I - J) mod n_theta]; the sum runs one radial node at a
-    time, so its scratch is a few (N, N) arrays whatever the node count.
+    R_rI R_rJ F_r[(I - J) mod n_theta]; the scratch is a few (N, N) arrays
+    whatever the node count.
     """
     d, n_theta = spec.d, nd.rule.n_theta
     n_rad = nd.R.shape[0]
@@ -408,7 +484,7 @@ def inner_product(spec: BasisSpec, f: Callable, g: Callable, level: int | None =
 def _gram(spec: BasisSpec, nd: _NodeData) -> np.ndarray:
     """The Gram matrix on the node data, computed on first use and cached there."""
     if nd.gram is None:
-        nd.gram = compress(spec, nd, 1.0)
+        nd.gram = compress(spec, nd, REGISTRY["one"])
     return nd.gram
 
 

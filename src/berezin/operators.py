@@ -40,10 +40,19 @@ _SYMBOL_CHUNK = 512
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Level-m operator: a basis spec plus its (N, N) coefficient matrix."""
+    """Level-m operator: a basis spec plus its (N, N) coefficient matrix.
+
+    ``modes``, when set, are angular modes k (d-tuples) such that the matrix
+    vanishes between indices that differ in a coordinate no k touches;
+    ``adjoint_sign`` is +1 for a Hermitian matrix, -1 for an anti-Hermitian
+    one and 0 when unknown.  ``toeplitz.operator_norm`` uses both; the
+    arithmetic below drops them.
+    """
 
     spec: BasisSpec
     mat: np.ndarray
+    modes: tuple | None = None
+    adjoint_sign: int = 0
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
@@ -155,17 +164,17 @@ def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu,
 
     Computed by quadrature over the coherent overlap; the rule at the spec's
     level integrates the (polynomial x weight) integrand exactly, so this
-    agrees with the diagonal symbol of ``op1 @ op2`` to rounding error.
+    agrees with the diagonal symbol of ``op1 @ op2`` to rounding error.  The
+    node sum of <psi_mu, A1 psi_nu><psi_nu, A2 psi_mu> is taken in the order
+    (row A1) G (A2 row^H), with row the normalized basis row at mu and G the
+    Gram matrix of the node data (diagonal at the default level).
     """
     _same_spec(op1, op2)
     spec = op1.spec
     mu = geometry.as_point(mu, d=spec.d)
-    nd = spec.node_data(level)
+    gram = hilbert._gram(spec, spec.node_data(level))
     row = hilbert.eval_matrix_normalized(spec, mu)[0]
-    # Columns: conj <psi_mu, A1 psi_nu> and <psi_nu, A2 psi_mu>, normalized.
-    vals = hilbert.synthesize(spec, nd, np.column_stack([np.conj(row @ op1.mat),
-                                                         op2.mat @ row.conj()]))
-    return spec.c_m * complex(np.sum(nd.wcore * np.conj(vals[:, 0]) * vals[:, 1]))
+    return complex((row @ op1.mat) @ gram @ (op2.mat @ row.conj()))
 
 
 def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None) -> OperatorMatrix:

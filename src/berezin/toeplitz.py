@@ -10,6 +10,18 @@ degree p (so (1+s)^p f is polynomial of degree <= p), the rule at level
 ceil((m+p)/4) integrates these matrix elements exactly; norms then satisfy
 ||T_f|| <= sup|f| with defect O(1/m), and the rescaled Toeplitz commutator
 approaches the quantized Poisson bracket.
+
+The weight is U(1)^d-invariant, so a function with angular modes K (every
+registry function, and the bracket of two of them, declares K) has T_f zero
+off the bands I - J in K; ``hilbert.compress`` assembles those bands only.
+Such an operator carries its modes, and it is Hermitian when f is real.
+Its norm is then the largest |eigenvalue| over the index blocks that no mode
+couples (``operator_norm``): single indices for K = {0}, chains in I_1 at
+fixed (I_2, ..., I_d) for K = {e_1, -e_1}.  The commutator defect
+m [T_f, T_g] - i T_{f,g} of two real functions is anti-Hermitian with the
+blocks of all three.  At d = 2, m = 48 (N = 1,225) a norm from the blocks
+takes 10-20 ms, and from the SVD 1.0 s.  Plain callables keep the
+radial-node loop and the SVD.
 """
 
 from __future__ import annotations
@@ -19,10 +31,13 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import geometry, hilbert, quadrature
-from .errors import DimensionMismatch
 from .functions import ChartFunction
 from .hilbert import BasisSpec
 from .operators import OperatorMatrix, SweepResult, _fit_slope, commutator
+
+# Grid points per block of sup_estimate: d = 2 takes three blocks, and the
+# 20M points of d = 3 (1 GB as one array) stay a few MB at a time.
+_SUP_BLOCK = 2 ** 15
 
 
 @dataclass(eq=False)
@@ -61,20 +76,49 @@ def toeplitz_matrix(spec: BasisSpec, f, level: int | None = None) -> ToeplitzMat
 
     ``f`` is a vectorized evaluator over (n, d) node arrays; a ChartFunction's
     weight_degree (default 1 for plain callables) picks a rule exact for the
-    matrix-element integrands.
+    matrix-element integrands.  When ``f`` declares angular modes the
+    operator carries the bands it has on that rule (``hilbert.band_modes``),
+    and adjoint_sign 1 when ``f`` is real.
     """
     lv = _default_level(spec, f) if level is None else int(level)
     nd = spec.node_data(lv)
-    fv = np.asarray(f(nd.rule.nodes))
-    if fv.shape != (nd.rule.nodes.shape[0],):
-        raise DimensionMismatch(
-            f"function returned shape {fv.shape}, expected ({nd.rule.nodes.shape[0]},)")
-    return ToeplitzMatrix(spec, hilbert.compress(spec, nd, fv), symbol=_symbol_name(f))
+    mat = hilbert.compress(spec, nd, f)
+    modes = getattr(f, "modes", None)
+    if modes is not None:
+        modes = tuple(hilbert.band_modes(spec, modes(spec.d), nd.rule.n_theta))
+    return ToeplitzMatrix(spec, mat, modes=modes, adjoint_sign=int(getattr(f, "real", False)),
+                          symbol=_symbol_name(f))
+
+
+def _blocks(spec: BasisSpec, modes):
+    """Index arrays (blocks, size), one per block size, of the blocks of ``modes``.
+
+    A block is a set of indices that agree on every coordinate that no mode
+    touches; an operator with these modes has no entry between two blocks.
+    """
+    key = np.zeros(spec.N, dtype=np.intp)
+    for j in range(spec.d):
+        if not any(k[j] for k in modes):
+            key = key * (spec.m + 1) + spec._exponents[:, j]
+    order = np.argsort(key, kind="stable")
+    _, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
+    for size in set(sizes.tolist()):
+        yield order[starts[sizes == size][:, None] + np.arange(size)]
 
 
 def operator_norm(op) -> float:
-    """Spectral norm; accepts an operator wrapper or a bare matrix."""
-    return float(np.linalg.norm(getattr(op, "mat", op), 2))
+    """Spectral norm; accepts an operator wrapper or a bare matrix.
+
+    An operator with declared ``modes`` that is Hermitian or anti-Hermitian
+    is block diagonal (``_blocks``), and its norm is the largest |eigenvalue|
+    over the blocks (``eigvalsh`` reads each block's lower triangle).  A bare
+    matrix, or an operator without that structure, goes to the SVD.
+    """
+    if getattr(op, "modes", None) is None or not op.adjoint_sign:
+        return float(np.linalg.norm(getattr(op, "mat", op), 2))
+    mat = op.mat if op.adjoint_sign > 0 else 1j * op.mat
+    return max(float(np.max(np.abs(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]))))
+               for idx in _blocks(op.spec, op.modes))
 
 
 def _gradients(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +136,9 @@ def bracket_function(f, g):
     differences) go through one ``geometry.bracket_from_gradients`` call.
     The returned callable carries a weight_degree attribute p_f + p_g + 1:
     the reduced bracket of bounded rational functions stays within that
-    weight class, which keeps Toeplitz integrands exact.
+    weight class, which keeps Toeplitz integrands exact.  When f and g both
+    declare angular modes it declares K_f + K_g (the bracket is U(1)^d
+    invariant) and is real when both are; otherwise it declares nothing.
     """
 
     def evaluate(points):
@@ -103,12 +149,26 @@ def bracket_function(f, g):
 
     evaluate.weight_degree = _weight_degree(f) + _weight_degree(g) + 1
     evaluate.__name__ = "bracket"
+    if getattr(f, "modes", None) is not None and getattr(g, "modes", None) is not None:
+        evaluate.modes = lambda d: tuple(sorted({tuple(p + q for p, q in zip(a, b))
+                                                 for a in f.modes(d)
+                                                 for b in g.modes(d)}))
+        evaluate.real = bool(getattr(f, "real", False) and getattr(g, "real", False))
     return evaluate
 
 
 def _defect(spec: BasisSpec, tf, tg, tb) -> float:
-    """|| m [T_f, T_g] - i T_b || from the three assembled matrices."""
-    return operator_norm(spec.m * commutator(tf, tg).mat - 1j * tb.mat)
+    """|| m [T_f, T_g] - i T_b || from the three assembled matrices.
+
+    The defect has no entry between indices that differ in a coordinate none
+    of the three touches, and it is anti-Hermitian when all three are
+    Hermitian; both pass on to ``operator_norm``.
+    """
+    ops = (tf, tg, tb)
+    modes = None if any(t.modes is None for t in ops) else sum((t.modes for t in ops), ())
+    sign = -1 if all(t.adjoint_sign == 1 for t in ops) else 0
+    return operator_norm(OperatorMatrix(spec, spec.m * commutator(tf, tg).mat - 1j * tb.mat,
+                                        modes=modes, adjoint_sign=sign))
 
 
 def commutator_defect(spec: BasisSpec, f, g, level: int | None = None) -> float:
@@ -123,16 +183,18 @@ def sup_estimate(f, d: int) -> float:
     Per dimension: radii from u = r^2/(1+r^2) on a 16-point uniform [0, 1)
     grid plus a ring at u = 1 - 1e-12, times 16 uniform angles.  The grid hits
     u in {0, 1/2, 1} and the coordinate axes, where the bundled function
-    family takes its extrema, so the estimate is exact for all of them.
+    family takes its extrema, so the estimate is exact for all of them.  The
+    272^d grid points are evaluated in blocks of _SUP_BLOCK.
     """
     u = np.append(np.linspace(0.0, 1.0, 16, endpoint=False), 1.0 - 1e-12)
     r = np.sqrt(u / (1.0 - u))
     theta = 2.0 * np.pi * np.arange(16) / 16
     ring = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    grids = np.meshgrid(*([ring] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    vals = np.asarray(f(pts))
-    return float(np.max(np.abs(vals)))
+    n, best = ring.size ** d, 0.0
+    for lo in range(0, n, _SUP_BLOCK):
+        k = np.unravel_index(np.arange(lo, min(lo + _SUP_BLOCK, n)), (ring.size,) * d)
+        best = max(best, float(np.max(np.abs(np.asarray(f(ring[np.stack(k, axis=1)]))))))
+    return best
 
 
 def toeplitz_sweep(f, g, m_list, d: int = 1) -> SweepResult:

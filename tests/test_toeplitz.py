@@ -37,22 +37,98 @@ def test_identity_and_constant_compressions(basis):
     assert np.max(np.abs(t_c.mat - c * np.eye(spec.N))) <= 1e-12
 
 
+def dense_compress(spec, nd, values, rows=20_000):
+    """c_m E^H diag(wcore v) E over the node table E, summed in blocks of rows."""
+    out = np.zeros((spec.N, spec.N), dtype=complex)
+    for lo in range(0, nd.rule.node_count, rows):
+        hi = min(lo + rows, nd.rule.node_count)
+        E = nd.rows(lo, hi)
+        out += (E.conj().T * (nd.wcore[lo:hi] * values[lo:hi])) @ E
+    return spec.c_m * out
+
+
 def test_assembly_matches_two_copy_reference(basis):
-    # The FFT contraction against the dense sum over the same node table.
-    # Both sides are sums whose absolute terms add up to at most sup|f| (the
-    # Gram diagonal is 1) over n <= 2.4e4 nodes; float64 rounding of such sums
-    # is ~sqrt(n) eps <= 4e-14, so entries must agree to 1e-13.
+    # The assembly against the dense sum over the same node table, at the
+    # default level and at one level below it, where n_theta = 5 <= m and
+    # every mode also reaches its aliases.  Both sides are sums whose
+    # absolute terms add up to at most sup|f| (the Gram diagonal is 1) over
+    # n <= 1.6e5 nodes; float64 rounding of such sums is ~sqrt(n) eps
+    # <= 9e-14, so entries must agree to 1e-13.
     def wavy(pts):
         return np.cos(3.0 * pts[:, 0].real) + 1j * np.sin(pts[:, -1].imag)
 
-    cases = [(d, m, fn) for d, m in [(1, 8), (2, 4), (3, 2), (1, 128), (2, 12)]
-             for fn in (get_function("re_rational"), get_function("im_rational"))]
-    for d, m, fn in cases + [(2, 6, wavy)]:
-        spec = basis(d, m) if m <= 8 else hilbert.build_basis(d, m)
+    declared = (get_function("re_rational"), get_function("im_rational"))
+    cases = [(d, m, fn, None) for d, m in [(1, 8), (2, 4), (3, 2), (1, 128), (2, 12), (3, 6)]
+             for fn in declared]
+    cases += [(2, 8, fn, 1) for fn in declared + (get_function("abs2_rational"),)]
+    for d, m, fn, level in cases + [(2, 6, wavy, None)]:
+        spec = basis(d, m) if m <= 8 and d < 3 else hilbert.build_basis(d, m)
+        lv = toeplitz._default_level(spec, fn) if level is None else level
+        nd = spec.node_data(lv)
+        if level is not None:
+            assert nd.rule.n_theta <= m
+        want = dense_compress(spec, nd, fn(nd.rule.nodes))
+        got = toeplitz.toeplitz_matrix(spec, fn, level=level).mat
+        assert np.max(np.abs(got - want)) <= 1e-13, (d, m, level)
+
+
+@pytest.mark.parametrize("d, m", [(1, 16), (2, 8), (3, 4)])
+def test_registry_declares_its_angular_modes(d, m):
+    # On the full node grid, per radial node, the angular Fourier
+    # coefficients of every registry function and of the bracket of every
+    # registry pair vanish outside the declared modes.  Values are O(1) and
+    # a normalized FFT of them errs by ~log(n_theta^d) eps, so the bound
+    # 1e-14 was fixed before the first run.
+    spec = hilbert.build_basis(d, m)
+    fns = list(REGISTRY.values()) + [toeplitz.bracket_function(f, g)
+                                     for f, g in itertools.product(REGISTRY.values(), repeat=2)]
+    for fn in fns:
         nd = spec.node_data(toeplitz._default_level(spec, fn))
-        want = spec.c_m * ((nd.ehat.conj().T * (nd.wcore * fn(nd.rule.nodes))) @ nd.ehat)
-        got = toeplitz.toeplitz_matrix(spec, fn).mat
-        assert np.max(np.abs(got - want)) <= 1e-13, (d, m)
+        n_theta = nd.rule.n_theta
+        vals = fn(nd.rule.nodes).reshape((-1,) + (n_theta,) * d)
+        coef = np.fft.fftn(vals, axes=tuple(range(1, d + 1))) / n_theta ** d
+        outside = np.ones((n_theta,) * d, dtype=bool)
+        for k in fn.modes(d):
+            outside[tuple(np.mod(k, n_theta))] = False
+        assert np.max(np.abs(coef[:, outside])) <= 1e-14, (toeplitz._symbol_name(fn), d)
+
+
+def test_declared_functions_never_reach_the_node_loop(basis, monkeypatch):
+    # Registry functions, their brackets and Gram matrices (at, above and
+    # below the default level) are assembled by bands; a plain callable
+    # still takes the radial-node loop.
+    def refuse(*args):
+        raise AssertionError("radial-node loop")
+
+    monkeypatch.setattr(hilbert, "_compress_nodes", refuse)
+    for d, m in ((1, 8), (2, 5), (3, 3)):
+        spec = hilbert.build_basis(d, m)
+        for f in REGISTRY.values():
+            toeplitz.toeplitz_matrix(spec, f)
+            for g in REGISTRY.values():
+                toeplitz.toeplitz_matrix(spec, toeplitz.bracket_function(f, g))
+        for level in (1, spec.level, spec.level + 1):
+            hilbert.gram_matrix(spec, level)
+    with pytest.raises(AssertionError, match="radial-node loop"):
+        toeplitz.toeplitz_matrix(basis(1, 4), lambda pts: np.ones(pts.shape[0]))
+
+
+@pytest.mark.parametrize("d, m", [(1, 64), (2, 24), (3, 8)])
+def test_block_norms_match_the_svd(d, m):
+    # Norms of Hermitian operators and of anti-Hermitian commutator defects
+    # from per-block eigenvalues, against the SVD of the whole matrix; the
+    # bound 1e-13 was fixed before the first run.
+    spec = hilbert.build_basis(d, m)
+    for f, g in (("abs2_rational", "im_rational"), ("re_rational", "im_rational")):
+        f, g = get_function(f), get_function(g)
+        tf, tg, tb = (toeplitz.toeplitz_matrix(spec, h)
+                      for h in (f, g, toeplitz.bracket_function(f, g)))
+        for op in (tf, tg, tb):
+            assert op.adjoint_sign == 1 and op.modes is not None
+            want = np.linalg.norm(op.mat, 2)
+            assert toeplitz.operator_norm(op) == pytest.approx(want, rel=1e-13, abs=0)
+        want = np.linalg.norm(m * operators.commutator(tf, tg).mat - 1j * tb.mat, 2)
+        assert toeplitz._defect(spec, tf, tg, tb) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_toeplitz_matrix_type(basis):
@@ -134,9 +210,12 @@ def test_norm_contraction(basis):
 
 def test_norm_saturation_closed_form():
     # ||T_abs2|| = (m + d) / (m + d + 1).  The d = 1 m = 512 bound was fixed
-    # before its first run: the m = 256 floor (1.4e-12) grown with m.
+    # before its first run: the m = 256 floor (1.4e-12) grown with m.  So
+    # were those of d = 2 m = 48 and d = 3 m = 12, from the 7.2e-14 that a
+    # band-assembly prototype measured up to d = 2 m = 128 and d = 3 m = 32.
     cases = [(d, m, 1e-12) for d, m in ((1, 4), (1, 9), (1, 128), (2, 4), (2, 12),
-                                        (2, 24), (3, 3), (3, 5))] + [(1, 512, 1e-11)]
+                                        (2, 24), (2, 48), (3, 3), (3, 5), (3, 12))]
+    cases += [(1, 512, 1e-11)]
     for d, m, rel in cases:
         spec = hilbert.build_basis(d, m)  # fresh: large tables are not kept
         t = toeplitz.toeplitz_matrix(spec, get_function("abs2_rational"))
@@ -244,12 +323,15 @@ def test_commutator_defect_closed_form(basis):
 # rounding floor measured with the dense assembly where one was known (4e-14
 # for d = 1 up to m = 64, 3.4e-13 at m = 128, 1e-14 for d = 2 up to m = 12,
 # 12 digits at d = 3), and that floor's growth with m extrapolated beyond
-# (m = 512: the m = 256 bound times four).
+# (m = 512: the m = 256 bound times four).  The d = 2 m >= 32 and d = 3
+# m >= 8 bounds are about three times the worst relative error (3.6e-12) that
+# a band-assembly prototype measured up to d = 2 m = 128 and d = 3 m = 32.
 COMMUTATOR_ORACLE_CASES = (
     [(1, m, 4e-13) for m in (8, 16, 32, 64)]
     + [(1, 128, 4e-12), (1, 256, 1.5e-11), (1, 512, 6e-11)]
     + [(2, m, 1e-13) for m in (4, 8, 12)] + [(2, 16, 1e-12), (2, 24, 1e-12)]
-    + [(3, m, 1e-11) for m in (3, 4, 5)])
+    + [(2, m, 1e-11) for m in (32, 48)]
+    + [(3, m, 1e-11) for m in (3, 4, 5, 8, 12)])
 
 
 @pytest.mark.parametrize("d, m, rel", COMMUTATOR_ORACLE_CASES)
