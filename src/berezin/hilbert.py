@@ -17,8 +17,8 @@ Off-grid points (raw values, symbols, pullbacks) go through them.
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
-(n_r^d, N), basis rows at the radial points, and the angular characters from
-exact integers; no (nodes x N) table is built.  ``synthesize`` (node values
+(n_r^d, N), basis rows at the radial points, and the radial weights; the
+arrays over all n nodes are built on first read.  ``synthesize`` (node values
 ehat v) and ``analyze`` (ehat^H x) run through the angular FFT, one radial
 node at a time.  ``compress`` (c_m sum_n w_n f_n conj(ehat_nI) ehat_nJ: the
 Toeplitz matrices, and the Gram matrix as the compression of the constant 1,
@@ -80,16 +80,44 @@ class _NodeData:
 
     At node r * n_theta^d + k the normalized basis row is R[r] * phi[k]
     (``rows``); the angular mode of index I is ``flat[I]``, the C-order flat
-    index of I mod n_theta on the (n_theta,)^d grid.
+    index of I mod n_theta on the (n_theta,)^d grid.  Fields are radial; the
+    properties span the angular grid and are built on first read.
     """
     rule: quadrature.QuadratureRule
-    lift: np.ndarray     # (n, d+1) unit lifts zeta of the nodes
+    hr: np.ndarray       # (n_r^d,) (1+s)^(-m/2) at the radial points
+    rlift: np.ndarray    # (n_r^d, d+1) unit lifts of the radial points
     R: np.ndarray        # (n_r^d, N) real radial factor
-    phi: np.ndarray      # (n_theta^d, N) angular characters exp(i I . theta_k)
     flat: np.ndarray     # (N,) angular mode of each index
-    halfw: np.ndarray    # (1+s)^(-m/2)
-    wcore: np.ndarray    # rule weights times (1+s)^(-(d+1))
+    wr: np.ndarray       # (n_r^d,) radial weights times (1+s)^(-(d+1)): wcore[::n_theta^d]
     gram: np.ndarray | None = None  # compress of the constant 1, set by _gram
+
+    def _angles(self):
+        """Roots of unity (n_theta,) and C-order angle multi-indices (n_theta^d, d)."""
+        n, d = self.rule.n_theta, self.rule.d
+        return np.exp(2j * np.pi * np.arange(n) / n), np.indices((n,) * d).reshape(d, -1).T
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """(n_theta^d, N) angular characters exp(i I . theta_k), from exact integers."""
+        (roots, k), n = self._angles(), self.rule.n_theta
+        return roots[(k @ np.array(np.unravel_index(self.flat, (n,) * self.rule.d))) % n]
+
+    @functools.cached_property
+    def lift(self) -> np.ndarray:
+        """(n, d+1) unit lifts zeta of the nodes."""
+        roots, k = self._angles()
+        chars = np.column_stack([roots[k], np.ones(k.shape[0])])
+        return (self.rlift[:, None, :] * chars[None]).reshape(-1, self.rlift.shape[1])
+
+    @functools.cached_property
+    def halfw(self) -> np.ndarray:
+        """(n,) (1+s)^(-m/2) per node."""
+        return np.repeat(self.hr, self.rule.n_theta ** self.rule.d)
+
+    @functools.cached_property
+    def wcore(self) -> np.ndarray:
+        """(n,) rule weights times (1+s)^(-(d+1)) per node."""
+        return np.repeat(self.wr, self.rule.n_theta ** self.rule.d)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Normalized basis rows of nodes lo .. hi-1, (hi - lo, N)."""
@@ -98,11 +126,8 @@ class _NodeData:
 
     @functools.cached_property
     def ehat(self) -> np.ndarray:
-        """Dense (n, N) table ``rows(0, n)``, built on first read and kept.
-
-        Nothing in the package reads it; the transforms use the factors.
-        """
-        return self.rows(0, self.lift.shape[0])
+        """Dense (n, N) table ``rows(0, n)``; nothing in the package reads it."""
+        return self.rows(0, self.rule.node_count)
 
 
 @dataclass(eq=False)
@@ -271,23 +296,17 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     normalized row at the real point radii[r] (``_lift_rows``, rounding
     scale included), and the character Phi_kI = exp(2 pi i ((k . I) mod
     n_theta) / n_theta) indexed by exact integers.  Rows are evaluated at the
-    n_r^d radial points only; nothing of size (n, N) or (n, m+1) is built.
+    n_r^d radial points only; no array over the n nodes is built here.
     """
     d, n_theta = spec.d, rule.n_theta
     rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
-    R = _lift_rows(spec, rlift).real.copy()
-    roots = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
-    k = np.indices((n_theta,) * d).reshape(d, -1).T    # C-order angle multi-indices
     flat = np.zeros(spec.N, dtype=np.intp)
     for j in range(d):
         flat = flat * n_theta + spec._exponents[:, j] % n_theta
-    chars = np.column_stack([roots[k], np.ones(k.shape[0])])
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
-    return _NodeData(
-        rule=rule, R=R, phi=roots[(k @ spec._exponents[:, :d].T) % n_theta], flat=flat,
-        lift=(rlift[:, None, :] * chars[None]).reshape(-1, d + 1),
-        halfw=np.repeat(np.exp(-(spec.m / 2.0) * log1ps), k.shape[0]),
-        wcore=rule.weights * np.repeat(np.exp(-(d + 1.0) * log1ps), k.shape[0]))
+    return _NodeData(rule=rule, hr=np.exp(-(spec.m / 2.0) * log1ps), rlift=rlift,
+                     R=_lift_rows(spec, rlift).real.copy(), flat=flat,
+                     wr=rule.radii_weights * np.exp(-(d + 1.0) * log1ps))
 
 
 def synthesize(spec: BasisSpec, nd: _NodeData, v) -> np.ndarray:
@@ -374,7 +393,7 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> np.nd
     vals = _values(f, (radii[:, None, :] * angles[None]).reshape(-1, d))
     fhat = np.fft.fftn(vals.reshape((-1,) + (n_s,) * d), axes=tuple(range(1, d + 1)))
     fhat = fhat.reshape(radii.shape[0], -1)
-    fhat *= (nd.wcore[::n_theta ** d] * (n_theta / n_s) ** d)[:, None]
+    fhat *= (nd.wr * (n_theta / n_s) ** d)[:, None]
     exps = spec._exponents[:, :d]
     position = np.zeros((m + 1,) * d, dtype=np.intp)
     position[tuple(exps.T)] = np.arange(spec.N)

@@ -37,9 +37,9 @@ Layout.  A rule keeps its factored form: ``radii`` (n_r^d, d) and
 uniform angles per dimension.  The assembled ``nodes``/``weights`` put the
 radial index outer and the angle inner: node r * n_theta^d + k is
 radii[r] * exp(2 pi i k_vec / n_theta) with weight radii_weights[r], where
-k_vec is the C-order multi-index of k over (n_theta,) * d.  Node tables
-(``hilbert``) rely on this to factor each basis row into a radial part times
-an angular character.
+k_vec is the C-order multi-index of k over (n_theta,) * d; both are built
+on first read.  Node tables (``hilbert``) rely on this to factor each basis
+row into a radial part times an angular character.
 
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
 all nodes and reduces with numpy's fixed pairwise summation, so results are
@@ -48,6 +48,7 @@ bitwise reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -73,15 +74,15 @@ def level_for(m_eff: int) -> int:
 class QuadratureRule:
     """Product rule over C^d.
 
-    ``radial_nodes``/``radial_weights`` are the shared per-dimension 1-d
+    ``radial_nodes``/``radial_weights`` are the shared, read-only 1-d
     Gauss-Legendre data in the compactified variable u; ``radii`` and
     ``radii_weights`` are the radial product grid and its weights (angular
-    cell 2 pi / n_theta per dimension included); ``nodes`` and ``weights``
-    are the assembled d-dimensional rule in the module's layout (weights
-    include the 2^d volume convention).  ``exact_family`` records the radial
-    sizing (see the module docstring).  ``coarse`` is the next-lower-resolution rule of
-    the same sizing used for error estimates; it stays None until the first
-    ``integrate`` call on this rule builds it.
+    cell 2 pi / n_theta per dimension included); ``nodes`` and ``weights``,
+    built on first read, are the d-dimensional rule in the module's layout
+    (weights include the 2^d volume convention).  ``exact_family`` records
+    the radial sizing (see the module docstring).  ``coarse`` is the coarser
+    companion of the same sizing used for error estimates; it stays None
+    until the first ``integrate`` call on this rule builds it.
     """
 
     d: int
@@ -91,14 +92,22 @@ class QuadratureRule:
     n_theta: int
     radii: np.ndarray
     radii_weights: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
     exact_family: bool = False
     coarse: "QuadratureRule | None" = field(default=None, repr=False)
 
     @property
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return self.radii.shape[0] * self.n_theta ** self.d
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        th = np.stack(np.meshgrid(*([theta] * self.d), indexing="ij"), -1).reshape(1, -1, self.d)
+        return (self.radii[:, None] * np.exp(1j * th)).reshape(-1, self.d)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.repeat(self.radii_weights, self.n_theta ** self.d)
 
 
 @dataclass
@@ -107,12 +116,18 @@ class IntegrationResult:
     error_estimate: float
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    u, gw = 0.5 * (x + 1.0), 0.5 * wx
+    u.flags.writeable = gw.flags.writeable = False
+    return u, gw
+
+
 def _assemble(d: int, n_r: int, n_theta: int):
-    """Rule arrays for given 1-d counts: (u, gw, radii, radii_weights, nodes, weights)."""
-    x, wx = np.polynomial.legendre.leggauss(n_r)
-    u = 0.5 * (x + 1.0)
-    gw = 0.5 * wx
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    """Radial rule arrays for given 1-d counts: (u, gw, radii, radii_weights)."""
+    u, gw = _gauss_legendre(n_r)
 
     # radial cascade: dimension j is scaled by the accumulated 1 + sum r_k^2
     u_grid = np.stack(np.meshgrid(*([u] * d), indexing="ij"), axis=-1).reshape(-1, d)
@@ -128,11 +143,7 @@ def _assemble(d: int, n_r: int, n_theta: int):
         # the substitution rho drho = du / (2 (1-u)^2)
         wr *= gw_grid[:, j] * (2.0 * np.pi / n_theta) * (1.0 + acc) / (1.0 - uj) ** 2
         acc = acc + r2
-
-    th_grid = np.stack(np.meshgrid(*([theta] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    nodes = (radii[:, None, :] * np.exp(1j * th_grid[None, :, :])).reshape(-1, d)
-    weights = np.repeat(wr, th_grid.shape[0])
-    return u, gw, radii, wr, nodes, weights
+    return u, gw, radii, wr
 
 
 def _counts(d: int, level: int, exact_family: bool) -> tuple[int, int]:
@@ -145,8 +156,8 @@ def _counts(d: int, level: int, exact_family: bool) -> tuple[int, int]:
 
 def _make_rule(d: int, level: int, exact_family: bool) -> QuadratureRule:
     n_r, n_theta = _counts(d, level, exact_family)
-    u, gw, radii, wr, nodes, weights = _assemble(d, n_r, n_theta)
-    return QuadratureRule(d, level, u, gw, n_theta, radii, wr, nodes, weights, exact_family)
+    u, gw, radii, wr = _assemble(d, n_r, n_theta)
+    return QuadratureRule(d, level, u, gw, n_theta, radii, wr, exact_family)
 
 
 def build_rule(d: int, level: int, *, exact_family: bool = False) -> QuadratureRule:

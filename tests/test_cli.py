@@ -214,6 +214,19 @@ def test_star_sweep_d2_m24_memory(capsys, tmp_path, child_process):
     assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
+def test_star_sweep_d2_m48_memory(tmp_path, child_process):
+    # Star sweeps of registry functions read only the radial table and
+    # weights of a basis; no array over the m = 48 grid (1.4M nodes) is
+    # built.  Building them peaked at 1,147 MiB; the bound was fixed before
+    # the first run.
+    argv = ["star-sweep", "--d", "2", "--f", "re_rational", "--g", "im_rational",
+            "--m-list", "16,32,48"]
+    returncode, _, err, peak = child_process(
+        ["-m", "berezin.cli", *argv, "--out", str(tmp_path / "star.csv")], tmp_path)
+    assert returncode == 0, err
+    assert peak < 384 * 1024  # KiB on Linux
+
+
 def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it must not report as a config error
     def fail(op):

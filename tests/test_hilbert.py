@@ -5,6 +5,7 @@ import pytest
 
 from berezin import cli, geometry, hilbert, operators, quadrature, toeplitz
 from berezin.errors import DimensionMismatch, IndexOutOfRange
+from berezin.functions import REGISTRY
 from conftest import sample_ball, admissible
 
 
@@ -209,6 +210,41 @@ def test_node_data_does_not_call_the_evaluator(monkeypatch):
         assert nd.ehat.shape == (nd.rule.node_count, spec.N)
         assert np.max(np.abs(hilbert.gram_matrix(spec, level) - np.eye(spec.N))) <= 1e-13
         assert seen == want
+
+
+def test_registry_sweeps_build_no_full_grid(monkeypatch, tmp_path):
+    # Band assembly, the diagonal Gram matrix, block norms and the star
+    # product read only R and the radial weights, so after a Toeplitz sweep
+    # and a star sweep of registry functions no node data (nor its rule)
+    # holds an array over the full angular grid.
+    node_data, built = hilbert._node_data, []
+
+    def spy(spec, rule):
+        built.append(node_data(spec, rule))
+        return built[-1]
+
+    monkeypatch.setattr(hilbert, "_node_data", spy)
+    toeplitz.toeplitz_sweep(REGISTRY["abs2_rational"], REGISTRY["im_rational"], [4, 8], d=2)
+    n_sweep = len(built)
+    rc = cli.main(["star-sweep", "--d", "2", "--m-list", "4,8", "--f", "re_rational",
+                   "--g", "im_rational", "--out", str(tmp_path / "star.csv")])
+    assert rc == 0
+    assert 0 < n_sweep < len(built)
+    for nd in built:
+        assert not {"nodes", "weights"} & set(vars(nd.rule))
+        assert not {"lift", "phi", "halfw", "wcore", "ehat"} & set(vars(nd))
+
+
+@pytest.mark.parametrize("d, m", [(1, 16), (2, 8), (3, 4)])
+def test_radial_weights_are_the_node_weights_per_radius(d, m):
+    # wr is wcore at angle 0 of each radius, bit for bit, and both equal the
+    # rule weights times (1+s)^(-(d+1)) formed over all nodes.
+    nd = hilbert.build_basis(d, m).node_data()
+    rule, n_ang = nd.rule, nd.rule.n_theta ** d
+    log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
+    wcore = rule.weights * np.repeat(np.exp(-(d + 1.0) * log1ps), n_ang)
+    assert nd.wr.tobytes() == nd.wcore[::n_ang].tobytes() == wcore[::n_ang].tobytes()
+    assert nd.wcore.tobytes() == wcore.tobytes()
 
 
 def test_eval_matrix_finite_at_huge_points():

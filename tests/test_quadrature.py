@@ -56,7 +56,10 @@ def test_exact_family_counts():
 def gram_deviation(d, m, n_r):
     """Gram-matrix deviation at (d, m) on a level rule with n_r radial nodes."""
     spec = hilbert.build_basis(d, m)
-    *_, nodes, weights = quadrature._assemble(d, n_r, 4 * spec.level + 1)
+    n_theta = 4 * spec.level + 1
+    u, gw, radii, wr = quadrature._assemble(d, n_r, n_theta)
+    rule = quadrature.QuadratureRule(d, spec.level, u, gw, n_theta, radii, wr)
+    nodes, weights = rule.nodes, rule.weights
     s = np.sum(np.abs(nodes) ** 2, axis=1)
     ehat = hilbert.eval_matrix_normalized(spec, nodes)
     gram = spec.c_m * ((ehat.conj().T * (weights * (1.0 + s) ** -(d + 1.0))) @ ehat)
@@ -93,6 +96,17 @@ def test_layout_is_radii_times_angles(d, level):
         assert np.array_equal(rule.nodes.reshape(-1, n_ang, d),
                               rule.radii[:, None, :] * angles[None])
         assert np.array_equal(rule.weights, np.repeat(rule.radii_weights, n_ang))
+
+
+def test_gauss_legendre_data_is_shared_and_read_only():
+    # n_r = 3 at level 1 for d = 1 and d = 2: one cached 1-d rule serves both
+    a = quadrature.build_rule(1, 1, exact_family=True)
+    b = quadrature.build_rule(2, 1, exact_family=True)
+    assert a.radial_nodes is b.radial_nodes and a.radial_weights is b.radial_weights
+    with pytest.raises(ValueError):
+        a.radial_nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        a.radial_weights *= 2.0
 
 
 def test_build_rule_deterministic():
