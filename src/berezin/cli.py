@@ -122,8 +122,10 @@ def _sweep_functions(args):
     """Validate a sweep's --m-list, --f and --g; return the two functions."""
     _require(args, ["m_list", "f", "g"])
     _default(args, d=1)
-    if sorted(args.m_list) != args.m_list or len(set(args.m_list)) != len(args.m_list):
-        raise ValueError("m-list must be strictly increasing")
+    if args.d < 1:
+        raise ValueError(f"--d must be >= 1, got {args.d}")
+    if not args.m_list or sorted(set(args.m_list)) != args.m_list:
+        raise ValueError("m-list must be non-empty and strictly increasing")
     return get_function(args.f), get_function(args.g)
 
 
@@ -162,6 +164,8 @@ def _admissible_pair(rng, d: int):
 def _cmd_kernel_check(args) -> int:
     _require(args, ["m"])
     _default(args, d=1, seed=1234, pairs=50, tol=1e-8)
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     spec = hilbert.build_basis(args.d, args.m, level=args.level)
     rng = np.random.default_rng(args.seed)
     v = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
@@ -178,7 +182,7 @@ def _cmd_kernel_check(args) -> int:
         rel_repro = (hilbert.reproducing_residual(spec, v, mus)
                      / (1.0 + np.abs(hilbert.section_eval(spec, v, mus))))
     rows = []
-    worst_k, worst_r, worst_i = 0.0, 0.0, 0.0
+    worst_k, worst_r, worst_i = 0.0, 0.0, 0.0  # np.maximum fails a NaN; max() drops it
     for k, (mu, nu, va, vb) in enumerate(draws):
         # |K(mu, nu)|^2 against its closed form, in log form: no overflow.
         log_rhs = spec.m * (diastasis(mu, nu)
@@ -188,9 +192,9 @@ def _cmd_kernel_check(args) -> int:
         rel_ident = (hilbert.resolution_check(spec, va, vb)
                      / float(np.linalg.norm(va) * np.linalg.norm(vb)))
         rows.append((k, rel_kernel, rel_repro[k], rel_ident))
-        worst_k = max(worst_k, float(rel_kernel))
-        worst_r = max(worst_r, float(rel_repro[k]))
-        worst_i = max(worst_i, float(rel_ident))
+        worst_k = float(np.maximum(worst_k, rel_kernel))
+        worst_r = float(np.maximum(worst_r, rel_repro[k]))
+        worst_i = float(np.maximum(worst_i, rel_ident))
     passed = bool(worst_k <= args.tol and worst_r <= args.tol and worst_i <= args.tol)
     _write_csv(args.out,
                ["pair", "kernel_rel_err", "reproducing_rel_err", "resolution_rel_err"],
@@ -253,19 +257,21 @@ def _cmd_toeplitz_sweep(args) -> int:
 def _cmd_torus_holonomy(args) -> int:
     _require(args, ["m"])
     _default(args, kmax=3, segments=4096)
+    if args.kmax < 0:
+        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     # Both coordinates off the square's center lines, where a cycle integral
     # vanishes by parity; at 1/4 each cycle carries +-pi/sqrt(2).
     base = (0.25, 0.25)
     rows = []
     h10 = pullback.torus_holonomy(1, 0, args.m, segments=args.segments, base=base)
     h01 = pullback.torus_holonomy(0, 1, args.m, segments=args.segments, base=base)
-    worst_mod, worst_mult = 0.0, 0.0
+    worst_mod, worst_mult = 0.0, 0.0  # np.maximum fails a NaN; max() drops it
     for k1 in range(-args.kmax, args.kmax + 1):
         for k2 in range(-args.kmax, args.kmax + 1):
             h = pullback.torus_holonomy(k1, k2, args.m, segments=args.segments, base=base)
             rows.append((k1, k2, args.m, h.real, h.imag, float(np.angle(h))))
-            worst_mod = max(worst_mod, abs(abs(h) - 1.0))
-            worst_mult = max(worst_mult, abs(h - h10 ** k1 * h01 ** k2))
+            worst_mod = float(np.maximum(worst_mod, abs(abs(h) - 1.0)))
+            worst_mult = float(np.maximum(worst_mult, abs(h - h10 ** k1 * h01 ** k2)))
     passed = worst_mod <= 1e-9 and worst_mult <= 1e-10
     _write_csv(args.out, ["k1", "k2", "m", "holonomy_re", "holonomy_im", "phase"], rows)
     _write_sidecar(args.out, {

@@ -136,8 +136,8 @@ class BasisSpec:
 
     Fields mirror the serialized form: dimension, level m, size N, the index
     order, the normalization vector D, the prefactor c_m and hbar = 1/m.
-    ``level`` is the default quadrature level; finer rules are cached on
-    demand by operations whose integrands need them.
+    ``level`` is the quadrature level of every query; Toeplitz matrices
+    and projections raise it for their integrands (``toeplitz._default_level``).
     """
 
     d: int
@@ -167,10 +167,10 @@ class BasisSpec:
         return self._positions[key]
 
     def node_data(self, level: int | None = None) -> _NodeData:
-        """Node tables on the exact-family rule of ``level``, built once.
+        """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
 
-        They hold the factors R and phi of the basis table, not the table;
-        the Gram matrix is cached on them by its first use.
+        The one accessor of other levels.  They hold the factors R and phi of
+        the basis table, not the table; the Gram matrix is cached on them.
         """
         lv = self.level if level is None else int(level)
         if lv not in self._nodes:
@@ -185,8 +185,8 @@ def build_basis(d: int, m: int, level: int | None = None) -> BasisSpec:
     ``level`` defaults to the smallest quadrature level exact for the
     orthonormality family, ceil(m / 4).
     """
-    if d < 1 or m < 1:
-        raise ValueError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
+    if d < 1 or m < 1 or (level is not None and level < 1):
+        raise ValueError(f"need d, m and level >= 1, got d={d}, m={m}, level={level}")
     indices = enumerate_indices(d, m)
     D = np.empty(len(indices))
     for k, I in enumerate(indices):
@@ -487,14 +487,14 @@ def log_kernel(spec: BasisSpec, mu, nu) -> complex:
     return complex(spec.m * np.log(1.0 + np.vdot(nu, mu)))
 
 
-def inner_product(spec: BasisSpec, f: Callable, g: Callable, level: int | None = None) -> complex:
+def inner_product(spec: BasisSpec, f: Callable, g: Callable) -> complex:
     """Numeric inner product c_m * integral of conj(f) g against the level weight.
 
     ``f``/``g`` are vectorized evaluators taking the (n, d) node array.  Both
     factors are damped by (1 + s)^(-m/2) before multiplying so the product
     stays in range whenever each factor is o((1+s)^(m/2) * 1e150).
     """
-    nd = spec.node_data(level)
+    nd = spec.node_data()
     fv = np.asarray(f(nd.rule.nodes)) * nd.halfw
     gv = np.asarray(g(nd.rule.nodes)) * nd.halfw
     return spec.c_m * complex(np.sum(nd.wcore * np.conj(fv) * gv))
@@ -507,12 +507,12 @@ def _gram(spec: BasisSpec, nd: _NodeData) -> np.ndarray:
     return nd.gram
 
 
-def gram_matrix(spec: BasisSpec, level: int | None = None) -> np.ndarray:
+def gram_matrix(spec: BasisSpec) -> np.ndarray:
     """Numeric Gram matrix of the basis; identity when normalizations are right.
 
-    Returns a copy of the matrix cached on ``spec.node_data(level)``.
+    Returns a copy of the matrix cached on ``spec.node_data()``.
     """
-    return _gram(spec, spec.node_data(level)).copy()
+    return _gram(spec, spec.node_data()).copy()
 
 
 def _power(z: np.ndarray, m: int) -> np.ndarray:
@@ -534,7 +534,7 @@ def _power(z: np.ndarray, m: int) -> np.ndarray:
         z *= z
 
 
-def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None):
+def reproducing_residual(spec: BasisSpec, v, mu):
     """|<psi_mu, v> - v(mu)| with the pairing done by numeric integration.
 
     ``mu`` is one point (d,), which gives a float, or k points (k, d), which
@@ -543,14 +543,14 @@ def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None):
     pairings are then formed one point at a time, an (n,) array each, so no
     (n, k) array is built; each residual is bitwise the single-point one.
 
-    Contract: <= 1e-8 * (1 + |v(mu)|) at the spec's default level.
+    Contract: <= 1e-8 * (1 + |v(mu)|) at the spec's level.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (spec.N,):
         raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
     single = np.ndim(mu) <= 1
     pts = as_point(mu, d=spec.d).reshape(1, -1) if single else _as_points(spec, mu)
-    nd = spec.node_data(level)
+    nd = spec.node_data()
     wv = synthesize(spec, nd, v)
     wv *= nd.wcore
     lifts = unit_lift(pts)
@@ -564,7 +564,7 @@ def reproducing_residual(spec: BasisSpec, v, mu, level: int | None = None):
     return float(out[0]) if single else out
 
 
-def resolution_check(spec: BasisSpec, v1, v2, level: int | None = None) -> float:
+def resolution_check(spec: BasisSpec, v1, v2) -> float:
     """Defect of the resolution of the identity on a vector pair.
 
     |c_m * integral <v1, psi_mu><psi_mu, v2> dweight - <v1, v2>|.  The
@@ -577,7 +577,7 @@ def resolution_check(spec: BasisSpec, v1, v2, level: int | None = None) -> float
     for v in (v1, v2):
         if v.shape != (spec.N,):
             raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
-    gram = _gram(spec, spec.node_data(level))
+    gram = _gram(spec, spec.node_data())
     return float(abs(complex(np.vdot(v1, gram @ v2)) - complex(np.vdot(v1, v2))))
 
 

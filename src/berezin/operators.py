@@ -132,8 +132,7 @@ class CovariantSymbol:
         """Two-point symbol on a (K, L) grid of (bra, ket) points.
 
         With ``weighted=True`` returns S * what^m instead, which is bounded by
-        the operator norm and needs no division; this is the form consumed by
-        quadrature against kernel weights.
+        the operator norm and needs no division.
         """
         nu_pts = hilbert._as_points(self.spec, nu_pts)
         mu_pts = hilbert._as_points(self.spec, mu_pts)
@@ -158,8 +157,7 @@ class CovariantSymbol:
         return geometry.wirtinger(lambda z: self(z), geometry.as_point(mu, d=self.spec.d))
 
 
-def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu,
-                 level: int | None = None) -> complex:
+def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu) -> complex:
     """Star product of the two symbols, evaluated at ``mu``.
 
     Computed by quadrature over the coherent overlap; the rule at the spec's
@@ -172,12 +170,12 @@ def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu,
     _same_spec(op1, op2)
     spec = op1.spec
     mu = geometry.as_point(mu, d=spec.d)
-    gram = hilbert._gram(spec, spec.node_data(level))
+    gram = hilbert._gram(spec, spec.node_data())
     row = hilbert.eval_matrix_normalized(spec, mu)[0]
     return complex((row @ op1.mat) @ gram @ (op2.mat @ row.conj()))
 
 
-def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None) -> OperatorMatrix:
+def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
     """Reconstruct the operator whose two-point symbol is ``symbol``.
 
     ``symbol`` is either a CovariantSymbol or a callable (nu_pts, mu_pts) ->
@@ -190,9 +188,9 @@ def operator_from_symbol(spec: BasisSpec, symbol, level: int | None = None) -> O
     taken from the node data's cached unit lifts.
     """
     if isinstance(symbol, CovariantSymbol):
-        gram = OperatorMatrix(spec, hilbert.gram_matrix(spec, level))
+        gram = OperatorMatrix(spec, hilbert.gram_matrix(spec))
         return gram @ symbol.op @ gram
-    nd = spec.node_data(level)
+    nd = spec.node_data()
     nodes, n = nd.rule.nodes, nd.rule.node_count
     out = np.zeros((spec.N, spec.N), dtype=complex)
     for lo in range(0, n, _SYMBOL_CHUNK):

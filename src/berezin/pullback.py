@@ -182,39 +182,31 @@ def pulled_symbol(op: PulledOperator, p_nu, p_mu) -> complex:
     return operators.symbol_eval(op.base, nu, mu)
 
 
-def pulled_star(op1: PulledOperator, op2: PulledOperator, p,
-                level: int | None = None) -> complex:
+def pulled_star(op1: PulledOperator, op2: PulledOperator, p) -> complex:
     """Star product at a parameter point; delegates through the shared chart."""
     if op1.chart is not op2.chart:
         raise DimensionMismatch("pulled star product needs one shared chart presentation")
-    return operators.star_product(op1.base, op2.base, op1.chart.forward(p)[0], level=level)
+    return operators.star_product(op1.base, op2.base, op1.chart.forward(p)[0])
 
 
-def _transported_nodes(spec: BasisSpec, chart: DiffeoChart, level: int | None):
+def _transported_nodes(spec: BasisSpec, chart: DiffeoChart):
     """Chart rule pushed to parameter space: (params, Lebesgue weights)."""
-    nd = spec.node_data(level)
+    nd = spec.node_data()
     params = chart.inverse(nd.rule.nodes)
     wleb = nd.rule.weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
     return params, wleb
 
 
-def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2,
-                              h: Callable | None = None,
-                              level: int | None = None) -> complex:
+def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2) -> complex:
     """Inner product of two pulled-back sections, computed in parameter space.
 
-    Transports the chart rule through the inverse map, then assembles the
-    integrand from the chart-side pieces (normalized sections, the parameter
-    measure factor ``h``).  ``h`` defaults to the one induced by the chart
-    Jacobian; a supplied evaluator must satisfy the same change-of-variables
-    identity or the result will disagree with the chart-side pairing.  The
-    section values are formed in bounded row blocks and summed block by
-    block, so memory stays bounded beyond the O(n) per-node arrays.
+    Transports the chart rule through the inverse map and sums the normalized
+    sections against ``measure_factor``, the measure from the chart Jacobian,
+    in bounded row blocks; memory stays bounded beyond the O(n) node arrays.
     """
     v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
-    params, wleb = _transported_nodes(spec, chart, level)
-    hvals = measure_factor(chart, params) if h is None else np.asarray(h(params), dtype=float)
-    w = wleb * hvals
+    params, wleb = _transported_nodes(spec, chart)
+    w = wleb * measure_factor(chart, params)
     total = 0j
     for sl, blk in hilbert._row_blocks(spec, chart.forward(params)):
         f = blk @ v
@@ -234,7 +226,7 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     symmetric S^T S, which numpy forms as a rank-k update (BLAS syrk) of one
     triangle: half the flops of the complex product, exactly Hermitian.
     """
-    params, wleb = _transported_nodes(spec, chart_a, None)
+    params, wleb = _transported_nodes(spec, chart_a)
     s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
     mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
     s_b = np.sum(np.abs(mapped) ** 2, axis=1)
@@ -449,6 +441,8 @@ def connection_integral(path, m: int, segments: int = 4096) -> float:
     are even-only: the line bundle glues across the seam at infinity with
     transition phase exp(i pi m), trivial exactly then.
     """
+    if segments < 1:
+        raise ValueError(f"segments must be >= 1, got {segments}")
     if int(m) % 2 != 0:
         raise OddLevel(f"connection integrals are defined at even levels only, got m = {m}")
     if callable(path):
@@ -563,6 +557,8 @@ def torus_holonomy(k1: int, k2: int, m: int, tail=None, segments: int = 4096,
         raise OddLevel(
             f"torus cycle holonomy needs an even level, got m = {m}: the seam "
             "transition phase exp(i pi m) must be trivial")
+    if segments < 1:
+        raise ValueError(f"segments must be >= 1, got {segments}")
     i_u = _torus_cycle_integral(0, float(base[1]), n=segments)
     i_v = _torus_cycle_integral(1, float(base[0]), n=segments)
     total = m * (int(k1) * i_u + int(k2) * i_v)

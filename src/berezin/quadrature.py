@@ -168,8 +168,9 @@ def build_rule(d: int, level: int, *, exact_family: bool = False) -> QuadratureR
     ``exact_family`` (exact for the module's weighted-polynomial family and
     nothing more).  Total nodes (n_r * n_theta)^d must stay within
     ``NODE_CAP`` (read at call time) or ResourceLimit is raised before
-    anything is allocated.  The error-estimate companion is not built here
-    (see ``integrate``).
+    anything is allocated, also for callers that never assemble the full
+    grid (a known limitation: d = 2 ``toeplitz-sweep`` at m = 96, 26,532,801
+    nodes).  The error-estimate companion is not built here (``integrate``).
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {d}")

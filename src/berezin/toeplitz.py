@@ -59,19 +59,18 @@ def _default_level(spec: BasisSpec, f) -> int:
     return max(spec.level, quadrature.level_for(spec.m + _weight_degree(f)))
 
 
-def project(spec: BasisSpec, f, level: int | None = None) -> np.ndarray:
+def project(spec: BasisSpec, f) -> np.ndarray:
     """Coefficients of the orthogonal projection of ``f`` into the level space.
 
     For ``f`` already a section (a polynomial of degree <= m) this returns its
     coefficient vector back.
     """
-    lv = _default_level(spec, f) if level is None else int(level)
-    nd = spec.node_data(lv)
+    nd = spec.node_data(_default_level(spec, f))
     fv = np.asarray(f(nd.rule.nodes), dtype=complex) * nd.halfw
     return spec.c_m * hilbert.analyze(spec, nd, nd.wcore * fv)
 
 
-def toeplitz_matrix(spec: BasisSpec, f, level: int | None = None) -> ToeplitzMatrix:
+def toeplitz_matrix(spec: BasisSpec, f) -> ToeplitzMatrix:
     """Toeplitz operator of ``f`` at the spec's level.
 
     ``f`` is a vectorized evaluator over (n, d) node arrays; a ChartFunction's
@@ -80,8 +79,7 @@ def toeplitz_matrix(spec: BasisSpec, f, level: int | None = None) -> ToeplitzMat
     operator carries the bands it has on that rule (``hilbert.band_modes``),
     and adjoint_sign 1 when ``f`` is real.
     """
-    lv = _default_level(spec, f) if level is None else int(level)
-    nd = spec.node_data(lv)
+    nd = spec.node_data(_default_level(spec, f))
     mat = hilbert.compress(spec, nd, f)
     modes = getattr(f, "modes", None)
     if modes is not None:
@@ -171,10 +169,9 @@ def _defect(spec: BasisSpec, tf, tg, tb) -> float:
                                         modes=modes, adjoint_sign=sign))
 
 
-def commutator_defect(spec: BasisSpec, f, g, level: int | None = None) -> float:
+def commutator_defect(spec: BasisSpec, f, g) -> float:
     """Spectral-norm defect || m [T_f, T_g] - i T_{{f,g}} || at the spec level."""
-    return _defect(spec, *(toeplitz_matrix(spec, h, level=level)
-                           for h in (f, g, bracket_function(f, g))))
+    return _defect(spec, *(toeplitz_matrix(spec, h) for h in (f, g, bracket_function(f, g))))
 
 
 def sup_estimate(f, d: int) -> float:

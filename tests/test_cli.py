@@ -291,6 +291,47 @@ def test_torus_holonomy_rejects_odd_level(capsys):
     assert "even level" in err
 
 
+SWEEP_FG = ("--f", "re_rational", "--g", "im_rational")
+
+# Arguments below their minimum, with the part of the message that names them.
+BAD_ARGUMENTS = [
+    (("toeplitz-sweep", "--d", "-1", "--m-list", "4,8") + SWEEP_FG, "--d must be >= 1"),
+    (("toeplitz-sweep", "--d", "0", "--m-list", "4,8") + SWEEP_FG, "--d must be >= 1"),
+    (("star-sweep", "--d", "0", "--m-list", "4,8") + SWEEP_FG, "--d must be >= 1"),
+    (("star-sweep", "--m-list", ",") + SWEEP_FG, "m-list must be non-empty"),
+    (("toeplitz-sweep", "--m-list", ",") + SWEEP_FG, "m-list must be non-empty"),
+    (("kernel-check", "--m", "4", "--pairs", "-1"), "--pairs must be >= 0"),
+    (("torus-holonomy", "--m", "2", "--kmax", "-1"), "--kmax must be >= 0"),
+    (("torus-holonomy", "--m", "2", "--segments", "0"), "segments must be >= 1"),
+    (("torus-holonomy", "--m", "2", "--segments", "-5"), "segments must be >= 1"),
+    (("basis", "--m", "4", "--level", "0"), "level=0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS)
+def test_arguments_below_their_minimum_are_configuration_errors(capsys, tmp_path, argv, message):
+    # Checked before anything is computed or written.
+    out = tmp_path / "out.csv"
+    rc, _, err = run(capsys, *argv, "--out", str(out))
+    assert rc == 2
+    assert "configuration error" in err and message in err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+def test_nan_fails_the_torus_and_kernel_gates(capsys, tmp_path, monkeypatch):
+    # The worst value of a gate propagates NaN, so a NaN fails (exit 1)
+    # instead of passing as max(0.0, nan) = 0.0.
+    monkeypatch.setattr(pullback, "torus_holonomy", lambda *args, **kwargs: complex("nan"))
+    monkeypatch.setattr(hilbert, "reproducing_residual",
+                        lambda spec, v, mus: np.full(len(mus), np.nan))
+    for argv in (("torus-holonomy", "--m", "2", "--kmax", "1"),
+                 ("kernel-check", "--m", "4", "--pairs", "3")):
+        out = tmp_path / f"{argv[0]}.csv"
+        rc, _, _ = run(capsys, *argv, "--out", str(out))
+        assert rc == 1, argv
+        assert json.loads(out.with_suffix(".json").read_text())["passed"] is False
+
+
 def test_config_file_merging(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m=4\nd=1\n")

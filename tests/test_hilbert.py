@@ -208,7 +208,7 @@ def test_node_data_does_not_call_the_evaluator(monkeypatch):
         nd = spec.node_data(level)
         want.append(nd.rule.radii.shape[0])
         assert nd.ehat.shape == (nd.rule.node_count, spec.N)
-        assert np.max(np.abs(hilbert.gram_matrix(spec, level) - np.eye(spec.N))) <= 1e-13
+        assert np.max(np.abs(hilbert._gram(spec, nd) - np.eye(spec.N))) <= 1e-13
         assert seen == want
 
 
@@ -286,6 +286,12 @@ def test_gram_needs_adequate_level():
     spec = hilbert.build_basis(1, 12, level=1)
     dev = np.max(np.abs(hilbert.gram_matrix(spec) - np.eye(spec.N)))
     assert dev > 1e-6
+
+
+def test_build_basis_rejects_level_below_one():
+    # A level-0 spec was built, and every query on it then failed.
+    with pytest.raises(ValueError, match="level=0"):
+        hilbert.build_basis(1, 4, level=0)
 
 
 def test_inner_product_hermitian(basis):

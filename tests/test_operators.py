@@ -232,3 +232,50 @@ def test_correspondence_sweep_structure():
 
     single = operators.correspondence_sweep(build(f), build(g), [4], [0.3 + 0.2j])
     assert single.slope_e0 is None and single.slope_e1 is None
+
+
+def covariance_re_im(mu):
+    """|Cov_zeta(X, Y)| = |<XY> - <X><Y>| at the unit lift zeta of (mu, 0, ...).
+
+    X and Y act on span(z_1, z_0): <zeta|X|zeta> = Re mu_1 / (1 + |mu|^2) and
+    <zeta|Y|zeta> = Im mu_1 / (1 + |mu|^2), the functions re_rational and
+    im_rational; the other coordinates of zeta are zero and drop out.
+    """
+    zeta = np.array([mu, 1.0]) / np.sqrt(1.0 + abs(mu) ** 2)
+    X = np.array([[0.0, 0.5], [0.5, 0.0]])
+    Y = np.array([[0.0, 0.5j], [-0.5j, 0.0]])
+    xy, x, y = (np.vdot(zeta, A @ zeta) for A in (X @ Y, X, Y))
+    return abs(xy - x * y)
+
+
+@pytest.mark.parametrize("d, m_list", [(1, range(4, 65)), (2, range(4, 25)), (3, (4, 6, 8))])
+def test_star_sweep_e0_closed_form_re_im(d, m_list):
+    """e0 = m / (m + d + 1)^2 |Cov_zeta(X, Y)| for (re_rational, im_rational).
+
+    For a traceless Hermitian X on C^(d+1) and f_X = <zeta|X|zeta>, T_(f_X)
+    at level m is dGamma(X) / (m + d + 1), with dGamma(X) = sum_ij X_ij z_i
+    d/dz_j acting on Sym^m C^(d+1) (Bordemann-Meinrenken-Schlichenmaier 1994;
+    Schlichenmaier 2010).  The covariant symbol of A at mu is its mean in
+    the coherent vector zeta^(x m), and the star product of two symbols is
+    the symbol of the product.  In that vector <dGamma(X)> = m <X> and
+    <dGamma(X) dGamma(Y)> = m <XY> + m (m - 1) <X><Y>, so
+
+        e0 = |(T_X * T_Y)(mu) - sigma(T_X)(mu) sigma(T_Y)(mu)|
+           = |m <XY> + m (m - 1) <X><Y> - m^2 <X><Y>| / (m + d + 1)^2
+           = m |<XY> - <X><Y>| / (m + d + 1)^2.
+
+    The bound 1e-13 on |ratio - 1| was fixed before the first run.
+    """
+    mu0 = 0.3 + 0.2j
+    cov = covariance_re_im(mu0)
+    assert cov == pytest.approx(0.19813046259976630, rel=1e-15)
+
+    def build(name):
+        fn = get_function(name)
+        return lambda m: toeplitz.toeplitz_matrix(hilbert.build_basis(d, m), fn)
+
+    pt = np.zeros(d, dtype=complex)
+    pt[0] = mu0
+    res = operators.correspondence_sweep(build("re_rational"), build("im_rational"), m_list, pt)
+    for m, e0, _ in res.rows:
+        assert abs(e0 * (m + d + 1) ** 2 / (m * cov) - 1.0) <= 1e-13, (d, m)

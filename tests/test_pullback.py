@@ -162,17 +162,13 @@ def test_manifold_inner_product_general(basis, rng):
     got = pullback.inner_product_on_manifold(spec, chart, v1, v2)
     assert got == pytest.approx(complex(np.vdot(v1, v2)), rel=1e-8)
 
-    explicit = pullback.inner_product_on_manifold(
-        spec, chart, v1, v2, h=lambda p: pullback.measure_factor(chart, p))
-    assert explicit == got
-
     zero = pullback.inner_product_on_manifold(spec, chart, np.zeros(spec.N), v2)
     assert zero == 0.0
 
 
 def dense_gram(spec, chart_a, chart_b, psi):
     """Gram probe of equivalence_check from one table of all transported rows."""
-    params, wleb = pullback._transported_nodes(spec, chart_a, None)
+    params, wleb = pullback._transported_nodes(spec, chart_a)
     s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
     mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
     s_b = np.sum(np.abs(mapped) ** 2, axis=1)
@@ -184,7 +180,7 @@ def dense_gram(spec, chart_a, chart_b, psi):
 
 def dense_inner_product(spec, chart, v1, v2):
     """inner_product_on_manifold from one table of all transported rows."""
-    params, wleb = pullback._transported_nodes(spec, chart, None)
+    params, wleb = pullback._transported_nodes(spec, chart)
     ehat = hilbert.eval_matrix_normalized(spec, chart.forward(params))
     h = pullback.measure_factor(chart, params)
     return spec.c_m * complex(np.sum(wleb * h * np.conj(ehat @ v1) * (ehat @ v2)))
@@ -343,6 +339,15 @@ def test_odd_levels_rejected():
         pullback.connection_integral(pullback.equator_path(), 3)
     with pytest.raises(OddLevel):
         pullback.torus_holonomy(1, 0, 5)
+
+
+def test_segments_below_one_rejected():
+    # Zero segments gave a NaN holonomy and negative ones a trivial one.
+    for segments in (0, -5):
+        with pytest.raises(ValueError, match="segments must be >= 1"):
+            pullback.torus_holonomy(1, 0, 2, segments=segments)
+        with pytest.raises(ValueError, match="segments must be >= 1"):
+            pullback.connection_integral(pullback.equator_path(), 2, segments=segments)
 
 
 def test_curvature_matches_boundary_integral():

@@ -63,12 +63,14 @@ def test_assembly_matches_two_copy_reference(basis):
     cases += [(2, 8, fn, 1) for fn in declared + (get_function("abs2_rational"),)]
     for d, m, fn, level in cases + [(2, 6, wavy, None)]:
         spec = basis(d, m) if m <= 8 and d < 3 else hilbert.build_basis(d, m)
-        lv = toeplitz._default_level(spec, fn) if level is None else level
-        nd = spec.node_data(lv)
-        if level is not None:
+        if level is None:
+            nd = spec.node_data(toeplitz._default_level(spec, fn))
+            got = toeplitz.toeplitz_matrix(spec, fn).mat
+        else:
+            nd = spec.node_data(level)
             assert nd.rule.n_theta <= m
+            got = hilbert.compress(spec, nd, fn)
         want = dense_compress(spec, nd, fn(nd.rule.nodes))
-        got = toeplitz.toeplitz_matrix(spec, fn, level=level).mat
         assert np.max(np.abs(got - want)) <= 1e-13, (d, m, level)
 
 
@@ -108,7 +110,7 @@ def test_declared_functions_never_reach_the_node_loop(basis, monkeypatch):
             for g in REGISTRY.values():
                 toeplitz.toeplitz_matrix(spec, toeplitz.bracket_function(f, g))
         for level in (1, spec.level, spec.level + 1):
-            hilbert.gram_matrix(spec, level)
+            hilbert._gram(spec, spec.node_data(level))
     with pytest.raises(AssertionError, match="radial-node loop"):
         toeplitz.toeplitz_matrix(basis(1, 4), lambda pts: np.ones(pts.shape[0]))
 
