@@ -164,8 +164,8 @@ def _admissible_pair(rng, d: int):
 def _cmd_kernel_check(args) -> int:
     _require(args, ["m"])
     _default(args, d=1, seed=1234, pairs=50, tol=1e-8)
-    if args.pairs < 0:
-        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     spec = hilbert.build_basis(args.d, args.m, level=args.level)
     rng = np.random.default_rng(args.seed)
     v = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
@@ -175,12 +175,10 @@ def _cmd_kernel_check(args) -> int:
         va = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
         vb = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
         draws.append((mu, nu, va, vb))
-    rel_repro = []
-    if draws:
-        # One synthesis of v and one row evaluation for all the mus.
-        mus = np.array([mu for mu, _, _, _ in draws])
-        rel_repro = (hilbert.reproducing_residual(spec, v, mus)
-                     / (1.0 + np.abs(hilbert.section_eval(spec, v, mus))))
+    # One synthesis of v and one row evaluation for all the mus.
+    mus = np.array([mu for mu, _, _, _ in draws])
+    rel_repro = (hilbert.reproducing_residual(spec, v, mus)
+                 / (1.0 + np.abs(hilbert.section_eval(spec, v, mus))))
     rows = []
     worst_k, worst_r, worst_i = 0.0, 0.0, 0.0  # np.maximum fails a NaN; max() drops it
     for k, (mu, nu, va, vb) in enumerate(draws):

@@ -597,16 +597,14 @@ def to_json(spec: BasisSpec) -> str:
 
 
 def from_json(text: str) -> BasisSpec:
+    """Load a serialized basis; refuse one that differs from build_basis(d, m, level)."""
     payload = json.loads(text)
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"unexpected schema {payload.get('schema')!r}")
-    indices = tuple(tuple(int(q) for q in I) for I in payload["indices"])
-    D = np.array(payload["D"], dtype=float)
-    if len(indices) != payload["N"] or D.shape[0] != payload["N"]:
-        raise ValueError("inconsistent serialized basis: N does not match arrays")
-    return BasisSpec(d=int(payload["d"]), m=int(payload["m"]), N=int(payload["N"]),
-                     indices=indices, D=D, c_m=float(payload["c_m"]),
-                     hbar=float(payload["hbar"]), level=int(payload["level"]))
+    spec = build_basis(int(payload["d"]), int(payload["m"]), int(payload["level"]))
+    if json.loads(to_json(spec)) != payload:
+        raise ValueError(f"serialized basis differs from build_basis{spec.d, spec.m, spec.level}")
+    return spec
 
 
 def save_spec(spec: BasisSpec, path) -> None:

@@ -45,8 +45,8 @@ class OperatorMatrix:
     ``modes``, when set, are angular modes k (d-tuples) such that the matrix
     vanishes between indices that differ in a coordinate no k touches;
     ``adjoint_sign`` is +1 for a Hermitian matrix, -1 for an anti-Hermitian
-    one and 0 when unknown.  ``toeplitz.operator_norm`` uses both; the
-    arithmetic below drops them.
+    one and 0 when unknown.  ``toeplitz.operator_norm`` takes the norm of a
+    Hermitian one per block; the arithmetic below drops both.
     """
 
     spec: BasisSpec

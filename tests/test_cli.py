@@ -300,11 +300,12 @@ BAD_ARGUMENTS = [
     (("star-sweep", "--d", "0", "--m-list", "4,8") + SWEEP_FG, "--d must be >= 1"),
     (("star-sweep", "--m-list", ",") + SWEEP_FG, "m-list must be non-empty"),
     (("toeplitz-sweep", "--m-list", ",") + SWEEP_FG, "m-list must be non-empty"),
-    (("kernel-check", "--m", "4", "--pairs", "-1"), "--pairs must be >= 0"),
+    (("kernel-check", "--m", "4", "--pairs", "-1"), "--pairs must be >= 1"),
     (("torus-holonomy", "--m", "2", "--kmax", "-1"), "--kmax must be >= 0"),
     (("torus-holonomy", "--m", "2", "--segments", "0"), "segments must be >= 1"),
     (("torus-holonomy", "--m", "2", "--segments", "-5"), "segments must be >= 1"),
     (("basis", "--m", "4", "--level", "0"), "level=0"),
+    (("kernel-check", "--m", "4", "--pairs", "0"), "--pairs must be >= 1"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Hilbert space data: index order, orthonormality, kernels, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -429,3 +431,15 @@ def test_json_roundtrip(basis, tmp_path):
 
     with pytest.raises(ValueError):
         hilbert.from_json('{"schema": "other/9"}')
+
+
+@pytest.mark.parametrize("key, value", [("level", 0), ("m", 5), ("d", 0), ("c_m", 1.0)])
+def test_from_json_refuses_edited_payloads(key, value):
+    # d or level below 1, an m whose indices, N, D and c_m are those of
+    # another m, or an edited c_m is refused; the unchanged text round-trips.
+    text = hilbert.to_json(hilbert.build_basis(2, 4))
+    assert hilbert.to_json(hilbert.from_json(text)) == text
+    payload = json.loads(text)
+    payload[key] = value
+    with pytest.raises(ValueError):
+        hilbert.from_json(json.dumps(payload))

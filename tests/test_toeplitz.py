@@ -1,5 +1,6 @@
 """Toeplitz compressions: projections, closed-form matrix elements, sweeps."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -375,6 +376,42 @@ def test_commutator_sweep_rows():
 
 def test_sup_estimate_exact_on_bundled_family():
     for name, fn in REGISTRY.items():
-        for d in (1, 2):
+        for d in (1, 2, 3):
             est = toeplitz.sup_estimate(fn, d)
             assert abs(est - fn.sup_exact) <= 1e-11, (name, d)
+
+
+def test_sup_estimate_samples_every_angle_without_modes():
+    # |Im nu_2| / (1 + |nu|^2) peaks at nu = (0, i), off theta_2 = 0; a plain
+    # callable declares no modes, so all 16 angles of every dimension are read.
+    def f(pts):
+        return np.abs(pts[:, 1].imag) / (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+
+    assert toeplitz.sup_estimate(f, 2) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sweep_reads_only_the_declared_angles(monkeypatch):
+    # Registry functions declare their modes: the commutator defect is formed
+    # per block (no dense commutator), and the sup grid samples 16 angles
+    # only in the first dimension (17^d * 16 points at most).
+    def refuse(*args):
+        raise AssertionError("dense commutator")
+
+    monkeypatch.setattr(operators, "commutator", refuse)
+    monkeypatch.setattr(toeplitz, "commutator", refuse)
+    sampled = []
+    sup_estimate = toeplitz.sup_estimate
+
+    def counting_sup(f, d):
+        def evaluator(pts):
+            sampled.append(len(pts))
+            return f.evaluator(pts)
+        return sup_estimate(dataclasses.replace(f, evaluator=evaluator), d)
+
+    monkeypatch.setattr(toeplitz, "sup_estimate", counting_sup)
+    d = 2
+    for f in REGISTRY.values():
+        for g in REGISTRY.values():
+            sampled.clear()
+            toeplitz.toeplitz_sweep(f, g, [2, 4], d=d)
+            assert 0 < sum(sampled) <= 17 ** d * 16, (f.name, g.name)
