@@ -18,19 +18,20 @@ Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
 (n_r^d, N), basis rows at the radial points, and the radial weights; the
-arrays over all n nodes are built on first read.  ``synthesize`` (node values
-ehat v) and ``analyze`` (ehat^H x) run through the angular FFT, one radial
-node at a time.  ``compress`` (c_m sum_n w_n f_n conj(ehat_nI) ehat_nJ: the
-Toeplitz matrices, and the Gram matrix as the compression of the constant 1,
-cached with the node data) uses the symmetry once more.  A function with
-angular modes K has entries only on the bands I - J in K, and each band is
-one radial column of Fourier coefficients times R, so assembly costs
-O(|K| N n_r^d) and the Gram matrix is diagonal at the default level.  On a
-2-core Xeon with numpy 2.4, one Toeplitz matrix of a registry function takes
-1-4 ms at d = 2, m = 24 and 40-70 ms at d = 2, m = 48 (N = 1,225, 729
-radial points).  Callables that declare no modes are summed one radial node
-at a time over the full grid instead.  The only resource budget is the
-rule's node cap, quadrature.NODE_CAP.
+arrays over all n nodes are built on first read, and the kernel and pullback
+checks never read them: they hold one bounded block of nodes at a time.
+``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x) run through
+the angular FFT, one radial node at a time.  ``compress`` (c_m sum_n w_n f_n
+conj(ehat_nI) ehat_nJ: the Toeplitz matrices, and the Gram matrix as the
+compression of the constant 1, cached with the node data) uses the symmetry
+once more.  A function with angular modes K has entries only on the bands
+I - J in K, and each band is one radial column of Fourier coefficients
+times R, so assembly costs O(|K| N n_r^d) and the Gram matrix is diagonal
+at the default level.  On a 2-core Xeon with numpy 2.4, one Toeplitz matrix
+of a registry function takes 1-4 ms at d = 2, m = 24 and 40-70 ms at d = 2,
+m = 48 (N = 1,225, 729 radial points).  Callables that declare no modes are
+summed one radial node at a time over the full grid instead.  The only
+resource budget is the rule's node cap, quadrature.NODE_CAP.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
 
-# Bytes per block of basis rows: the scratch of the gathers in
-# eval_matrix_normalized, and the row blocks of _row_blocks.
-_BLOCK_BYTES = 2 ** 21
+# Bytes per block: the gather scratch of _lift_rows, the row buffer of
+# _row_blocks (at least 2N rows) and the unit lifts of reproducing_residual.
+_BLOCK_BYTES = 2 ** 19
 
 
 def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
@@ -255,22 +256,39 @@ def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
     return -(spec.m / 2.0) * np.log1p(eps)
 
 
-def _blocks(spec: BasisSpec, n: int):
-    """Slices of consecutive rows of n, each at most _BLOCK_BYTES of basis rows."""
-    step = max(1, _BLOCK_BYTES // (16 * spec.N))
-    return (slice(a, a + step) for a in range(0, n, step))
+def _row_blocks(spec: BasisSpec, nd: _NodeData):
+    """(nodes, weights, rows) per block of consecutive rule nodes, in node order.
+
+    ``nodes``/``weights`` are bitwise ``rule.nodes``/``rule.weights`` there;
+    ``rows(points)`` evaluates basis rows at the block's (say, transported)
+    points into one reused (block, N) buffer, gathering through one reused
+    scratch.  Blocks hold about _BLOCK_BYTES of rows but at least 2N rows.
+    """
+    rule, n = nd.rule, nd.rule.node_count
+    step = min(n, max(2 * spec.N, _BLOCK_BYTES // (16 * spec.N)))
+    buf, scratch = (np.empty((step, spec.N), dtype=complex) for _ in range(2))
+    # The angular factors as QuadratureRule.nodes forms them.
+    theta = 2.0 * np.pi * np.arange(rule.n_theta) / rule.n_theta
+    chars = np.exp(1j * theta[nd._angles()[1]])
+
+    def rows(points):
+        return _lift_rows(spec, unit_lift(points), buf, scratch)
+
+    for lo in range(0, n, step):
+        r, k = np.divmod(np.arange(lo, min(n, lo + step)), chars.shape[0])
+        yield rule.radii[r] * chars[k], rule.radii_weights[r], rows
 
 
-def _row_blocks(spec: BasisSpec, points: np.ndarray):
-    """(slice, eval_matrix_normalized(spec, points[slice])) per block of rows."""
-    for sl in _blocks(spec, points.shape[0]):
-        yield sl, eval_matrix_normalized(spec, points[sl])
+def _lift_rows(spec: BasisSpec, lift: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """eval_matrix_normalized from the (n, d+1) unit lifts of the points.
 
-
-def _lift_rows(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
-    """eval_matrix_normalized from the (n, d+1) unit lifts of the points."""
+    Writes into the first n rows of ``out`` and gathers through ``scratch``
+    (rows, N) when given; otherwise both are fresh, the scratch <= _BLOCK_BYTES.
+    """
     n = lift.shape[0]
-    E = np.empty((n, spec.N), dtype=complex)
+    E = np.empty((n, spec.N), dtype=complex) if out is None else out[:n]
+    if scratch is None:
+        scratch = np.empty((max(1, min(n, _BLOCK_BYTES // (16 * spec.N))), spec.N), dtype=complex)
     powers = np.empty((n, spec.m + 1), dtype=complex)
     # The homogeneous coordinate comes first so that its gather fills E.
     for j in (spec.d, *range(spec.d)):
@@ -282,8 +300,10 @@ def _lift_rows(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
             # mode="clip" writes into E directly; "raise" would buffer it.
             np.take(powers, exps, axis=1, out=E, mode="clip")
             continue
-        for sl in _blocks(spec, n):
-            E[sl] *= powers[sl, exps]
+        for a in range(0, n, scratch.shape[0]):
+            g = scratch[:n - a]
+            np.take(powers[a:a + g.shape[0]], exps, axis=1, out=g, mode="clip")
+            E[a:a + g.shape[0]] *= g
     E *= 1.0 / np.sqrt(spec.D)
     return E
 
@@ -317,10 +337,15 @@ def synthesize(spec: BasisSpec, nd: _NodeData, v) -> np.ndarray:
     exp(i I . theta_k).  Below the default level n_theta can be <= m, and
     indices that agree mod n_theta share a mode; np.add.at sums them.
     """
+    return _synthesize(spec, nd, nd.R, v)
+
+
+def _synthesize(spec: BasisSpec, nd: _NodeData, R: np.ndarray, v) -> np.ndarray:
+    """synthesize at the radial nodes whose rows of nd.R are ``R``."""
     v = np.asarray(v, dtype=complex)
-    n_rad, n_theta, tail = nd.R.shape[0], nd.rule.n_theta, v.shape[1:]
+    n_rad, n_theta, tail = R.shape[0], nd.rule.n_theta, v.shape[1:]
     grid = np.zeros((n_rad, n_theta ** spec.d) + tail, dtype=complex)
-    np.add.at(grid, (slice(None), nd.flat), nd.R.reshape(nd.R.shape + (1,) * len(tail)) * v)
+    np.add.at(grid, (slice(None), nd.flat), R.reshape(R.shape + (1,) * len(tail)) * v)
     grid = grid.reshape((n_rad,) + (n_theta,) * spec.d + tail)
     out = np.fft.ifftn(grid, axes=tuple(range(1, spec.d + 1)), norm="forward")
     return out.reshape((-1,) + tail)
@@ -538,10 +563,11 @@ def reproducing_residual(spec: BasisSpec, v, mu):
     """|<psi_mu, v> - v(mu)| with the pairing done by numeric integration.
 
     ``mu`` is one point (d,), which gives a float, or k points (k, d), which
-    give a (k,) array: the node values wcore (ehat v) are synthesized once
-    and the k normalized basis rows evaluated in one call.  The kernel
-    pairings are then formed one point at a time, an (n,) array each, so no
-    (n, k) array is built; each residual is bitwise the single-point one.
+    give a (k,) array, each bitwise the single-point residual.  The node sum
+    runs over blocks of radial nodes times all angles (about _BLOCK_BYTES of
+    unit lifts, at least one radial node): the radial lifts times the
+    characters, and wr times ``synthesize`` on the block's rows of R.  Each
+    point's pairing with a block is added to its sum in block order.
 
     Contract: <= 1e-8 * (1 + |v(mu)|) at the spec's level.
     """
@@ -551,16 +577,21 @@ def reproducing_residual(spec: BasisSpec, v, mu):
     single = np.ndim(mu) <= 1
     pts = as_point(mu, d=spec.d).reshape(1, -1) if single else _as_points(spec, mu)
     nd = spec.node_data()
-    wv = synthesize(spec, nd, v)
-    wv *= nd.wcore
+    roots, k = nd._angles()
+    chars = np.column_stack([roots[k], np.ones(k.shape[0])])
     lifts = unit_lift(pts)
+    paired = np.zeros(pts.shape[0], dtype=complex)
+    step = max(1, _BLOCK_BYTES // (16 * (spec.d + 1) * k.shape[0]))
+    for lo in range(0, nd.R.shape[0], step):
+        wv = _synthesize(spec, nd, nd.R[lo:lo + step], v).reshape(-1, k.shape[0])
+        wv *= nd.wr[lo:lo + step, None]
+        lift = (nd.rlift[lo:lo + step, None, :] * chars[None]).reshape(-1, spec.d + 1)
+        for j in range(pts.shape[0]):
+            paired[j] += _power(np.conj(lift @ lifts[j].conj()), spec.m) @ wv.ravel()
     rows = _lift_rows(spec, lifts)
     scale = np.exp(0.5 * spec.m * np.log1p(np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)))
-    out = np.empty(pts.shape[0])
-    for k in range(pts.shape[0]):
-        khat = _power(np.conj(nd.lift @ lifts[k].conj()), spec.m)
-        paired_hat = spec.c_m * (khat @ wv)
-        out[k] = abs(paired_hat - rows[k] @ v) * scale[k]
+    out = np.array([abs(spec.c_m * paired[j] - rows[j] @ v) * scale[j]
+                    for j in range(pts.shape[0])])
     return float(out[0]) if single else out
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, hilbert, operators
-from .errors import DimensionMismatch, OddLevel, OutOfDomain, PathTooCoarse
+from .errors import DimensionMismatch, OddLevel, OutOfDomain, PathTooCoarse, SingularPair
 from .hilbert import BasisSpec
 from .operators import OperatorMatrix
 
@@ -189,28 +189,20 @@ def pulled_star(op1: PulledOperator, op2: PulledOperator, p) -> complex:
     return operators.star_product(op1.base, op2.base, op1.chart.forward(p)[0])
 
 
-def _transported_nodes(spec: BasisSpec, chart: DiffeoChart):
-    """Chart rule pushed to parameter space: (params, Lebesgue weights)."""
-    nd = spec.node_data()
-    params = chart.inverse(nd.rule.nodes)
-    wleb = nd.rule.weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
-    return params, wleb
-
-
 def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2) -> complex:
     """Inner product of two pulled-back sections, computed in parameter space.
 
     Transports the chart rule through the inverse map and sums the normalized
     sections against ``measure_factor``, the measure from the chart Jacobian,
-    in bounded row blocks; memory stays bounded beyond the O(n) node arrays.
+    one bounded node block at a time (``hilbert._row_blocks``).
     """
     v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
-    params, wleb = _transported_nodes(spec, chart)
-    w = wleb * measure_factor(chart, params)
     total = 0j
-    for sl, blk in hilbert._row_blocks(spec, chart.forward(params)):
-        f = blk @ v
-        total += complex(np.sum(w[sl] * np.conj(f[:, 0]) * f[:, 1]))
+    for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
+        params = chart.inverse(nodes)
+        wleb = weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
+        f = rows(chart.forward(params)) @ v
+        total += complex(np.sum(wleb * measure_factor(chart, params) * np.conj(f[:, 0]) * f[:, 1]))
     return spec.c_m * total
 
 
@@ -220,23 +212,26 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
 
     c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
     chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
-    The rescaling and sqrt(wleb h) (> 0) make one positive factor per row;
-    each row block is scaled in place.  With S the real (rows, 2N) view of a
-    block (columns re e_I, im e_I interleaved), blk^H blk is read off the
-    symmetric S^T S, which numpy forms as a rank-k update (BLAS syrk) of one
-    triangle: half the flops of the complex product, exactly Hermitian.
+    The rule is transported, ``psi`` included, one node block at a time
+    (``hilbert._row_blocks``), and the rescaling and sqrt(wleb h) (> 0) scale
+    each block in place.  With S the real (rows, 2N) view of a block (columns
+    re e_I, im e_I interleaved), blk^H blk is read off the symmetric S^T S, a
+    rank-k update (BLAS syrk) of one triangle into one reused (2N, 2N)
+    product: half the flops of the complex product, exactly Hermitian.
     """
-    params, wleb = _transported_nodes(spec, chart_a)
-    s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
-    mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
-    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
-    scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
-    scale *= np.sqrt(wleb * measure_factor(chart_a, params))
-    P = np.zeros((2 * spec.N, 2 * spec.N))
-    for sl, blk in hilbert._row_blocks(spec, mapped):
-        blk *= scale[sl, None]
+    P, prod = np.zeros((2 * spec.N, 2 * spec.N)), np.empty((2 * spec.N, 2 * spec.N))
+    for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
+        params = chart_a.inverse(nodes)
+        wleb = weights / ((2.0 ** chart_a.d) * chart_a.jacobian_det(params))
+        s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
+        mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
+        s_b = np.sum(np.abs(mapped) ** 2, axis=1)
+        scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
+        scale *= np.sqrt(wleb * measure_factor(chart_a, params))
+        blk = rows(mapped)
+        blk *= scale[:, None]
         S = blk.view(float)
-        P += S.T @ S
+        P += np.matmul(S.T, S, out=prod)
     gram = (P[0::2, 0::2] + P[1::2, 1::2]) + 1j * (P[0::2, 1::2] - P[1::2, 0::2])
     gram *= spec.c_m
     return gram
@@ -273,9 +268,9 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
 
     Equivalent only when both deviations are <= tol.  Presentations differing
     by a kernel isometry (a rotation) pass; a same-domain rescaling changes
-    the two-point geometry and fails.  The Gram matrix is accumulated from
-    bounded row blocks, so memory stays bounded beyond the O(n) per-node
-    arrays and the (N, N) result.
+    the two-point geometry and fails.  The rule is transported and the Gram
+    matrix accumulated one bounded node block at a time, so memory stays
+    within a few blocks and (2N, 2N) products whatever the node count.
     """
     if chart_a.d != spec.d or chart_b.d != spec.d:
         raise DimensionMismatch("chart dimensions do not match the basis spec")
@@ -286,34 +281,47 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
     gram = _pulled_gram(spec, chart_a, chart_b, psi)
     ip_dev = float(np.max(np.abs(gram - np.eye(spec.N))))
 
-    kernel_dev = 0.0
-    used = 0
-    attempts = 0
-    while used < pairs:
-        attempts += 1
-        if attempts > 200 * pairs:
-            raise ValueError("could not sample enough admissible parameter pairs")
-        pa = chart_a.sample(rng, 2)
-        pb = np.asarray(psi(pa), dtype=float)
-        if not (np.all(chart_a.in_domain(pa)) and np.all(chart_b.in_domain(pb))):
-            continue
-        za = chart_a.forward(pa)
-        zb = chart_b.forward(pb)
-        if math.exp(0.5 * geometry.diastasis(za[0], za[1])) < 0.5:
-            continue
-        # |K_b / K_a - 1| in log form: the kernels themselves overflow at large m.
-        log_ratio = (hilbert.log_kernel(spec, zb[0], zb[1])
-                     - hilbert.log_kernel(spec, za[0], za[1]))
-        kernel_dev = max(kernel_dev, abs(np.expm1(log_ratio)))
-        used += 1
+    z = _kernel_pairs(chart_a, chart_b, psi, rng, pairs)
+    # |K_b / K_a - 1| in log form (the kernels overflow at large m); max() skips NaN.
+    log_k = spec.m * np.log(1.0 + np.sum(np.conj(z[:, :, 1]) * z[:, :, 0], axis=2))
+    kernel_dev = max([0.0, *np.abs(np.expm1(log_k[1] - log_k[0])).tolist()])
 
     return EquivalenceReport(
         inner_product_deviation=float(ip_dev),
         kernel_deviation=float(kernel_dev),
         equivalent=bool(ip_dev <= tol and kernel_dev <= tol),
         tol=float(tol),
-        pairs_used=used,
+        pairs_used=z.shape[1],
     )
+
+
+def _kernel_pairs(chart_a: DiffeoChart, chart_b: DiffeoChart, psi: Callable, rng, pairs: int):
+    """The first ``pairs`` admissible pairs drawn: chart points (2, pairs, 2, d) under a and b.
+
+    Candidates, two rows of ``chart_a.sample`` each, come in batches of the
+    pairs still needed, at most 200 * pairs in all.  Admissible: the rows in
+    chart a's domain, their ``psi`` images in b's, and exp(diastasis / 2) >=
+    0.5 under a (SingularPair at the kernel's zero set, as ``diastasis``).
+    """
+    kept, used, attempts = [np.empty((2, 0, 2, chart_a.d), dtype=complex)], 0, 0
+    while used < pairs:
+        batch = min(pairs - used, 200 * pairs - attempts)
+        if batch == 0:
+            raise ValueError("could not sample enough admissible parameter pairs")
+        attempts += batch
+        pa = chart_a.sample(rng, 2 * batch)
+        pb = np.asarray(psi(pa), dtype=float)
+        ok = (chart_a.in_domain(pa) & chart_b.in_domain(pb)).reshape(-1, 2).all(axis=1).repeat(2)
+        z = np.stack([chart_a.forward(pa[ok]), chart_b.forward(pb[ok])])
+        z = z.reshape(2, -1, 2, chart_a.d)
+        w = 1.0 + np.sum(np.conj(z[0, :, 0]) * z[0, :, 1], axis=1)
+        p = w.real * w.real + w.imag * w.imag
+        if np.any(p < geometry.PAIRING_TOL ** 2):
+            raise SingularPair("diastasis undefined: pairing at its zero set")
+        a, b = 1.0 + np.sum(z[0].real ** 2 + z[0].imag ** 2, axis=2).T
+        kept.append(z[:, np.exp(0.5 * np.log(p / (a * b))) >= 0.5])
+        used += kept[-1].shape[1]
+    return np.concatenate(kept, axis=1)
 
 
 def _identity_map(params):

@@ -124,6 +124,18 @@ def test_kernel_check_d1_m512_memory(tmp_path, child_process):
     assert peak < 96 * 1024  # KiB on Linux
 
 
+def test_kernel_check_d3_m16_memory(tmp_path, child_process):
+    # 4.9M nodes.  The residuals run over one block of radial nodes at a
+    # time, so no array spans the grid; with the node-length lifts, weights
+    # and node values held whole the run peaked at 774 MiB.
+    argv = ["kernel-check", "--d", "3", "--m", "16", "--pairs", "10"]
+    returncode, _, err, peak = child_process(
+        ["-m", "berezin.cli", *argv, "--out", str(tmp_path / "kc.csv")], tmp_path)
+    assert returncode == 0, err
+    assert json.loads((tmp_path / "kc.json").read_text())["passed"] is True
+    assert peak < 256 * 1024  # KiB on Linux
+
+
 def test_star_sweep_artifacts(capsys, tmp_path):
     out = tmp_path / "star.csv"
     rc, _, _ = run(capsys, "star-sweep", "--m-list", "4,8",

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from berezin import cli, geometry, hilbert, operators, quadrature, toeplitz
+from berezin import cli, geometry, hilbert, operators, pullback, quadrature, toeplitz
 from berezin.errors import DimensionMismatch, IndexOutOfRange
 from berezin.functions import REGISTRY
 from conftest import sample_ball, admissible
@@ -235,6 +235,57 @@ def test_registry_sweeps_build_no_full_grid(monkeypatch, tmp_path):
     for nd in built:
         assert not {"nodes", "weights"} & set(vars(nd.rule))
         assert not {"lift", "phi", "halfw", "wcore", "ehat"} & set(vars(nd))
+
+
+def test_checks_build_no_full_grid(monkeypatch, tmp_path):
+    # kernel-check and the pullback checks hold one block of nodes at a time:
+    # no node data (nor its rule) keeps an array over the full angular grid.
+    node_data, built = hilbert._node_data, []
+
+    def spy(spec, rule):
+        built.append(node_data(spec, rule))
+        return built[-1]
+
+    monkeypatch.setattr(hilbert, "_node_data", spy)
+    assert cli.main(["kernel-check", "--d", "2", "--m", "6", "--pairs", "5",
+                     "--out", str(tmp_path / "kc.csv")]) == 0
+    spec = hilbert.build_basis(2, 4)
+    ident = pullback.identity_chart(2)
+    assert pullback.equivalence_check(spec, ident, pullback.rotation_chart(0.8, d=2)).equivalent
+    v = np.arange(spec.N) + 1j
+    assert abs(pullback.inner_product_on_manifold(spec, ident, v, v) - np.vdot(v, v)) <= 1e-9
+    assert len(built) == 2
+    for nd in built:
+        assert not {"nodes", "weights"} & set(vars(nd.rule))
+        assert not {"lift", "phi", "halfw", "wcore", "ehat"} & set(vars(nd))
+
+
+@pytest.mark.parametrize("d, m, budget", [(1, 8, 0), (2, 12, None), (3, 5, None)])
+def test_row_blocks_fill_one_buffer_bitwise(monkeypatch, basis, d, m, budget):
+    # Every block's nodes and weights are the rule's, and its rows, written
+    # into one reused buffer, are bitwise the fresh evaluation; the last
+    # block is short (at d = 1 the budget is cut to 0, so the 2N floor sets
+    # the block).  A scratch of fewer rows than points gathers in passes.
+    if budget is not None:
+        monkeypatch.setattr(hilbert, "_BLOCK_BYTES", budget)
+    spec = basis(d, m)
+    rule = spec.node_data().rule
+    sizes, buffers = [], set()
+    for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
+        lo, hi = sum(sizes), sum(sizes) + nodes.shape[0]
+        sizes.append(hi - lo)
+        assert nodes.tobytes() == rule.nodes[lo:hi].tobytes()
+        assert weights.tobytes() == rule.weights[lo:hi].tobytes()
+        got = rows(nodes)
+        buffers.add(got.__array_interface__["data"][0])
+        assert got.tobytes() == hilbert.eval_matrix_normalized(spec, nodes).tobytes()
+    assert sum(sizes) == rule.node_count and len(buffers) == 1
+    assert sizes[0] >= 2 * spec.N and 0 < sizes[-1] < sizes[0]
+    pts, out = rule.nodes[:50], np.empty((60, spec.N), dtype=complex)
+    got = hilbert._lift_rows(spec, hilbert.unit_lift(pts), out,
+                             np.empty((7, spec.N), dtype=complex))
+    assert np.shares_memory(got, out)
+    assert got.tobytes() == hilbert.eval_matrix_normalized(spec, pts).tobytes()
 
 
 @pytest.mark.parametrize("d, m", [(1, 16), (2, 8), (3, 4)])

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from berezin import geometry, hilbert, operators, pullback, quadrature
 from berezin.errors import (DimensionMismatch, OddLevel, OutOfDomain,
-                            PathTooCoarse)
+                            PathTooCoarse, SingularPair)
 
 
 def interior_grid(n):
@@ -166,9 +168,16 @@ def test_manifold_inner_product_general(basis, rng):
     assert zero == 0.0
 
 
+def transported_nodes(spec, chart):
+    """The whole chart rule pushed to parameter space: (params, Lebesgue weights)."""
+    rule = spec.node_data().rule
+    params = chart.inverse(rule.nodes)
+    return params, rule.weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
+
+
 def dense_gram(spec, chart_a, chart_b, psi):
     """Gram probe of equivalence_check from one table of all transported rows."""
-    params, wleb = pullback._transported_nodes(spec, chart_a)
+    params, wleb = transported_nodes(spec, chart_a)
     s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
     mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
     s_b = np.sum(np.abs(mapped) ** 2, axis=1)
@@ -180,7 +189,7 @@ def dense_gram(spec, chart_a, chart_b, psi):
 
 def dense_inner_product(spec, chart, v1, v2):
     """inner_product_on_manifold from one table of all transported rows."""
-    params, wleb = pullback._transported_nodes(spec, chart)
+    params, wleb = transported_nodes(spec, chart)
     ehat = hilbert.eval_matrix_normalized(spec, chart.forward(params))
     h = pullback.measure_factor(chart, params)
     return spec.c_m * complex(np.sum(wleb * h * np.conj(ehat @ v1) * (ehat @ v2)))
@@ -188,11 +197,12 @@ def dense_inner_product(spec, chart, v1, v2):
 
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (2, 8)])
 def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
-    # Blocks of 7 rows, which divide no node count here, so the last block
-    # is short; entries agree to 1e-13 relative to the largest one.
+    # A budget below 2N rows gives blocks of 2N rows, the floor, which
+    # divides no node count here, so the last block is short; entries agree
+    # to 1e-13 relative to the largest one.
     spec = basis(d, m)
-    n = spec.node_data().rule.nodes.shape[0]
-    assert n > 7 and n % 7 != 0
+    n = spec.node_data().rule.node_count
+    assert n > 2 * spec.N and n % (2 * spec.N) != 0
     monkeypatch.setattr(hilbert, "_BLOCK_BYTES", 7 * 16 * spec.N)
     ident = pullback.identity_chart(d)
     q, _ = np.linalg.qr(np.arange(4 * d * d).reshape(2 * d, 2 * d) % 5 + np.eye(2 * d))
@@ -232,6 +242,97 @@ def test_equivalence_d2_m16_memory(tmp_path, child_process):
     assert returncode == 0, err
     assert out.split() == ["True", "False"]
     assert peak < 128 * 1024  # KiB on Linux
+
+
+def test_pulled_gram_d2_m12_traced_peak(basis):
+    # One reused row buffer and gather scratch (about 512 KiB each) and one
+    # reused (2N, 2N) product.  With all transported nodes up front and a
+    # new 2 MiB block built while the last one was alive, the peak was 8.2 MB.
+    spec = basis(2, 12)
+    spec.node_data()
+    ident, rot = pullback.identity_chart(2), pullback.rotation_chart(0.8, d=2)
+    tracemalloc.start()
+    try:
+        pullback._pulled_gram(spec, ident, rot, pullback._identity_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def sequential_kernel_probe(spec, chart_a, chart_b, psi, rng, pairs):
+    """equivalence_check's kernel probe one candidate pair at a time.
+
+    Returns the accepted pairs [(za, zb), ...] and the kernel deviation.
+    """
+    kept, kernel_dev, attempts = [], 0.0, 0
+    while len(kept) < pairs:
+        attempts += 1
+        if attempts > 200 * pairs:
+            raise ValueError("could not sample enough admissible parameter pairs")
+        pa = chart_a.sample(rng, 2)
+        pb = np.asarray(psi(pa), dtype=float)
+        if not (np.all(chart_a.in_domain(pa)) and np.all(chart_b.in_domain(pb))):
+            continue
+        za, zb = chart_a.forward(pa), chart_b.forward(pb)
+        if math.exp(0.5 * geometry.diastasis(za[0], za[1])) < 0.5:
+            continue
+        log_ratio = (hilbert.log_kernel(spec, zb[0], zb[1])
+                     - hilbert.log_kernel(spec, za[0], za[1]))
+        kernel_dev = max(kernel_dev, abs(np.expm1(log_ratio)))
+        kept.append((za, zb))
+    return kept, kernel_dev
+
+
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 12)])
+def test_batched_kernel_probe_matches_sequential(basis, d, m):
+    # Same draws, same accepted pairs bit for bit, same generator state
+    # after; the deviation only sums in another order.
+    spec = basis(d, m)
+    ident = pullback.identity_chart(d)
+    cases = [(ident, pullback.rotation_chart(0.9, d), pullback._identity_map),
+             (ident, pullback.scaling_chart(1.1, d), pullback._identity_map),
+             (ident, pullback.scaling_chart(2.0, d), pullback._identity_map)]
+    if d == 1:
+        # psi leaves the square, so some candidates fail the domain masks
+        # (and the Gram probe would refuse it: only the kernel probe runs).
+        torus = pullback.torus_chart()
+        cases.append((torus, torus, lambda p: 1.1 * p))
+    for chart_a, chart_b, psi in cases:
+        for pairs in (1, 64):
+            rng_b, rng_s = np.random.default_rng(7), np.random.default_rng(7)
+            z = pullback._kernel_pairs(chart_a, chart_b, psi, rng_b, pairs)
+            kept, want = sequential_kernel_probe(spec, chart_a, chart_b, psi, rng_s, pairs)
+            assert z.shape == (2, pairs, 2, d)
+            np.testing.assert_array_equal(z[0], [za for za, _ in kept])
+            np.testing.assert_array_equal(z[1], [zb for _, zb in kept])
+            assert rng_b.bit_generator.state == rng_s.bit_generator.state
+            if chart_a is chart_b:
+                continue
+            rep = pullback.equivalence_check(spec, chart_a, chart_b, psi, pairs=pairs,
+                                             rng=np.random.default_rng(7))
+            assert rep.pairs_used == pairs
+            assert rep.kernel_deviation == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_kernel_probe_refusals(basis):
+    # A candidate at the kernel's zero set raises SingularPair; candidates
+    # that are never admissible stop the probe after 200 * pairs draws.
+    spec = basis(1, 4)
+    ident = pullback.identity_chart(1)
+    drawn = []
+
+    def fixed(pair):
+        def sampler(rng, n):
+            drawn.append(n)
+            return np.tile(pair, (n // 2, 1))
+        return dataclasses.replace(ident, name="fixed", sampler_fn=sampler)
+
+    with pytest.raises(SingularPair):
+        pullback.equivalence_check(spec, fixed([[1.0, 0.0], [-1.0, 0.0]]), ident)
+    with pytest.raises(ValueError, match="admissible"):
+        pullback.equivalence_check(spec, fixed([[1.0, 0.0], [-0.9, 0.0]]), ident, pairs=3)
+    assert sum(drawn[1:]) == 2 * 200 * 3
 
 
 def test_equivalence_accepts_isometric_presentations(basis, rng):
