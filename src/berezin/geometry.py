@@ -13,7 +13,8 @@ potential ln(1 + |mu|^2).  This module owns the conventions:
   contracts with its inverse.  The constant is pinned so that the
   first-order commutator law of the operator layer holds with factor +1j;
   an exactly soluble rank-one case in the test suite locks the sign,
-* derivatives: central Wirtinger differences with step 1e-5 * max(1, |mu|).
+* derivatives: exact Wirtinger gradients of registry functions and symbols;
+  ``wirtinger`` (central, step 1e-5 * max(1, |mu|)) for plain callables.
 """
 
 from __future__ import annotations

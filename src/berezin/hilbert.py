@@ -167,6 +167,18 @@ class BasisSpec:
             raise IndexOutOfRange(f"index {key} not admissible for d={self.d}, m={self.m}")
         return self._positions[key]
 
+    @functools.cached_property
+    def _lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ladder gather: (d Psi_I / d mu_k) (1+|mu|^2)^(-m/2) = coef[k, I] ehat[src[k, I]].
+
+        src (d, N) is the position of I - e_k and coef = sqrt(I_k (m - |I| + 1));
+        both are 0 where I_k = 0.
+        """
+        src = np.array([[self._positions.get(I[:k] + (I[k] - 1,) + I[k + 1:], 0)
+                         for I in self.indices] for k in range(self.d)], dtype=np.intp)
+        free = self._exponents[:, self.d] + 1.0  # m - |I| + 1
+        return src, np.sqrt(self._exponents[:, :self.d].T * free)
+
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
 

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry, hilbert, operators
+from . import geometry, hilbert, operators, quadrature
 from .errors import DimensionMismatch, OddLevel, OutOfDomain, PathTooCoarse, SingularPair
 from .hilbert import BasisSpec
 from .operators import OperatorMatrix
@@ -510,9 +510,8 @@ def curvature_disk_integral(center: complex = 0.0, radius: float = 1.0) -> float
     Matches the connection integral around the disk's boundary circle.  A
     64-point Gauss-Legendre rule in r times 256 midpoint angles.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(64)
-    r = 0.5 * radius * (gl_x + 1.0)
-    wr = 0.5 * radius * gl_w
+    u, gw = quadrature._gauss_legendre(64)
+    r, wr = radius * u, radius * gw
     t = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
     z = complex(center) + r[:, None] * np.exp(1j * t)[None, :]
     dens = 2.0 / (1.0 + np.abs(z) ** 2) ** 2

@@ -141,8 +141,9 @@ def test_criterion_5_correspondence_sweep():
 
     e0_decreasing = all(x > y for x, y in zip(e0, e0[1:]))
     slope_ok = res.slope_e0 is not None and SLOPE_WINDOW[0] <= res.slope_e0 <= SLOPE_WINDOW[1]
-    # the bracket defect for this pair sits at the quadrature floor, so the
-    # sweep passes through the zero-floor branch rather than a decay fit
+    # the first-order law is exact for this pair of moment-map components,
+    # so e1 is rounding error and the sweep passes through the zero-floor
+    # branch rather than a decay fit
     e1_ok = all(x > y for x, y in zip(e1, e1[1:])) or max(e1) <= 1e-10
     ok = e0_decreasing and slope_ok and e1_ok and elapsed < 300.0
     assert verdict(5, "semiclassical error sweep decays at the expected rate", ok,

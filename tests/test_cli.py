@@ -239,6 +239,22 @@ def test_star_sweep_d2_m48_memory(tmp_path, child_process):
     assert peak < 384 * 1024  # KiB on Linux
 
 
+def test_sweeps_do_not_import_numpy_polynomial(tmp_path, child_process):
+    # The Gauss-Legendre rule comes from the Jacobi matrix and the Legendre
+    # recurrence; importing numpy.polynomial cost 5-8 ms per process.
+    script = (
+        "import sys\n"
+        "from berezin import cli\n"
+        "for argv in (['star-sweep', '--d', '2', '--m-list', '4,8'],\n"
+        "             ['toeplitz-sweep', '--m-list', '4,8,16']):\n"
+        "    cli.main([*argv, '--f', 're_rational', '--g', 'im_rational',\n"
+        f"              '--out', {str(tmp_path / 'out.csv')!r}])\n"
+        "sys.exit(int('numpy.polynomial' in sys.modules))\n")
+    returncode, _, err, _ = child_process(["-c", script], tmp_path)
+    assert returncode == 0, err
+    assert (tmp_path / "out_commutator.csv").exists()
+
+
 def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it must not report as a config error
     def fail(op):

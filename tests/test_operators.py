@@ -1,12 +1,19 @@
 """Operator symbols and the star product on coherent overlaps."""
 
+import math
+
 import numpy as np
 import pytest
 
-from berezin import hilbert, operators, toeplitz
+from berezin import geometry, hilbert, operators, toeplitz
 from berezin.errors import DegenerateKernel, DimensionMismatch
 from berezin.functions import get_function
 from conftest import sample_ball
+
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
 
 
 def random_operator(spec, rng):
@@ -96,11 +103,68 @@ def test_gradient_of_hermitian_symbol(basis, rng):
     herm = operators.OperatorMatrix(spec, a.mat + a.mat.conj().T)
     dmu, dmubar = operators.CovariantSymbol(herm).gradient([0.3 + 0.2j])
     # real diagonal symbol: the two Wirtinger derivatives are conjugate
-    assert np.allclose(dmubar, np.conj(dmu), atol=1e-8)
-    ident = operators.identity_operator(spec)
-    gmu, gmubar = operators.CovariantSymbol(ident).gradient([0.3 + 0.2j])
-    assert np.allclose(gmu, 0.0, atol=1e-10)
-    assert np.allclose(gmubar, 0.0, atol=1e-10)
+    assert np.allclose(dmubar, np.conj(dmu), atol=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(1, 6), (2, 12), (3, 6)])
+def test_gradient_of_identity_symbol_vanishes(basis, rng, d, m):
+    ident = operators.identity_operator(basis(d, m))
+    mu = sample_ball(rng, d, 1.2, 1)[0]
+    for part in operators.CovariantSymbol(ident).gradient(mu):
+        assert np.max(np.abs(part)) <= 1e-14
+
+
+def mp_symbol(spec, mat, mu):
+    """Diagonal symbol sum_IJ ehat_I A_IJ conj(ehat_J) at mu, in mpmath.
+
+    ``mat`` is a list of rows of mpc entries.
+    """
+    s = sum(abs(z) ** 2 for z in mu)
+    row = []
+    for I in spec.indices:
+        mult = math.factorial(spec.m) // math.factorial(spec.m - sum(I))
+        for q in I:
+            mult //= math.factorial(q)
+        mono = mpmath.mpf(1)
+        for z, q in zip(mu, I):
+            mono *= z ** q
+        row.append(mpmath.sqrt(mult) * mono * (1 + s) ** (-mpmath.mpf(spec.m) / 2))
+    conj_row = [mpmath.conj(e) for e in row]
+    return mpmath.fsum(e * mpmath.fdot(a, conj_row) for e, a in zip(row, mat))
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@pytest.mark.parametrize("d, m", [(1, 64), (2, 12), (3, 6)])
+def test_gradient_matches_mpmath_derivative(basis, rng, d, m):
+    spec = basis(d, m)
+    op = random_operator(spec, rng)
+    mu = sample_ball(rng, d, 1.2, 1)[0]
+    with mpmath.workdps(40):
+        mat = [[mpmath.mpc(a) for a in row] for row in op.mat.tolist()]
+
+        def sigma(*xy):
+            return mp_symbol(spec, mat, [mpmath.mpc(x, y) for x, y in zip(xy[:d], xy[d:])])
+        xy = [mpmath.mpf(float(v)) for v in (*mu.real, *mu.imag)]
+        partial = [complex(mpmath.diff(sigma, xy, tuple(int(i == k) for i in range(2 * d))))
+                   for k in range(2 * d)]
+    fx, fy = np.array(partial[:d]), np.array(partial[d:])
+    want = (0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy))
+    got = operators.CovariantSymbol(op).gradient(mu)
+    scale = max(np.max(np.abs(w)) for w in want)
+    # Relative bound fixed before the first run.
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("d, m", [(1, 8), (2, 12), (3, 6)])
+def test_gradient_matches_central_differences(basis, rng, d, m):
+    op = random_operator(basis(d, m), rng)
+    sym = operators.CovariantSymbol(op)
+    mu = sample_ball(rng, d, 1.2, 1)[0]
+    want = geometry.wirtinger(sym, mu)
+    scale = max(np.max(np.abs(w)) for w in want)
+    for g, w in zip(sym.gradient(mu), want):
+        assert np.max(np.abs(g - w)) <= 1e-7 * scale
 
 
 def test_star_identity_laws(basis, rng):
@@ -279,3 +343,40 @@ def test_star_sweep_e0_closed_form_re_im(d, m_list):
     res = operators.correspondence_sweep(build("re_rational"), build("im_rational"), m_list, pt)
     for m, e0, _ in res.rows:
         assert abs(e0 * (m + d + 1) ** 2 / (m * cov) - 1.0) <= 1e-13, (d, m)
+
+
+@pytest.mark.parametrize("d, m_list", [(1, (4, 8, 16, 32, 64)), (2, (4, 8, 12, 24))])
+def test_star_sweep_e1_is_rounding_for_moment_maps(d, m_list):
+    """e1 = 0 exactly for (re_rational, im_rational); the sweep reads rounding.
+
+    With T_(f_X) = dGamma(X) / (m + d + 1) as in the e0 test, m times the
+    star commutator is the symbol of m dGamma([X, Y]) / (m + d + 1)^2, that
+    is m^2 <[X, Y]> / (m + d + 1)^2.  f_X and f_Y are moment-map components,
+    whose bracket is a fixed multiple of <[X, Y]>, so i {sigma_X, sigma_Y}
+    equals it at every m.  With exact symbol gradients e1 is rounding
+    error; the bound 1e-12 was fixed before the first run.
+    """
+    def build(name):
+        fn = get_function(name)
+        return lambda m: toeplitz.toeplitz_matrix(hilbert.build_basis(d, m), fn)
+
+    pt = np.zeros(d, dtype=complex)
+    pt[0] = 0.3 + 0.2j
+    res = operators.correspondence_sweep(build("re_rational"), build("im_rational"), m_list, pt)
+    assert [r[0] for r in res.rows] == list(m_list)
+    for m, _, e1 in res.rows:
+        assert e1 <= 1e-12, (d, m)
+
+
+def test_correspondence_sweep_takes_no_finite_differences(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("correspondence_sweep called geometry.wirtinger")
+
+    monkeypatch.setattr(geometry, "wirtinger", spy)
+    for d in (1, 2):
+        def build(name, d=d):
+            return lambda m: toeplitz.toeplitz_matrix(hilbert.build_basis(d, m), get_function(name))
+
+        res = operators.correspondence_sweep(build("re_rational"), build("abs2_rational"),
+                                             [2, 4], np.full(d, 0.3 + 0.2j))
+        assert len(res.rows) == 2

@@ -7,6 +7,11 @@ from berezin import hilbert, quadrature
 from berezin.errors import (DimensionMismatch, IndexOutOfRange, NonFiniteIntegrand,
                             ResourceLimit)
 
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
+
 
 def weighted_monomial(alpha, beta, m_eff, d):
     """nu^alpha conj(nu)^beta (1 + |nu|^2)^-(m_eff + d + 1) as a node evaluator."""
@@ -107,6 +112,58 @@ def test_gauss_legendre_data_is_shared_and_read_only():
         a.radial_nodes[0] = 0.0
     with pytest.raises(ValueError):
         a.radial_weights *= 2.0
+
+
+def mp_gauss_legendre(n):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], 40 digits.
+
+    Newton on the three-term recurrence for P_n from cos(pi (i - 1/4) / (n + 1/2))
+    for the nodes x >= 0, mirrored (P_n has parity n); call inside
+    ``mpmath.workdps(40)``.
+    """
+    coef = [((2 * k + 1) / mpmath.mpf(k + 1), k / mpmath.mpf(k + 1)) for k in range(1, n)]
+
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for a, b in coef:
+            p0, p1 = p1, a * x * p1 - b * p0
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    half = []
+    for i in range((n + 1) // 2, 0, -1):
+        x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+        step = 1
+        while abs(step) > mpmath.mpf(10) ** -36:
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+        # dp moved by a relative 1e-30 or less in the last step
+        half.append((x, 2 / ((1 - x * x) * dp * dp)))
+    mirror = [(-x, w) for x, w in reversed(half[n % 2:])]
+    return [x for x, _ in mirror + half], [w for _, w in mirror + half]
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@pytest.mark.parametrize("n", [7, 59, 257])
+def test_gauss_legendre_matches_40_digit_reference(n):
+    u, gw = quadrature._gauss_legendre(n)
+    with mpmath.workdps(40):
+        x_ref, w_ref = mp_gauss_legendre(n)
+        # the rule lives on [0, 1]: u = (x + 1) / 2, gw = w / 2
+        node_err = max(abs(mpmath.mpf(float(a)) - (x + 1) / 2) for a, x in zip(u, x_ref))
+        weight_err = max(abs(mpmath.mpf(float(a)) / (w / 2) - 1) for a, w in zip(gw, w_ref))
+    # Bounds fixed before the first run; numpy's leggauss weights are 1.4e-10
+    # off at n = 257.
+    assert node_err <= 2e-16
+    assert weight_err <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 7, 59, 257])
+def test_gauss_legendre_exact_through_degree_2n_minus_2(n):
+    u, gw = quadrature._gauss_legendre(n)
+    x, w = 2.0 * u - 1.0, 2.0 * gw
+    assert np.sum(w * x ** (2 * n - 2)) == pytest.approx(2.0 / (2 * n - 1), rel=1e-12)
+    assert np.array_equal(gw, gw[::-1])
 
 
 def test_build_rule_deterministic():
