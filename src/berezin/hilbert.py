@@ -21,17 +21,22 @@ R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
 arrays over all n nodes are built on first read, and the kernel and pullback
 checks never read them: they hold one bounded block of nodes at a time.
 ``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x) run through
-the angular FFT, one radial node at a time.  ``compress`` (c_m sum_n w_n f_n
+the angular FFT, one radial node at a time.  Compression (c_m sum_n w_n f_n
 conj(ehat_nI) ehat_nJ: the Toeplitz matrices, and the Gram matrix as the
-compression of the constant 1, cached with the node data) uses the symmetry
-once more.  A function with angular modes K has entries only on the bands
-I - J in K, and each band is one radial column of Fourier coefficients
-times R, so assembly costs O(|K| N n_r^d) and the Gram matrix is diagonal
-at the default level.  On a 2-core Xeon with numpy 2.4, one Toeplitz matrix
-of a registry function takes 1-4 ms at d = 2, m = 24 and 40-70 ms at d = 2,
+compression of the constant 1) uses the symmetry once more.  A function
+with angular modes K has entries only on the bands I - J in K, and each band
+is one radial column of Fourier coefficients times R, so assembly costs
+O(|K| N n_r^d).  ``_compress_bands`` returns those bands, {delta: (rows,
+cols, vals)}, and never an (N, N) array: the Toeplitz operators of such
+functions and the Gram matrix cached with the node data (its diagonal at
+the default level) are held as bands, applied by ``_band_dot`` and
+densified only by ``_densify``, for callers that read a dense matrix
+(``compress``, ``gram_matrix``).  On a 2-core Xeon with numpy 2.4, the bands
+of a registry function take 1-4 ms at d = 2, m = 24 and 40-70 ms at d = 2,
 m = 48 (N = 1,225, 729 radial points).  Callables that declare no modes are
-summed one radial node at a time over the full grid instead.  The only
-resource budget is the rule's node cap, quadrature.NODE_CAP.
+summed into a dense matrix one radial node at a time over the full grid
+instead.  The only resource budget is the rule's node cap,
+quadrature.NODE_CAP.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ class _NodeData:
     R: np.ndarray        # (n_r^d, N) real radial factor
     flat: np.ndarray     # (N,) angular mode of each index
     wr: np.ndarray       # (n_r^d,) radial weights times (1+s)^(-(d+1)): wcore[::n_theta^d]
-    gram: np.ndarray | None = None  # compress of the constant 1, set by _gram
+    gram: dict | None = None  # bands of the compression of the constant 1, set by _gram
 
     def _angles(self):
         """Roots of unity (n_theta,) and C-order angle multi-indices (n_theta^d, d)."""
@@ -160,6 +165,13 @@ class BasisSpec:
             self._exponents = np.column_stack([exps, self.m - exps.sum(axis=1)])
         if self._positions is None:
             self._positions = {I: k for k, I in enumerate(self.indices)}
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        """(m+1,)^d array: the position of each admissible index, 0 elsewhere."""
+        grid = np.zeros((self.m + 1,) * self.d, dtype=np.intp)
+        grid[tuple(self._exponents[:, :self.d].T)] = np.arange(self.N)
+        return grid
 
     def position(self, index: Sequence[int]) -> int:
         key = tuple(int(q) for q in index)
@@ -405,25 +417,35 @@ def compress(spec: BasisSpec, nd: _NodeData, f: Callable) -> np.ndarray:
     """T_f = c_m sum_n wcore_n f(nu_n) conj(ehat_nI) ehat_nJ on the node data; (N, N).
 
     A function that declares its angular modes (``f.modes(d)``, see
-    ``functions``) is assembled one band I - J = delta at a time; any other
-    callable is evaluated at every node and summed one radial node at a time.
+    ``functions``) is assembled one band I - J = delta at a time and then
+    densified; any other callable is evaluated at every node and summed one
+    radial node at a time.
     """
     modes = getattr(f, "modes", None)
     if modes is None:
         return _compress_nodes(spec, nd, _values(f, nd.rule.nodes))
-    return _compress_bands(spec, nd, f, modes(spec.d))
+    return _densify(spec, _compress_bands(spec, nd, f, modes(spec.d)))
 
 
-def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> np.ndarray:
-    """(T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta), zero off the bands.
+def _band_index(spec: BasisSpec, delta) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the positions of the indices I with I - delta admissible, and of I - delta."""
+    J = spec._exponents[:, :spec.d] - np.array(delta)
+    rows = np.flatnonzero(np.all(J >= 0, axis=1) & (J.sum(axis=1) <= spec.m))
+    return rows, spec._grid[tuple(J[rows].T)]
 
-    F_r[delta] is the node sum over the angles, n_theta^d wcore_r times the
-    sum of the Fourier coefficients f_k(r) of the modes k that reach delta
-    (``band_modes``).  With B = max |k_j|, the f_k are exact from an FFT of f
-    at 2B + 1 angles per dimension, so f is evaluated at n_r^d (2B+1)^d
-    points, and each band costs one (2, n_r^d) x (n_r^d, N) product.
+
+def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
+    """{delta: (rows, cols, vals)}: (T_f)[rows, cols] = vals, zero off these bands.
+
+    (T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta), with
+    ``rows``/``cols`` from ``_band_index``.  F_r[delta] is the node sum over
+    the angles, n_theta^d wcore_r times the sum of the Fourier coefficients
+    f_k(r) of the modes k that reach delta (``band_modes``).  With B = max
+    |k_j|, the f_k are exact from an FFT of f at 2B + 1 angles per dimension,
+    so f is evaluated at n_r^d (2B+1)^d points, and each band costs one
+    (2, n_r^d) x (n_r^d, N) product.
     """
-    d, m, n_theta = spec.d, spec.m, nd.rule.n_theta
+    d, n_theta = spec.d, nd.rule.n_theta
     radii = nd.rule.radii
     n_s = 2 * max(abs(q) for k in modes for q in k) + 1
     angles = np.exp(2j * np.pi * np.arange(n_s) / n_s)[np.indices((n_s,) * d).reshape(d, -1).T]
@@ -431,18 +453,36 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> np.nd
     fhat = np.fft.fftn(vals.reshape((-1,) + (n_s,) * d), axes=tuple(range(1, d + 1)))
     fhat = fhat.reshape(radii.shape[0], -1)
     fhat *= (nd.wr * (n_theta / n_s) ** d)[:, None]
-    exps = spec._exponents[:, :d]
-    position = np.zeros((m + 1,) * d, dtype=np.intp)
-    position[tuple(exps.T)] = np.arange(spec.N)
-    out = np.zeros((spec.N, spec.N), dtype=complex)
+    out = {}
     for delta, ks in band_modes(spec, modes, n_theta).items():
         col = sum(fhat[:, np.ravel_multi_index(np.mod(k, n_s), (n_s,) * d)] for k in ks)
-        J = exps - np.array(delta)
-        rows = np.flatnonzero(np.all(J >= 0, axis=1) & (J.sum(axis=1) <= m))
-        cols = position[tuple(J[rows].T)]
+        rows, cols = _band_index(spec, delta)
         band = np.stack([col.real, col.imag]) @ (nd.R[:, rows] * nd.R[:, cols])
-        out[rows, cols] = band[0] + 1j * band[1]
-    out *= spec.c_m
+        band = band[0] + 1j * band[1]
+        band *= spec.c_m
+        out[delta] = rows, cols, band
+    return out
+
+
+def _densify(spec: BasisSpec, bands: dict) -> np.ndarray:
+    """The dense (N, N) matrix of ``bands``: the one place a banded operator is densified."""
+    out = np.zeros((spec.N, spec.N), dtype=complex)
+    for rows, cols, vals in bands.values():
+        out[rows, cols] = vals
+    return out
+
+
+def _band_dot(bands: dict, x, transpose: bool = False) -> np.ndarray:
+    """A x (A^T x with ``transpose``) for the banded A and x of shape (N,) or (N, k).
+
+    Within a band the rows are distinct, and so are the columns, so each band
+    is one gather, one product and one scatter.
+    """
+    x = np.asarray(x)
+    out = np.zeros(x.shape, dtype=np.result_type(x, complex))
+    for rows, cols, vals in bands.values():
+        src, dst = (rows, cols) if transpose else (cols, rows)
+        out[dst] += vals.reshape(vals.shape + (1,) * (x.ndim - 1)) * x[src]
     return out
 
 
@@ -537,19 +577,23 @@ def inner_product(spec: BasisSpec, f: Callable, g: Callable) -> complex:
     return spec.c_m * complex(np.sum(nd.wcore * np.conj(fv) * gv))
 
 
-def _gram(spec: BasisSpec, nd: _NodeData) -> np.ndarray:
-    """The Gram matrix on the node data, computed on first use and cached there."""
+def _gram(spec: BasisSpec, nd: _NodeData) -> dict:
+    """The Gram matrix on the node data as bands, computed on first use and cached there.
+
+    At the default level it has one band, the diagonal.
+    """
     if nd.gram is None:
-        nd.gram = compress(spec, nd, REGISTRY["one"])
+        one = REGISTRY["one"]
+        nd.gram = _compress_bands(spec, nd, one, one.modes(spec.d))
     return nd.gram
 
 
 def gram_matrix(spec: BasisSpec) -> np.ndarray:
     """Numeric Gram matrix of the basis; identity when normalizations are right.
 
-    Returns a copy of the matrix cached on ``spec.node_data()``.
+    Returns a dense copy of the bands cached on ``spec.node_data()``.
     """
-    return _gram(spec, spec.node_data()).copy()
+    return _densify(spec, _gram(spec, spec.node_data()))
 
 
 def _power(z: np.ndarray, m: int) -> np.ndarray:
@@ -613,15 +657,15 @@ def resolution_check(spec: BasisSpec, v1, v2) -> float:
     |c_m * integral <v1, psi_mu><psi_mu, v2> dweight - <v1, v2>|.  The
     (1+s)^(+-m) factors cancel analytically and are cancelled here too, and
     the node sum is taken in the order v1^H G v2 with G the cached Gram
-    matrix: the same discrete sum as on the nodes.
+    bands: the same discrete sum as on the nodes.
     """
     v1 = np.asarray(v1, dtype=complex)
     v2 = np.asarray(v2, dtype=complex)
     for v in (v1, v2):
         if v.shape != (spec.N,):
             raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
-    gram = _gram(spec, spec.node_data())
-    return float(abs(complex(np.vdot(v1, gram @ v2)) - complex(np.vdot(v1, v2))))
+    gram_v2 = _band_dot(_gram(spec, spec.node_data()), v2)
+    return float(abs(complex(np.vdot(v1, gram_v2)) - complex(np.vdot(v1, v2))))
 
 
 def to_json(spec: BasisSpec) -> str:

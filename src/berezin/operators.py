@@ -1,6 +1,8 @@
 """Finite-level operators, their covariant symbols, and the star product.
 
-An operator at level m is an (N, N) matrix in the orthonormal monomial basis.
+An operator at level m is an (N, N) matrix in the orthonormal monomial basis,
+held densely or, for Toeplitz operators of functions with declared angular
+modes, as its nonzero bands.
 Its two-point symbol is
 
     S(nu, mu) = <psi_nu, A psi_mu> / <psi_nu, psi_mu>,
@@ -38,27 +40,41 @@ DEGENERATE_TOL = 1e-14
 _SYMBOL_CHUNK = 512
 
 
-@dataclass(eq=False)
 class OperatorMatrix:
     """Level-m operator: a basis spec plus its (N, N) coefficient matrix.
 
-    ``modes``, when set, are angular modes k (d-tuples) such that the matrix
-    vanishes between indices that differ in a coordinate no k touches;
-    ``adjoint_sign`` is +1 for a Hermitian matrix, -1 for an anti-Hermitian
-    one and 0 when unknown.  ``toeplitz.operator_norm`` takes the norm of a
-    Hermitian one per block; the arithmetic below drops both.
+    An operator is given either densely, ``mat``, or by ``bands``
+    ({delta: (rows, cols, vals)}, ``hilbert._compress_bands``): then it holds
+    only those, and ``mat`` is built from them (``hilbert._densify``) when a
+    caller first reads it.  ``dot`` applies either form.  A banded operator
+    vanishes between indices that differ in a coordinate that no band offset
+    delta touches.  ``adjoint_sign`` is +1 for a
+    Hermitian matrix, -1 for an anti-Hermitian one and 0 when unknown.
+    ``toeplitz.operator_norm`` takes the norm of a banded Hermitian one per
+    block; the arithmetic below is dense and drops both.
     """
 
-    spec: BasisSpec
-    mat: np.ndarray
-    modes: tuple | None = None
-    adjoint_sign: int = 0
+    def __init__(self, spec: BasisSpec, mat=None, *, bands: dict | None = None,
+                 adjoint_sign: int = 0):
+        self.spec, self.bands, self.adjoint_sign = spec, bands, adjoint_sign
+        self._mat = None
+        if bands is None:
+            self._mat = np.asarray(mat, dtype=complex)
+            if self._mat.shape != (spec.N, spec.N):
+                raise DimensionMismatch(
+                    f"matrix shape {self._mat.shape} does not match basis size {spec.N}")
 
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.shape != (self.spec.N, self.spec.N):
-            raise DimensionMismatch(
-                f"matrix shape {self.mat.shape} does not match basis size {self.spec.N}")
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            self._mat = hilbert._densify(self.spec, self.bands)
+        return self._mat
+
+    def dot(self, x, transpose: bool = False) -> np.ndarray:
+        """A x (A^T x with ``transpose``) for x of shape (N,) or (N, k), from the bands if any."""
+        if self.bands is not None:
+            return hilbert._band_dot(self.bands, x, transpose)
+        return (self.mat.T if transpose else self.mat) @ x
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _same_spec(self, other)
@@ -125,7 +141,7 @@ class CovariantSymbol:
         if single:
             pts = pts.reshape(1, -1)
         ehat = hilbert.eval_matrix_normalized(self.spec, pts)
-        vals = np.einsum("ki,ij,kj->k", ehat, self.op.mat, ehat.conj())
+        vals = np.einsum("ki,ik->k", ehat, self.op.dot(ehat.conj().T))
         return complex(vals[0]) if single else vals
 
     def cross(self, nu_pts, mu_pts, weighted: bool = False) -> np.ndarray:
@@ -138,7 +154,7 @@ class CovariantSymbol:
         mu_pts = hilbert._as_points(self.spec, mu_pts)
         ehat_nu = hilbert.eval_matrix_normalized(self.spec, nu_pts)
         ehat_mu = hilbert.eval_matrix_normalized(self.spec, mu_pts)
-        weighted_vals = (ehat_nu @ self.op.mat) @ ehat_mu.conj().T
+        weighted_vals = self.op.dot(ehat_nu.T, transpose=True).T @ ehat_mu.conj().T
         if weighted:
             return weighted_vals
         what = hilbert.normalized_pairing(nu_pts, mu_pts)
@@ -158,14 +174,14 @@ class CovariantSymbol:
         With row = ehat(mu), zeta its unit lift and L_k the ladder gather
         ``BasisSpec._lowering``: d sigma / d mu_k = (L_k row) A row^H -
         m conj(zeta_k) zeta_d sigma, d sigma / d mubar_k = row A (L_k row)^H -
-        m zeta_k zeta_d sigma.  One row, d gathers, three mat-vecs.
+        m zeta_k zeta_d sigma.  One row, d gathers, two mat-vecs and d + 1 dots.
         """
-        spec, mat = self.spec, self.op.mat
+        spec = self.spec
         lift = hilbert.unit_lift(geometry.as_point(mu, d=spec.d)[None])
         row = hilbert._lift_rows(spec, lift)[0]
         src, coef = spec._lowering
         low = coef * row[src]
-        a_row, row_a = mat @ row.conj(), row @ mat
+        a_row, row_a = self.op.dot(row.conj()), self.op.dot(row, transpose=True)
         zeta, scale = lift[0, :spec.d], -spec.m * lift[0, spec.d] * (row @ a_row)
         return low @ a_row + scale * zeta.conj(), low.conj() @ row_a + scale * zeta
 
@@ -178,14 +194,16 @@ def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu) -> complex:
     agrees with the diagonal symbol of ``op1 @ op2`` to rounding error.  The
     node sum of <psi_mu, A1 psi_nu><psi_nu, A2 psi_mu> is taken in the order
     (row A1) G (A2 row^H), with row the normalized basis row at mu and G the
-    Gram matrix of the node data (diagonal at the default level).
+    Gram bands of the node data (the diagonal at the default level); banded
+    operators are applied by their bands.
     """
     _same_spec(op1, op2)
     spec = op1.spec
     mu = geometry.as_point(mu, d=spec.d)
     gram = hilbert._gram(spec, spec.node_data())
     row = hilbert.eval_matrix_normalized(spec, mu)[0]
-    return complex((row @ op1.mat) @ gram @ (op2.mat @ row.conj()))
+    left = hilbert._band_dot(gram, op1.dot(row, transpose=True), transpose=True)
+    return complex(left @ op2.dot(row.conj()))
 
 
 def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:

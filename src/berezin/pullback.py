@@ -168,7 +168,7 @@ def pull_section(spec: BasisSpec, chart: DiffeoChart, v, params):
 
 def pulled_apply(op: PulledOperator, v, params):
     """(A s)(tau(p)): the base matrix acts on coefficients, then pull."""
-    coeffs = op.base.mat @ np.asarray(v, dtype=complex)
+    coeffs = op.base.dot(np.asarray(v, dtype=complex))
     return pull_section(op.base.spec, op.chart, coeffs, params)
 
 
@@ -193,17 +193,24 @@ def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2) -> co
     """Inner product of two pulled-back sections, computed in parameter space.
 
     Transports the chart rule through the inverse map and sums the normalized
-    sections against ``measure_factor``, the measure from the chart Jacobian,
-    one bounded node block at a time (``hilbert._row_blocks``).
+    sections against the transported rule, one bounded node block at a time
+    (``hilbert._row_blocks``).  The Lebesgue weight w / (2^d |det J|) times
+    ``measure_factor`` is w (1 + s)^-(d+1): the Jacobian cancels and is never
+    evaluated.
     """
     v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
     total = 0j
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
-        params = chart.inverse(nodes)
-        wleb = weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
-        f = rows(chart.forward(params)) @ v
-        total += complex(np.sum(wleb * measure_factor(chart, params) * np.conj(f[:, 0]) * f[:, 1]))
+        z = chart.forward(chart.inverse(nodes))
+        f = rows(z) @ v
+        total += complex(np.sum(_core_weights(weights, z) * np.conj(f[:, 0]) * f[:, 1]))
     return spec.c_m * total
+
+
+def _core_weights(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rule weights times (1 + |z|^2)^-(d+1) at the transported chart points z."""
+    s = np.sum(np.abs(z) ** 2, axis=1)
+    return weights * np.exp(-(z.shape[1] + 1.0) * np.log1p(s))
 
 
 def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
@@ -212,6 +219,7 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
 
     c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
     chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
+    The Jacobian cancels in wleb h = w (1 + s_a)^-(d+1) (``_core_weights``).
     The rule is transported, ``psi`` included, one node block at a time
     (``hilbert._row_blocks``), and the rescaling and sqrt(wleb h) (> 0) scale
     each block in place.  With S the real (rows, 2N) view of a block (columns
@@ -222,12 +230,12 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     P, prod = np.zeros((2 * spec.N, 2 * spec.N)), np.empty((2 * spec.N, 2 * spec.N))
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
         params = chart_a.inverse(nodes)
-        wleb = weights / ((2.0 ** chart_a.d) * chart_a.jacobian_det(params))
-        s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
+        z_a = chart_a.forward(params)
+        s_a = np.sum(np.abs(z_a) ** 2, axis=1)
         mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
         s_b = np.sum(np.abs(mapped) ** 2, axis=1)
         scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
-        scale *= np.sqrt(wleb * measure_factor(chart_a, params))
+        scale *= np.sqrt(_core_weights(weights, z_a))
         blk = rows(mapped)
         blk *= scale[:, None]
         S = blk.view(float)

@@ -13,23 +13,25 @@ approaches the quantized Poisson bracket.
 
 The weight is U(1)^d-invariant, so a function with angular modes K (every
 registry function, and the bracket of two of them, declares K) has T_f zero
-off the bands I - J in K; ``hilbert.compress`` assembles those bands only.
-Such an operator carries its modes, and it is Hermitian when f is real.
-Its norm is then the largest |eigenvalue| over the index blocks that no mode
+off the bands I - J in K.  Its ``ToeplitzMatrix`` holds those bands only
+(``hilbert._compress_bands``), and it is Hermitian when f is real.  Its
+norm is then the largest |eigenvalue| over the index blocks that no mode
 couples (``operator_norm``): single indices for K = {0}, chains in I_1 at
-fixed (I_2, ..., I_d) for K = {e_1, -e_1}.  The commutator defect
-m [T_f, T_g] - i T_{f,g} of two real functions is anti-Hermitian with the
-blocks of all three, formed per block.  At d = 2, m = 48 (N = 1,225) a norm
-(a defect) takes 10-20 ms (10 ms) from the blocks, 1.0 s (0.4 s) densely.
-``sup_estimate`` samples angles only where a mode is.  Plain callables keep
-the radial-node loop, the full sup grid, the dense commutator and the SVD.
+fixed (I_2, ..., I_d) for K = {e_1, -e_1}; each stack of equal-size blocks
+is scattered straight from the bands.  The commutator defect
+m [T_f, T_g] - i T_{f,g} of two real functions is anti-Hermitian with bands
+K_f + K_g, formed as band products in O(|K_f| |K_g| N) and normed the same
+way, so a registry sweep holds one block stack at a time and never an
+(N, N) operator.  At d = 2, m = 48 (N = 1,225) a norm (a defect) takes
+10-20 ms (10 ms) from the blocks, 1.0 s (0.4 s) densely.  ``sup_estimate``
+samples angles only where a mode is.  Plain callables keep the dense
+matrix, the radial-node loop, the full sup grid, the dense commutator and
+the SVD.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from dataclasses import dataclass
 
 from . import geometry, hilbert, quadrature
 from .functions import ChartFunction
@@ -41,11 +43,12 @@ from .operators import OperatorMatrix, SweepResult, _fit_slope, commutator
 _SUP_BLOCK = 2 ** 15
 
 
-@dataclass(eq=False)
 class ToeplitzMatrix(OperatorMatrix):
     """Compression of multiplication by a named chart function."""
 
-    symbol: str = ""
+    def __init__(self, spec: BasisSpec, mat=None, *, symbol: str = "", **kwargs):
+        super().__init__(spec, mat, **kwargs)
+        self.symbol = symbol
 
 
 def _symbol_name(f) -> str:
@@ -77,48 +80,60 @@ def toeplitz_matrix(spec: BasisSpec, f) -> ToeplitzMatrix:
     ``f`` is a vectorized evaluator over (n, d) node arrays; a ChartFunction's
     weight_degree (default 1 for plain callables) picks a rule exact for the
     matrix-element integrands.  When ``f`` declares angular modes the
-    operator carries the bands it has on that rule (``hilbert.band_modes``),
-    and adjoint_sign 1 when ``f`` is real.
+    operator holds only the bands it has on that rule (``hilbert.band_modes``),
+    and adjoint_sign 1 when ``f`` is real; otherwise it is dense.
     """
     nd = spec.node_data(_default_level(spec, f))
-    mat = hilbert.compress(spec, nd, f)
-    modes = getattr(f, "modes", None)
-    if modes is not None:
-        modes = tuple(hilbert.band_modes(spec, modes(spec.d), nd.rule.n_theta))
-    return ToeplitzMatrix(spec, mat, modes=modes, adjoint_sign=int(getattr(f, "real", False)),
-                          symbol=_symbol_name(f))
+    modes, sign, name = getattr(f, "modes", None), int(getattr(f, "real", False)), _symbol_name(f)
+    if modes is None:
+        return ToeplitzMatrix(spec, hilbert.compress(spec, nd, f), adjoint_sign=sign, symbol=name)
+    return ToeplitzMatrix(spec, bands=hilbert._compress_bands(spec, nd, f, modes(spec.d)),
+                          adjoint_sign=sign, symbol=name)
 
 
-def _block_norm(spec: BasisSpec, modes, blocks) -> float:
-    """Largest |eigenvalue| of the Hermitian ``blocks(ix)`` over the blocks of ``modes``.
+def _block_norm(spec: BasisSpec, bands: dict) -> float:
+    """Largest |eigenvalue| of the Hermitian operator with these bands, block by block.
 
-    A block is a set of indices that agree on every coordinate that no mode
-    touches; an operator with these modes has no entry between two blocks.
-    ``ix`` is the fancy index of the stacked blocks of one size.
+    A block is a set of indices that agree on every coordinate that no band
+    offset touches; the operator has no entry between two blocks.  Blocks of
+    one size are stacked in key order, each index at its place in the stable
+    sort, and each stack is scattered straight from the bands and passed to
+    ``eigvalsh`` (which reads each block's lower triangle).
     """
     key = np.zeros(spec.N, dtype=np.intp)
     for j in range(spec.d):
-        if not any(k[j] for k in modes):
+        if not any(delta[j] for delta in bands):
             key = key * (spec.m + 1) + spec._exponents[:, j]
     order = np.argsort(key, kind="stable")
-    _, starts, sizes = np.unique(key[order], return_index=True, return_counts=True)
-    stacks = (order[starts[sizes == size][:, None] + np.arange(size)]
-              for size in set(sizes.tolist()))
-    return max(float(np.max(np.abs(np.linalg.eigvalsh(blocks((idx[:, :, None], idx[:, None, :]))))))
-               for idx in stacks)
+    _, starts, inverse, sizes = np.unique(key[order], return_index=True,
+                                          return_inverse=True, return_counts=True)
+    block, pos = np.empty(spec.N, dtype=np.intp), np.empty(spec.N, dtype=np.intp)
+    block[order] = inverse
+    pos[order] = np.arange(spec.N) - starts[inverse]
+    best = 0.0
+    for size in sorted(set(sizes.tolist())):
+        ids = np.flatnonzero(sizes == size)
+        slot = np.full(sizes.size, -1)
+        slot[ids] = np.arange(ids.size)
+        stack = np.zeros((ids.size, size, size), dtype=complex)
+        for rows, cols, vals in bands.values():
+            at = slot[block[rows]]
+            sel = at >= 0
+            stack[at[sel], pos[rows[sel]], pos[cols[sel]]] = vals[sel]
+        best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(stack)))))
+    return best
 
 
 def operator_norm(op) -> float:
     """Spectral norm; accepts an operator wrapper or a bare matrix.
 
-    A Hermitian operator with declared ``modes`` is block diagonal
-    (``_block_norm``), and its norm is the largest |eigenvalue| over the
-    blocks (``eigvalsh`` reads each block's lower triangle).  A bare matrix,
+    A banded Hermitian operator is block diagonal, and its norm is the
+    largest |eigenvalue| over the blocks (``_block_norm``).  A bare matrix,
     or an operator without that structure, goes to the SVD.
     """
-    if getattr(op, "modes", None) is None or op.adjoint_sign != 1:
+    if getattr(op, "bands", None) is None or op.adjoint_sign != 1:
         return float(np.linalg.norm(getattr(op, "mat", op), 2))
-    return _block_norm(op.spec, op.modes, lambda ix: op.mat[ix])
+    return _block_norm(op.spec, op.bands)
 
 
 def _gradients(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,27 +173,39 @@ def bracket_function(f, g):
 
 
 def _defect(spec: BasisSpec, tf, tg, tb) -> float:
-    """|| m [T_f, T_g] - i T_b || from the three assembled matrices.
+    """|| m [T_f, T_g] - i T_b || from the three assembled operators.
 
-    When all three declare modes and are Hermitian, the defect is anti-Hermitian
-    with their blocks, and is formed and normed per block, in place; otherwise
-    the dense commutator goes to the SVD.
+    When all three are banded and Hermitian, i (m [T_f, T_g] - i T_b) is
+    Hermitian with bands K_f + K_g; it is formed as band products, O(|K_f|
+    |K_g| N), and normed by ``_block_norm``.  Otherwise the dense commutator
+    goes to the SVD.
     """
     ops = (tf, tg, tb)
-    if any(t.modes is None or t.adjoint_sign != 1 for t in ops):
+    if any(t.bands is None or t.adjoint_sign != 1 for t in ops):
         return operator_norm(spec.m * commutator(tf, tg).mat - 1j * tb.mat)
-
-    def hermitian_blocks(ix):  # i (m [A, B] - i C) on the blocks ix
-        a, b = tf.mat[ix], tg.mat[ix]
-        out = a @ b
-        out -= b @ a
+    full: dict = {}  # delta -> (N,) entries (I, I - delta), zero where I - delta is not admissible
+    for a, b, sign in ((tf, tg, 1.0), (tg, tf, -1.0)):
+        for db, (rb, cb, vb) in b.bands.items():
+            at = np.full(spec.N, -1)
+            at[rb] = np.arange(rb.size)
+            for da, (ra, ca, va) in a.bands.items():
+                k = at[ca]  # B's entry in row J = I - da, if any
+                ok = k >= 0
+                delta = tuple(p + q for p, q in zip(da, db))
+                out = full.setdefault(delta, np.zeros(spec.N, dtype=complex))
+                out[ra[ok]] += sign * (va[ok] * vb[k[ok]])
+    for delta in tb.bands:
+        full.setdefault(delta, np.zeros(spec.N, dtype=complex))
+    bands = {}
+    for delta, out in full.items():
         out *= spec.m
-        del a, b
-        out -= 1j * tb.mat[ix]
+        if delta in tb.bands:
+            rows, _, vals = tb.bands[delta]
+            out[rows] -= 1j * vals
         out *= 1j
-        return out
-
-    return _block_norm(spec, sum((t.modes for t in ops), ()), hermitian_blocks)
+        rows, cols = hilbert._band_index(spec, delta)
+        bands[delta] = rows, cols, out[rows]
+    return _block_norm(spec, bands)
 
 
 def commutator_defect(spec: BasisSpec, f, g) -> float:

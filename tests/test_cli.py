@@ -226,6 +226,18 @@ def test_star_sweep_d2_m24_memory(capsys, tmp_path, child_process):
     assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
+def test_toeplitz_sweep_d2_m48_memory(tmp_path, child_process):
+    # Registry operators are held as bands and normed block by block; no
+    # (N, N) operator is built.  With dense operators this run peaked at
+    # 130 MiB; the bound was fixed before the first run.
+    argv = ["toeplitz-sweep", "--d", "2", "--f", "abs2_rational", "--g", "im_rational",
+            "--m-list", "16,32,48"]
+    returncode, _, err, peak = child_process(
+        ["-m", "berezin.cli", *argv, "--out", str(tmp_path / "tp.csv")], tmp_path)
+    assert returncode == 0, err
+    assert peak < 96 * 1024  # KiB on Linux
+
+
 def test_star_sweep_d2_m48_memory(tmp_path, child_process):
     # Star sweeps of registry functions read only the radial table and
     # weights of a basis; no array over the m = 48 grid (1.4M nodes) is
@@ -240,7 +252,7 @@ def test_star_sweep_d2_m48_memory(tmp_path, child_process):
 
 
 def test_sweeps_do_not_import_numpy_polynomial(tmp_path, child_process):
-    # The Gauss-Legendre rule comes from the Jacobi matrix and the Legendre
+    # The Gauss-Legendre rule comes from asymptotic nodes and the Legendre
     # recurrence; importing numpy.polynomial cost 5-8 ms per process.
     script = (
         "import sys\n"

@@ -210,7 +210,8 @@ def test_node_data_does_not_call_the_evaluator(monkeypatch):
         nd = spec.node_data(level)
         want.append(nd.rule.radii.shape[0])
         assert nd.ehat.shape == (nd.rule.node_count, spec.N)
-        assert np.max(np.abs(hilbert._gram(spec, nd) - np.eye(spec.N))) <= 1e-13
+        gram = hilbert._densify(spec, hilbert._gram(spec, nd))
+        assert np.max(np.abs(gram - np.eye(spec.N))) <= 1e-13
         assert seen == want
 
 
@@ -218,14 +219,19 @@ def test_registry_sweeps_build_no_full_grid(monkeypatch, tmp_path):
     # Band assembly, the diagonal Gram matrix, block norms and the star
     # product read only R and the radial weights, so after a Toeplitz sweep
     # and a star sweep of registry functions no node data (nor its rule)
-    # holds an array over the full angular grid.
+    # holds an array over the full angular grid.  Their operators and Gram
+    # matrices stay banded: the one densifying function is never called.
     node_data, built = hilbert._node_data, []
 
     def spy(spec, rule):
         built.append(node_data(spec, rule))
         return built[-1]
 
+    def refuse(*args):
+        raise AssertionError("dense (N, N) operator")
+
     monkeypatch.setattr(hilbert, "_node_data", spy)
+    monkeypatch.setattr(hilbert, "_densify", refuse)
     toeplitz.toeplitz_sweep(REGISTRY["abs2_rational"], REGISTRY["im_rational"], [4, 8], d=2)
     n_sweep = len(built)
     rc = cli.main(["star-sweep", "--d", "2", "--m-list", "4,8", "--f", "re_rational",

@@ -210,6 +210,51 @@ def test_star_adjoint_symmetry(basis, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, m, level", [(1, 9, None), (2, 6, None), (2, 8, 1)])
+def test_banded_operators_act_as_their_dense_form(basis, rng, d, m, level):
+    # A banded operator applied through its bands (products, symbols,
+    # gradients, star products, the Gram bands of resolution_check) against
+    # the same operator held densely.  One level below the default, modes
+    # alias and each operator has more bands.  mu_1 / (1 + |mu|^2) declares
+    # the single mode e_1, so its bands are not symmetric.  Terms are O(1)
+    # sums of at most N products, so the bound 1e-13 was fixed before the
+    # first run.
+    spec = basis(d, m)
+    e1 = (1,) + (0,) * (d - 1)
+
+    def holo(pts):
+        return pts[:, 0] / (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+
+    holo.modes = lambda dim: (e1,)
+    fns = [get_function("re_rational"), get_function("abs2_rational"), holo]
+    if level is None:
+        banded = [toeplitz.toeplitz_matrix(spec, f) for f in fns]
+    else:
+        nd = spec.node_data(level)
+        banded = [operators.OperatorMatrix(spec, bands=hilbert._compress_bands(
+            spec, nd, f, f.modes(d))) for f in fns]
+    pts = sample_ball(rng, d, 0.8, 5)
+    x = rng.normal(size=(spec.N, 3)) + 1j * rng.normal(size=(spec.N, 3))
+    for a in banded:
+        assert a.bands is not None
+        dense = operators.OperatorMatrix(spec, a.mat.copy())
+        for t in (False, True):
+            for v in (x, x[:, 0]):
+                assert np.max(np.abs(a.dot(v, t) - dense.dot(v, t))) <= 1e-13
+        sa, sd = operators.CovariantSymbol(a), operators.CovariantSymbol(dense)
+        assert np.max(np.abs(sa(pts) - sd(pts))) <= 1e-13
+        assert np.max(np.abs(sa.cross(pts, pts[::-1], weighted=True)
+                             - sd.cross(pts, pts[::-1], weighted=True))) <= 1e-13
+        for got, want in zip(sa.gradient(pts[0]), sd.gradient(pts[0])):
+            assert np.max(np.abs(got - want)) <= 1e-13
+        for b in banded:
+            want = operators.star_product(dense, operators.OperatorMatrix(spec, b.mat), pts[1])
+            assert abs(operators.star_product(a, b, pts[1]) - want) <= 1e-13
+    g = hilbert.gram_matrix(spec)
+    want = abs(np.vdot(x[:, 0], g @ x[:, 1]) - np.vdot(x[:, 0], x[:, 1]))
+    assert abs(hilbert.resolution_check(spec, x[:, 0], x[:, 1]) - want) <= 1e-13
+
+
 def test_operator_from_symbol_roundtrip(basis, rng, monkeypatch):
     spec = basis(1, 4)
     ident = operators.operator_from_symbol(spec, lambda nu, mu: np.ones((len(nu), len(mu))))

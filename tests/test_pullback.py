@@ -205,11 +205,15 @@ def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
     assert n > 2 * spec.N and n % (2 * spec.N) != 0
     monkeypatch.setattr(hilbert, "_BLOCK_BYTES", 7 * 16 * spec.N)
     ident = pullback.identity_chart(d)
+    # The identity chart without its jacobian_fn: the reference takes the
+    # Jacobian by finite differences, the streamed sums never take it.
+    numeric = dataclasses.replace(ident, name="identity_numeric_jacobian", jacobian_fn=None)
     q, _ = np.linalg.qr(np.arange(4 * d * d).reshape(2 * d, 2 * d) % 5 + np.eye(2 * d))
     cases = [(ident, pullback.rotation_chart(0.9, d), pullback._identity_map),
              (ident, pullback.scaling_chart(2.0, d), pullback._identity_map),
-             (ident, ident, lambda p: p @ q.T)]
-    charts = [ident, pullback.rotation_chart(0.9, d), pullback.scaling_chart(2.0, d)]
+             (ident, ident, lambda p: p @ q.T),
+             (numeric, pullback.rotation_chart(0.9, d), pullback._identity_map)]
+    charts = [ident, pullback.rotation_chart(0.9, d), pullback.scaling_chart(2.0, d), numeric]
     if d == 1:
         torus = pullback.torus_chart()
         cases += [(torus, ident, pullback._identity_map),

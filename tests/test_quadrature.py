@@ -114,12 +114,13 @@ def test_gauss_legendre_data_is_shared_and_read_only():
         a.radial_weights *= 2.0
 
 
-def mp_gauss_legendre(n):
+def mp_gauss_legendre(n, which=None):
     """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], 40 digits.
 
     Newton on the three-term recurrence for P_n from cos(pi (i - 1/4) / (n + 1/2))
     for the nodes x >= 0, mirrored (P_n has parity n); call inside
-    ``mpmath.workdps(40)``.
+    ``mpmath.workdps(40)``.  ``which`` (ascending positions) restricts the
+    nodes computed to those.
     """
     coef = [((2 * k + 1) / mpmath.mpf(k + 1), k / mpmath.mpf(k + 1)) for k in range(1, n)]
 
@@ -129,8 +130,7 @@ def mp_gauss_legendre(n):
             p0, p1 = p1, a * x * p1 - b * p0
         return p1, n * (x * p1 - p0) / (x * x - 1)
 
-    half = []
-    for i in range((n + 1) // 2, 0, -1):
+    def node(i):  # the i-th largest node and its weight
         x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
         step = 1
         while abs(step) > mpmath.mpf(10) ** -36:
@@ -138,7 +138,11 @@ def mp_gauss_legendre(n):
             step = p / dp
             x -= step
         # dp moved by a relative 1e-30 or less in the last step
-        half.append((x, 2 / ((1 - x * x) * dp * dp)))
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+    if which is not None:
+        return [node(n - a) for a in which]
+    half = [node(i) for i in range((n + 1) // 2, 0, -1)]
     mirror = [(-x, w) for x, w in reversed(half[n % 2:])]
     return [x for x, _ in mirror + half], [w for _, w in mirror + half]
 
@@ -156,6 +160,24 @@ def test_gauss_legendre_matches_40_digit_reference(n):
     # off at n = 257.
     assert node_err <= 2e-16
     assert weight_err <= 1e-11
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+def test_gauss_legendre_n1025_matches_40_digit_reference():
+    # The 8 nodes nearest each end, where the asymptotic start is worst, and
+    # every 64th node between: the whole 40-digit reference takes ~16 s here.
+    # The recurrence's rounding grows like n^2, so the weight bound is the
+    # n = 257 bound times 10; both bounds were fixed before the first run.
+    n = 1025
+    which = sorted({*range(8), *range(0, n, 64), *range(n - 8, n)})
+    u, gw = quadrature._gauss_legendre(n)
+    with mpmath.workdps(40):
+        ref = mp_gauss_legendre(n, which)
+        node_err = max(abs(mpmath.mpf(float(u[a])) - (x + 1) / 2) for a, (x, _) in zip(which, ref))
+        weight_err = max(abs(mpmath.mpf(float(gw[a])) / (w / 2) - 1)
+                         for a, (_, w) in zip(which, ref))
+    assert node_err <= 2e-16
+    assert weight_err <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 7, 59, 257])
