@@ -47,6 +47,15 @@ class DiffeoChart:
     arrays; ``jacobian_fn`` returns |det| of the real 2d x 2d Jacobian of
     ``forward_fn`` (finite differences when omitted); ``in_domain_fn`` is a
     boolean mask; ``sampler_fn(rng, n)`` draws interior parameters.
+
+    ``equivariant`` declares that tau commutes with the U(1)^d action: for
+    each coordinate j, rotating the pair (x_j, y_j) by theta multiplies
+    tau_j by exp(i theta) and leaves the other coordinates alone, so
+    tau(R_theta p) = exp(i theta) . tau(p), and the domain is invariant
+    under these rotations.  Like ``ChartFunction.modes`` it is a property
+    of the presentation, not an option: ``equivalence_check`` trusts it and
+    sums the angles of the rule analytically when both charts declare it
+    (``_pulled_gram``), so a chart must not declare it unless it holds.
     """
 
     name: str
@@ -57,6 +66,7 @@ class DiffeoChart:
     in_domain_fn: Callable | None = None
     sampler_fn: Callable | None = None
     descriptor: dict = field(default_factory=dict)
+    equivariant: bool = False
 
     def _params(self, params) -> np.ndarray:
         p = np.asarray(params, dtype=float)
@@ -213,6 +223,20 @@ def _core_weights(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
     return weights * np.exp(-(z.shape[1] + 1.0) * np.log1p(s))
 
 
+def _row_scale(spec: BasisSpec, z_a: np.ndarray, mapped: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """Per transported point: (1 + s_b)^(m/2) / (1 + s_a)^(m/2) times sqrt(wleb h).
+
+    The ratio moves a row at chart b's point ``mapped`` to chart a's weight
+    at ``z_a``; wleb h is ``_core_weights`` (> 0).
+    """
+    s_a = np.sum(np.abs(z_a) ** 2, axis=1)
+    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
+    scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
+    scale *= np.sqrt(_core_weights(weights, z_a))
+    return scale
+
+
 def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
                  psi: Callable) -> np.ndarray:
     """Gram matrix of chart b's basis carried by ``psi``, under chart a's measure.
@@ -220,29 +244,65 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
     chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
     The Jacobian cancels in wleb h = w (1 + s_a)^-(d+1) (``_core_weights``).
-    The rule is transported, ``psi`` included, one node block at a time
+    When ``psi`` is the identity and both charts are ``equivariant`` the
+    angles are summed in closed form (``_radial_gram``).  Otherwise the rule
+    is transported, ``psi`` included, one node block at a time
     (``hilbert._row_blocks``), and the rescaling and sqrt(wleb h) (> 0) scale
     each block in place.  With S the real (rows, 2N) view of a block (columns
     re e_I, im e_I interleaved), blk^H blk is read off the symmetric S^T S, a
     rank-k update (BLAS syrk) of one triangle into one reused (2N, 2N)
     product: half the flops of the complex product, exactly Hermitian.
     """
+    if psi is _identity_map and chart_a.equivariant and chart_b.equivariant:
+        return _radial_gram(spec, chart_a, chart_b)
     P, prod = np.zeros((2 * spec.N, 2 * spec.N)), np.empty((2 * spec.N, 2 * spec.N))
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
         params = chart_a.inverse(nodes)
         z_a = chart_a.forward(params)
-        s_a = np.sum(np.abs(z_a) ** 2, axis=1)
         mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
-        s_b = np.sum(np.abs(mapped) ** 2, axis=1)
-        scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
-        scale *= np.sqrt(_core_weights(weights, z_a))
         blk = rows(mapped)
-        blk *= scale[:, None]
+        blk *= _row_scale(spec, z_a, mapped, weights)[:, None]
         S = blk.view(float)
         P += np.matmul(S.T, S, out=prod)
     gram = (P[0::2, 0::2] + P[1::2, 1::2]) + 1j * (P[0::2, 1::2] - P[1::2, 0::2])
     gram *= spec.c_m
     return gram
+
+
+def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) -> np.ndarray:
+    """``_pulled_gram`` of two equivariant charts under the identity ``psi``.
+
+    Node (r, k) of the rule is radii[r] times the angular characters of k, so
+    both charts carry it to their images of radii[r] times those characters:
+    s_a, s_b and the weight are radial, and the row is E_r, the row at the
+    radial point, times exp(i I . theta_k).  The angular sum of exp(i (J - I)
+    . theta_k) is n_theta^d where I = J mod n_theta and 0 elsewhere, so the
+    Gram matrix lives on the bands of the constant mode (``hilbert.band_modes``;
+    the diagonal alone at the default level), (G)_{I, I - delta} = c_m sum_r
+    conj(E_rI) E_r(I-delta), with E_r scaled by the rescaling and
+    sqrt(n_theta^d wleb h).  Rows are evaluated at the n_r^d radial points
+    only.  The diagonal band is sum re^2 + im^2 and each -delta band the
+    conjugate of the delta band, so the result is exactly Hermitian.
+    """
+    rule = spec.node_data().rule
+    params = chart_a.inverse(rule.radii)
+    z_a, mapped = chart_a.forward(params), chart_b.forward(params)
+    E = hilbert.eval_matrix_normalized(spec, mapped)
+    E *= _row_scale(spec, z_a, mapped, rule.n_theta ** spec.d * rule.radii_weights)[:, None]
+    bands: dict = {}
+    for delta in hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta):
+        neg = tuple(-q for q in delta)
+        if neg in bands:
+            rows, cols, vals = bands[neg]
+            bands[delta] = cols, rows, vals.conj()
+            continue
+        rows, cols = hilbert._band_index(spec, delta)
+        if delta == neg:
+            vals = np.sum(E.real[:, rows] ** 2 + E.imag[:, rows] ** 2, axis=0)
+        else:
+            vals = np.sum(E[:, rows].conj() * E[:, cols], axis=0)
+        bands[delta] = rows, cols, spec.c_m * vals
+    return hilbert._densify(spec, bands)
 
 
 @dataclass
@@ -274,11 +334,15 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
         normalized pairing magnitude under the first chart falls below 0.5
         are resampled: the kernel has no stable digits near its zero set.
 
-    Equivalent only when both deviations are <= tol.  Presentations differing
-    by a kernel isometry (a rotation) pass; a same-domain rescaling changes
-    the two-point geometry and fails.  The rule is transported and the Gram
-    matrix accumulated one bounded node block at a time, so memory stays
-    within a few blocks and (2N, 2N) products whatever the node count.
+    Equivalent only when both deviations are <= tol; a NaN deviation is
+    reported as NaN and is not equivalent.  Presentations differing by a
+    kernel isometry (a rotation) pass; a same-domain rescaling changes the
+    two-point geometry and fails.  When ``psi`` is None and both charts are
+    ``equivariant`` (the stock identity, rotation and scaling charts), the
+    Gram matrix is summed from the rule's radial points alone, its angles in
+    closed form.  For any other pair or ``psi`` the rule is transported and
+    the Gram matrix accumulated one bounded node block at a time, so memory
+    stays within a few blocks and (2N, 2N) products whatever the node count.
     """
     if chart_a.d != spec.d or chart_b.d != spec.d:
         raise DimensionMismatch("chart dimensions do not match the basis spec")
@@ -290,9 +354,10 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
     ip_dev = float(np.max(np.abs(gram - np.eye(spec.N))))
 
     z = _kernel_pairs(chart_a, chart_b, psi, rng, pairs)
-    # |K_b / K_a - 1| in log form (the kernels overflow at large m); max() skips NaN.
+    # |K_b / K_a - 1| in log form (the kernels overflow at large m); a NaN
+    # ratio propagates, so the report shows it and the pair is not equivalent.
     log_k = spec.m * np.log(1.0 + np.sum(np.conj(z[:, :, 1]) * z[:, :, 0], axis=2))
-    kernel_dev = max([0.0, *np.abs(np.expm1(log_k[1] - log_k[0])).tolist()])
+    kernel_dev = np.max(np.abs(np.expm1(log_k[1] - log_k[0])), initial=0.0)
 
     return EquivalenceReport(
         inner_product_deviation=float(ip_dev),
@@ -342,7 +407,8 @@ def _identity_map(params):
 
 def _linear_chart(name: str, d: int, c, jacobian: float, descriptor: dict) -> DiffeoChart:
     """z = c (x + iy) per coordinate; ``c`` keeps its type, so the arithmetic
-    is the plain real or complex product and quotient."""
+    is the plain real or complex product and quotient.  Equivariant: a
+    rotation of (x_j, y_j) multiplies z_j by its phase."""
 
     def fwd(p):
         return c * (p[:, 0::2] + 1j * p[:, 1::2])
@@ -358,7 +424,7 @@ def _linear_chart(name: str, d: int, c, jacobian: float, descriptor: dict) -> Di
         name=name, d=d, forward_fn=fwd, inverse_fn=inv,
         jacobian_fn=lambda p: np.full(p.shape[0], jacobian),
         sampler_fn=lambda rng, n: rng.normal(0.0, 0.7, size=(n, 2 * d)),
-        descriptor=descriptor)
+        descriptor=descriptor, equivariant=True)
 
 
 def identity_chart(d: int = 1) -> DiffeoChart:

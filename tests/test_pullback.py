@@ -31,6 +31,24 @@ def test_chart_roundtrips(rng):
         assert np.all(chart.jacobian_det(p) > 0.0), chart.name
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stock_charts_declare_equivariance_truthfully(rng, d):
+    # Rotating each parameter pair (x_j, y_j) by its own angle multiplies
+    # tau_j by exp(i theta_j): the contract of ``equivariant``.
+    p = rng.normal(0.0, 0.7, size=(50, 2 * d))
+    theta = rng.uniform(-np.pi, np.pi, size=(50, d))
+    c, s = np.cos(theta), np.sin(theta)
+    turned = np.empty_like(p)
+    turned[:, 0::2] = c * p[:, 0::2] - s * p[:, 1::2]
+    turned[:, 1::2] = s * p[:, 0::2] + c * p[:, 1::2]
+    for chart in (pullback.identity_chart(d), pullback.rotation_chart(0.7, d),
+                  pullback.scaling_chart(2.0, d)):
+        assert chart.equivariant, chart.name
+        want = np.exp(1j * theta) * chart.forward(p)
+        assert np.all(np.abs(chart.forward(turned) - want) <= 1e-15 * np.abs(want)), chart.name
+    assert not pullback.torus_chart().equivariant
+
+
 def test_torus_chart_specifics():
     tc = pullback.torus_chart()
     center = tc.forward(np.array([[0.5, 0.5]]))
@@ -175,16 +193,24 @@ def transported_nodes(spec, chart):
     return params, rule.weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
 
 
-def dense_gram(spec, chart_a, chart_b, psi):
-    """Gram probe of equivalence_check from one table of all transported rows."""
-    params, wleb = transported_nodes(spec, chart_a)
-    s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
-    mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
-    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
-    emap = hilbert.eval_matrix_normalized(spec, mapped)
-    emap *= np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))[:, None]
-    h = pullback.measure_factor(chart_a, params)
-    return spec.c_m * ((emap.conj().T * (wleb * h)) @ emap)
+def dense_gram(spec, chart_a, chart_b, psi, chunk=None):
+    """Gram probe of equivalence_check from tables of all transported rows.
+
+    One table of all nodes, or one per ``chunk`` consecutive nodes, summed.
+    """
+    all_params, all_wleb = transported_nodes(spec, chart_a)
+    chunk = all_params.shape[0] if chunk is None else chunk
+    gram = 0.0
+    for lo in range(0, all_params.shape[0], chunk):
+        params, wleb = all_params[lo:lo + chunk], all_wleb[lo:lo + chunk]
+        s_a = np.sum(np.abs(chart_a.forward(params)) ** 2, axis=1)
+        mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
+        s_b = np.sum(np.abs(mapped) ** 2, axis=1)
+        emap = hilbert.eval_matrix_normalized(spec, mapped)
+        emap *= np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))[:, None]
+        h = pullback.measure_factor(chart_a, params)
+        gram = gram + spec.c_m * ((emap.conj().T * (wleb * h)) @ emap)
+    return gram
 
 
 def dense_inner_product(spec, chart, v1, v2):
@@ -235,6 +261,59 @@ def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
         assert abs(got - want) <= 1e-13, chart.name
 
 
+@pytest.mark.parametrize("d, m, level", [(1, 64, None), (2, 12, None), (2, 24, None),
+                                         (3, 4, None), (2, 8, 1)])
+def test_radial_gram_matches_streamed_and_dense(basis, d, m, level):
+    # Equivariant charts under the identity psi: the Gram matrix from the
+    # radial points, its angles summed in closed form, against the streamed
+    # node sum (a psi that is not the identity object takes that path) and
+    # the dense formula.  (2, 8) at level 1 has n_theta = 5 <= m, so the
+    # bands delta = +-5 alias onto the constant mode.  The identity chart
+    # without its jacobian_fn never has its Jacobian read, so its Gram matrix
+    # is bitwise the declared one's; the dense formula takes it by finite
+    # differences, one loop over the nodes, so only up to 10,000 nodes.
+    spec = basis(d, m, level)
+    ident, rot = pullback.identity_chart(d), pullback.rotation_chart(0.9, d)
+    for chart_b in (rot, pullback.scaling_chart(2.0, d)):
+        got = pullback._radial_gram(spec, ident, chart_b)
+        assert np.array_equal(got, got.conj().T), chart_b.name
+        for want in (pullback._pulled_gram(spec, ident, chart_b, lambda p: p),
+                     dense_gram(spec, ident, chart_b, pullback._identity_map, chunk=8192)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), \
+                chart_b.name
+    numeric = dataclasses.replace(ident, name="identity_numeric_jacobian", jacobian_fn=None)
+    got = pullback._radial_gram(spec, numeric, rot)
+    assert np.array_equal(got, pullback._radial_gram(spec, ident, rot))
+    if spec.node_data().rule.node_count <= 10_000:
+        want = dense_gram(spec, numeric, rot, pullback._identity_map)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_stock_equivalence_transports_no_node_blocks(monkeypatch, basis):
+    # Stock charts under psi = None never transport a node block; a user
+    # psi, a chart without the declaration, or the torus chart still does.
+    class Streamed(Exception):
+        pass
+
+    def refuse(*args):
+        raise Streamed
+
+    monkeypatch.setattr(hilbert, "_row_blocks", refuse)
+    spec = basis(2, 6)
+    ident = pullback.identity_chart(2)
+    assert pullback.equivalence_check(spec, ident, pullback.rotation_chart(0.8, d=2)).equivalent
+    assert not pullback.equivalence_check(spec, ident, pullback.scaling_chart(2.0, d=2)).equivalent
+    undeclared = dataclasses.replace(ident, equivariant=False)
+    for chart_a, chart_b, psi in [(ident, ident, lambda p: p), (ident, undeclared, None),
+                                  (undeclared, ident, None)]:
+        with pytest.raises(Streamed):
+            pullback.equivalence_check(spec, chart_a, chart_b, psi)
+    torus, ident1 = pullback.torus_chart(), pullback.identity_chart(1)
+    for chart_a, chart_b in [(torus, ident1), (ident1, torus)]:
+        with pytest.raises(Streamed):
+            pullback.equivalence_check(basis(1, 6), chart_a, chart_b)
+
+
 def test_equivalence_d2_m16_memory(tmp_path, child_process):
     # Transported rows are streamed in bounded blocks.  With the whole
     # (23,409 x 153) table and its weighted copy this check peaked at 238 MB.
@@ -249,19 +328,22 @@ def test_equivalence_d2_m16_memory(tmp_path, child_process):
 
 
 def test_pulled_gram_d2_m12_traced_peak(basis):
-    # One reused row buffer and gather scratch (about 512 KiB each) and one
-    # reused (2N, 2N) product.  With all transported nodes up front and a
-    # new 2 MiB block built while the last one was alive, the peak was 8.2 MB.
+    # Streamed (a psi that is not the identity object): one reused row buffer
+    # and gather scratch (about 512 KiB each) and one reused (2N, 2N)
+    # product.  With all transported nodes up front and a new 2 MiB block
+    # built while the last one was alive, the peak was 8.2 MB.  The radial
+    # path holds rows at the radial points only.
     spec = basis(2, 12)
     spec.node_data()
     ident, rot = pullback.identity_chart(2), pullback.rotation_chart(0.8, d=2)
-    tracemalloc.start()
-    try:
-        pullback._pulled_gram(spec, ident, rot, pullback._identity_map)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2 ** 20
+    for psi in (lambda p: p, pullback._identity_map):
+        tracemalloc.start()
+        try:
+            pullback._pulled_gram(spec, ident, rot, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 def sequential_kernel_probe(spec, chart_a, chart_b, psi, rng, pairs):
@@ -337,6 +419,24 @@ def test_kernel_probe_refusals(basis):
     with pytest.raises(ValueError, match="admissible"):
         pullback.equivalence_check(spec, fixed([[1.0, 0.0], [-0.9, 0.0]]), ident, pairs=3)
     assert sum(drawn[1:]) == 2 * 200 * 3
+
+
+def test_equivalence_nan_kernel_ratio_is_not_equivalent(basis):
+    # psi is the identity on the rule's nodes, so the Gram probe passes, and
+    # NaN on every sampled pair: the NaN ratio is reported, not dropped.
+    spec = basis(1, 4)
+    ident = pullback.identity_chart(1)
+    on_rule = {row.tobytes() for nodes, _, _ in hilbert._row_blocks(spec, spec.node_data())
+               for row in ident.inverse(nodes)}
+
+    def psi(p):
+        keep = np.array([row.tobytes() in on_rule for row in p])
+        return np.where(keep[:, None], p, np.nan)
+
+    rep = pullback.equivalence_check(spec, ident, ident, psi=psi, pairs=8)
+    assert rep.inner_product_deviation <= 1e-12
+    assert math.isnan(rep.kernel_deviation)
+    assert not rep.equivalent
 
 
 def test_equivalence_accepts_isometric_presentations(basis, rng):
