@@ -9,7 +9,7 @@ The modes come from the U(1)^d symmetry of the chart weight: in polar
 coordinates mu_j = r_j e^(i theta_j) each entry is a finite sum
 f = sum_{k in K} f_k(r) e^(i k . theta), and ``modes(d)`` is that set K of
 integer d-vectors.  Toeplitz assembly and operator norms use it
-(``hilbert.compress``, ``toeplitz.operator_norm``).
+(``hilbert._compress_bands``, ``toeplitz.operator_norm``).
 
 Evaluators are vectorized over an (n, d) complex array and return (n,).
 Gradients take a single point (d,) or an (n, d) array of points and return

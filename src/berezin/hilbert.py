@@ -17,9 +17,9 @@ Off-grid points (raw values, symbols, pullbacks) go through them.
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
-(n_r^d, N), basis rows at the radial points, and the radial weights; the
-arrays over all n nodes are built on first read, and the kernel and pullback
-checks never read them: they hold one bounded block of nodes at a time.
+(n_r^d, N), basis rows at the radial points, and the radial weights.  Node
+sums walk ``quadrature.node_blocks``, one bounded block at a time, with rows
+and unit lifts the radial ones times the characters (``_rows``, ``_lifts``).
 ``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x) run through
 the angular FFT, one radial node at a time.  Compression (c_m sum_n w_n f_n
 conj(ehat_nI) ehat_nJ: the Toeplitz matrices, and the Gram matrix as the
@@ -31,12 +31,12 @@ cols, vals)}, and never an (N, N) array: the Toeplitz operators of such
 functions and the Gram matrix cached with the node data (its diagonal at
 the default level) are held as bands, applied by ``_band_dot`` and
 densified only by ``_densify``, for callers that read a dense matrix
-(``compress``, ``gram_matrix``).  On a 2-core Xeon with numpy 2.4, the bands
-of a registry function take 1-4 ms at d = 2, m = 24 and 40-70 ms at d = 2,
-m = 48 (N = 1,225, 729 radial points).  Callables that declare no modes are
-summed into a dense matrix one radial node at a time over the full grid
-instead.  The only resource budget is the rule's node cap,
-quadrature.NODE_CAP.
+(``OperatorMatrix.mat``, ``gram_matrix``).  On a 2-core Xeon with numpy
+2.4, the bands of a registry function take 1-4 ms at d = 2, m = 24 and
+40-70 ms at d = 2, m = 48 (N = 1,225, 729 radial points).  Callables that
+declare no modes are summed into a dense matrix one radial node at a time
+instead.  Node sums hold about quadrature._BLOCK_BYTES at a time; the
+rule's node cap, quadrature.NODE_CAP, bounds the rest.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ from .functions import REGISTRY
 from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
-
-# Bytes per block: the gather scratch of _lift_rows, the row buffer of
-# _row_blocks (at least 2N rows) and the unit lifts of reproducing_residual.
-_BLOCK_BYTES = 2 ** 19
 
 
 def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
@@ -82,58 +78,27 @@ def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class _NodeData:
-    """Cached per-rule arrays: the factors of the basis table and weight pieces.
+    """Cached per-rule radial arrays: the factors of the basis table and weight pieces.
 
-    At node r * n_theta^d + k the normalized basis row is R[r] * phi[k]
-    (``rows``); the angular mode of index I is ``flat[I]``, the C-order flat
-    index of I mod n_theta on the (n_theta,)^d grid.  Fields are radial; the
-    properties span the angular grid and are built on first read.
+    At node (r, k) the normalized basis row is R[r] * exp(i I . theta_k)
+    (``_rows``); the angular mode of index I is ``flat[I]``, the C-order flat
+    index of I mod n_theta on the (n_theta,)^d grid.
     """
     rule: quadrature.QuadratureRule
     hr: np.ndarray       # (n_r^d,) (1+s)^(-m/2) at the radial points
     rlift: np.ndarray    # (n_r^d, d+1) unit lifts of the radial points
     R: np.ndarray        # (n_r^d, N) real radial factor
     flat: np.ndarray     # (N,) angular mode of each index
-    wr: np.ndarray       # (n_r^d,) radial weights times (1+s)^(-(d+1)): wcore[::n_theta^d]
+    wr: np.ndarray       # (n_r^d,) radial weights times (1+s)^(-(d+1))
     gram: dict | None = None  # bands of the compression of the constant 1, set by _gram
-
-    def _angles(self):
-        """Roots of unity (n_theta,) and C-order angle multi-indices (n_theta^d, d)."""
-        n, d = self.rule.n_theta, self.rule.d
-        return np.exp(2j * np.pi * np.arange(n) / n), np.indices((n,) * d).reshape(d, -1).T
-
-    @functools.cached_property
-    def phi(self) -> np.ndarray:
-        """(n_theta^d, N) angular characters exp(i I . theta_k), from exact integers."""
-        (roots, k), n = self._angles(), self.rule.n_theta
-        return roots[(k @ np.array(np.unravel_index(self.flat, (n,) * self.rule.d))) % n]
-
-    @functools.cached_property
-    def lift(self) -> np.ndarray:
-        """(n, d+1) unit lifts zeta of the nodes."""
-        roots, k = self._angles()
-        chars = np.column_stack([roots[k], np.ones(k.shape[0])])
-        return (self.rlift[:, None, :] * chars[None]).reshape(-1, self.rlift.shape[1])
-
-    @functools.cached_property
-    def halfw(self) -> np.ndarray:
-        """(n,) (1+s)^(-m/2) per node."""
-        return np.repeat(self.hr, self.rule.n_theta ** self.rule.d)
-
-    @functools.cached_property
-    def wcore(self) -> np.ndarray:
-        """(n,) rule weights times (1+s)^(-(d+1)) per node."""
-        return np.repeat(self.wr, self.rule.n_theta ** self.rule.d)
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Normalized basis rows of nodes lo .. hi-1, (hi - lo, N)."""
-        r, k = np.divmod(np.arange(lo, hi), self.phi.shape[0])
-        return self.phi[k] * self.R[r]
 
     @functools.cached_property
     def ehat(self) -> np.ndarray:
-        """Dense (n, N) table ``rows(0, n)``; nothing in the package reads it."""
-        return self.rows(0, self.rule.node_count)
+        """Dense (n, N) basis table; its only reader is the benchmark tracer (bench/tracer.py)."""
+        out = np.empty((self.rule.node_count, self.R.shape[1]), dtype=complex)
+        for blk in quadrature.node_blocks(self.rule, 16 * self.R.shape[1]):
+            out[blk.lo:blk.lo + blk.r.size] = _rows(self, blk)
+        return out
 
 
 @dataclass(eq=False)
@@ -194,7 +159,7 @@ class BasisSpec:
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
 
-        The one accessor of other levels.  They hold the factors R and phi of
+        The one accessor of other levels.  They hold the radial factor R of
         the basis table, not the table; the Gram matrix is cached on them.
         """
         lv = self.level if level is None else int(level)
@@ -275,44 +240,61 @@ def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
     (1+eps)^(m/2), m ulps of noise; this scale takes it out.
     """
     eps = np.full(lift.shape[0], -1.0, dtype=np.longdouble)
-    for part in lift.view(float).T:
-        eps += np.square(part, dtype=np.longdouble)
+    for col in lift.T:
+        eps += np.square(col.real, dtype=np.longdouble)
+        eps += np.square(col.imag, dtype=np.longdouble)
     return -(spec.m / 2.0) * np.log1p(eps)
 
 
 def _row_blocks(spec: BasisSpec, nd: _NodeData):
-    """(nodes, weights, rows) per block of consecutive rule nodes, in node order.
+    """(nodes, weights, rows) per block of ``quadrature.node_blocks``, in node order.
 
-    ``nodes``/``weights`` are bitwise ``rule.nodes``/``rule.weights`` there;
     ``rows(points)`` evaluates basis rows at the block's (say, transported)
-    points into one reused (block, N) buffer, gathering through one reused
-    scratch.  Blocks hold about _BLOCK_BYTES of rows but at least 2N rows.
+    points into one reused (block, N) buffer.  Blocks hold about _BLOCK_BYTES
+    of rows but at least 2N rows.
     """
-    rule, n = nd.rule, nd.rule.node_count
-    step = min(n, max(2 * spec.N, _BLOCK_BYTES // (16 * spec.N)))
-    buf, scratch = (np.empty((step, spec.N), dtype=complex) for _ in range(2))
-    # The angular factors as QuadratureRule.nodes forms them.
-    theta = 2.0 * np.pi * np.arange(rule.n_theta) / rule.n_theta
-    chars = np.exp(1j * theta[nd._angles()[1]])
+    buf = None
 
     def rows(points):
-        return _lift_rows(spec, unit_lift(points), buf, scratch)
+        return _lift_rows(spec, unit_lift(points), buf)
 
-    for lo in range(0, n, step):
-        r, k = np.divmod(np.arange(lo, min(n, lo + step)), chars.shape[0])
-        yield rule.radii[r] * chars[k], rule.radii_weights[r], rows
+    for blk in quadrature.node_blocks(nd.rule, 16 * spec.N, 2 * spec.N):
+        if buf is None:  # the first block is the largest
+            buf = np.empty((blk.r.size, spec.N), dtype=complex)
+        yield blk.nodes, blk.weights, rows
 
 
-def _lift_rows(spec: BasisSpec, lift: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _rows(nd: _NodeData, blk) -> np.ndarray:
+    """Basis rows of a node block, R[r] exp(2 pi i ((k . I) mod n_theta) / n_theta)."""
+    n = nd.rule.n_theta
+    modes = np.array(np.unravel_index(nd.flat, (n,) * nd.rule.d))
+    return np.exp(2j * np.pi * np.arange(n) / n)[(blk.k @ modes) % n] * nd.R[blk.r]
+
+
+def _lift_chars(rule: quadrature.QuadratureRule) -> np.ndarray:
+    """(n_theta^d, d+1): the characters exp(i theta_k) of each angle k, then 1."""
+    n, d = rule.n_theta, rule.d
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.column_stack([roots[np.indices((n,) * d).reshape(d, -1).T], np.ones(n ** d)])
+
+
+def _lifts(nd: _NodeData, blk, chars: np.ndarray) -> np.ndarray:
+    """Unit lifts of a node block, the radial lifts times ``_lift_chars``: (block, d+1)."""
+    r0, a = divmod(blk.lo, chars.shape[0])
+    lift = nd.rlift[r0:int(blk.r[-1]) + 1, None, :] * chars[None]
+    return lift.reshape(-1, chars.shape[1])[a:a + blk.r.size]
+
+
+def _lift_rows(spec: BasisSpec, lift: np.ndarray, out=None) -> np.ndarray:
     """eval_matrix_normalized from the (n, d+1) unit lifts of the points.
 
-    Writes into the first n rows of ``out`` and gathers through ``scratch``
-    (rows, N) when given; otherwise both are fresh, the scratch <= _BLOCK_BYTES.
+    Writes into the first n rows of ``out`` when given, else into a fresh
+    array; gathers go through a scratch of at most _BLOCK_BYTES.
     """
     n = lift.shape[0]
     E = np.empty((n, spec.N), dtype=complex) if out is None else out[:n]
-    if scratch is None:
-        scratch = np.empty((max(1, min(n, _BLOCK_BYTES // (16 * spec.N))), spec.N), dtype=complex)
+    rows = max(1, min(n, quadrature._BLOCK_BYTES // (16 * spec.N)))
+    scratch = np.empty((rows, spec.N), dtype=complex)
     powers = np.empty((n, spec.m + 1), dtype=complex)
     # The homogeneous coordinate comes first so that its gather fills E.
     for j in (spec.d, *range(spec.d)):
@@ -353,19 +335,16 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
                      wr=rule.radii_weights * np.exp(-(d + 1.0) * log1ps))
 
 
-def synthesize(spec: BasisSpec, nd: _NodeData, v) -> np.ndarray:
+def synthesize(spec: BasisSpec, nd: _NodeData, v, blk=None) -> np.ndarray:
     """ehat @ v: node values (n,) or (n, k) of coefficients v, (N,) or (N, k).
 
     At radial node r, R_rI v_I goes to angular mode ``flat[I]`` and an
     unnormalized inverse d-dim FFT over the angles gives sum_I R_rI v_I
     exp(i I . theta_k).  Below the default level n_theta can be <= m, and
-    indices that agree mod n_theta share a mode; np.add.at sums them.
+    indices that agree mod n_theta share a mode; np.add.at sums them.  Only
+    the node values of ``blk``, whole radial nodes, when one is given.
     """
-    return _synthesize(spec, nd, nd.R, v)
-
-
-def _synthesize(spec: BasisSpec, nd: _NodeData, R: np.ndarray, v) -> np.ndarray:
-    """synthesize at the radial nodes whose rows of nd.R are ``R``."""
+    R = nd.R if blk is None else nd.R[blk.r[0]:blk.r[-1] + 1]
     v = np.asarray(v, dtype=complex)
     n_rad, n_theta, tail = R.shape[0], nd.rule.n_theta, v.shape[1:]
     grid = np.zeros((n_rad, n_theta ** spec.d) + tail, dtype=complex)
@@ -375,27 +354,19 @@ def _synthesize(spec: BasisSpec, nd: _NodeData, R: np.ndarray, v) -> np.ndarray:
     return out.reshape((-1,) + tail)
 
 
-def analyze(spec: BasisSpec, nd: _NodeData, x) -> np.ndarray:
+def analyze(spec: BasisSpec, nd: _NodeData, x, blk=None) -> np.ndarray:
     """ehat^H x: coefficients (N,) or (N, k) of node values x, (n,) or (n, k).
 
     A forward d-dim FFT over the angles per radial node, read at angular
-    mode ``flat[I]`` and summed over radial nodes with weights R_rI.
+    mode ``flat[I]`` and summed over radial nodes with weights R_rI.  With
+    ``blk`` of whole radial nodes, x and the sum are the block's.
     """
-    x = np.asarray(x)
-    n_rad, n_theta, tail = nd.R.shape[0], nd.rule.n_theta, x.shape[1:]
+    x, R = np.asarray(x), (nd.R if blk is None else nd.R[blk.r[0]:blk.r[-1] + 1])
+    n_rad, n_theta, tail = R.shape[0], nd.rule.n_theta, x.shape[1:]
     F = np.fft.fftn(x.reshape((n_rad,) + (n_theta,) * spec.d + tail),
                     axes=tuple(range(1, spec.d + 1)))
     F = F.reshape((n_rad, n_theta ** spec.d) + tail)[:, nd.flat]
-    return np.einsum("ri,ri...->i...", nd.R, F)
-
-
-def _values(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """f at the (n, d) points, checked to be one value per point."""
-    vals = np.asarray(f(pts))
-    if vals.shape != (pts.shape[0],):
-        raise DimensionMismatch(
-            f"function returned shape {vals.shape}, expected ({pts.shape[0]},)")
-    return vals
+    return np.einsum("ri,ri...->i...", R, F)
 
 
 def band_modes(spec: BasisSpec, modes, n_theta: int) -> dict:
@@ -413,20 +384,6 @@ def band_modes(spec: BasisSpec, modes, n_theta: int) -> dict:
     return out
 
 
-def compress(spec: BasisSpec, nd: _NodeData, f: Callable) -> np.ndarray:
-    """T_f = c_m sum_n wcore_n f(nu_n) conj(ehat_nI) ehat_nJ on the node data; (N, N).
-
-    A function that declares its angular modes (``f.modes(d)``, see
-    ``functions``) is assembled one band I - J = delta at a time and then
-    densified; any other callable is evaluated at every node and summed one
-    radial node at a time.
-    """
-    modes = getattr(f, "modes", None)
-    if modes is None:
-        return _compress_nodes(spec, nd, _values(f, nd.rule.nodes))
-    return _densify(spec, _compress_bands(spec, nd, f, modes(spec.d)))
-
-
 def _band_index(spec: BasisSpec, delta) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols): the positions of the indices I with I - delta admissible, and of I - delta."""
     J = spec._exponents[:, :spec.d] - np.array(delta)
@@ -439,7 +396,7 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
 
     (T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta), with
     ``rows``/``cols`` from ``_band_index``.  F_r[delta] is the node sum over
-    the angles, n_theta^d wcore_r times the sum of the Fourier coefficients
+    the angles, n_theta^d wr_r times the sum of the Fourier coefficients
     f_k(r) of the modes k that reach delta (``band_modes``).  With B = max
     |k_j|, the f_k are exact from an FFT of f at 2B + 1 angles per dimension,
     so f is evaluated at n_r^d (2B+1)^d points, and each band costs one
@@ -449,7 +406,7 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
     radii = nd.rule.radii
     n_s = 2 * max(abs(q) for k in modes for q in k) + 1
     angles = np.exp(2j * np.pi * np.arange(n_s) / n_s)[np.indices((n_s,) * d).reshape(d, -1).T]
-    vals = _values(f, (radii[:, None, :] * angles[None]).reshape(-1, d))
+    vals = quadrature._values(f, (radii[:, None, :] * angles[None]).reshape(-1, d))
     fhat = np.fft.fftn(vals.reshape((-1,) + (n_s,) * d), axes=tuple(range(1, d + 1)))
     fhat = fhat.reshape(radii.shape[0], -1)
     fhat *= (nd.wr * (n_theta / n_s) ** d)[:, None]
@@ -486,18 +443,17 @@ def _band_dot(bands: dict, x, transpose: bool = False) -> np.ndarray:
     return out
 
 
-def _compress_nodes(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
-    """compress from the values v at every node, one radial node at a time.
+def _compress_nodes(spec: BasisSpec, nd: _NodeData, f: Callable) -> np.ndarray:
+    """T_f = c_m sum_n wcore_n f(nu_n) conj(ehat_nI) ehat_nJ of any callable f; (N, N).
 
+    wcore_n is the rule weight times (1+s)^(-(d+1)); the sum runs one radial
+    node at a time.
     With ehat = R (x) Phi the angular sum at radial node r is the d-dim FFT
-    F_r of wcore v over the n_theta^d angles, so the entry is c_m sum_r
+    F_r of wcore f over the n_theta^d angles, so the entry is c_m sum_r
     R_rI R_rJ F_r[(I - J) mod n_theta]; the scratch is a few (N, N) arrays
-    whatever the node count.
+    and one node block whatever the node count.
     """
     d, n_theta = spec.d, nd.rule.n_theta
-    n_rad = nd.R.shape[0]
-    g = (nd.wcore * values).reshape((n_rad,) + (n_theta,) * d)
-    F = np.fft.fftn(g, axes=tuple(range(1, d + 1))).reshape(n_rad, -1)
     # Flat C-order index of (I - J) mod n_theta over the angular grid.
     diff = np.zeros((spec.N, spec.N), dtype=np.intp)
     for j in range(d):
@@ -508,11 +464,14 @@ def _compress_nodes(spec: BasisSpec, nd: _NodeData, values) -> np.ndarray:
     # node, glibc maps and unmaps each one past 128 KiB (a page fault per
     # page), which took 2.3x the time of this loop at d = 1, m = 256.
     buf = np.empty_like(out)
-    for r in range(n_rad):
-        np.take(F[r], diff, out=buf, mode="clip")
-        buf *= nd.R[r, :, None]
-        buf *= nd.R[r]
-        out += buf
+    for blk in quadrature.node_blocks(nd.rule, 16 * (d + 2), n_theta ** d):
+        g = (nd.wr[blk.r] * quadrature._values(f, blk.nodes)).reshape((-1,) + (n_theta,) * d)
+        F = np.fft.fftn(g, axes=tuple(range(1, d + 1))).reshape(g.shape[0], -1)
+        for Rr, Fr in zip(nd.R[blk.r[0]:blk.r[-1] + 1], F):
+            np.take(Fr, diff, out=buf, mode="clip")
+            buf *= Rr[:, None]
+            buf *= Rr
+            out += buf
     out *= spec.c_m
     return out
 
@@ -567,14 +526,17 @@ def log_kernel(spec: BasisSpec, mu, nu) -> complex:
 def inner_product(spec: BasisSpec, f: Callable, g: Callable) -> complex:
     """Numeric inner product c_m * integral of conj(f) g against the level weight.
 
-    ``f``/``g`` are vectorized evaluators taking the (n, d) node array.  Both
+    ``f``/``g`` are vectorized evaluators taking (n, d) node blocks.  Both
     factors are damped by (1 + s)^(-m/2) before multiplying so the product
     stays in range whenever each factor is o((1+s)^(m/2) * 1e150).
     """
     nd = spec.node_data()
-    fv = np.asarray(f(nd.rule.nodes)) * nd.halfw
-    gv = np.asarray(g(nd.rule.nodes)) * nd.halfw
-    return spec.c_m * complex(np.sum(nd.wcore * np.conj(fv) * gv))
+    total = 0j
+    for blk in quadrature.node_blocks(nd.rule, 16 * (spec.d + 4)):
+        fv = np.asarray(f(blk.nodes)) * nd.hr[blk.r]
+        gv = np.asarray(g(blk.nodes)) * nd.hr[blk.r]
+        total += complex(np.sum(nd.wr[blk.r] * np.conj(fv) * gv))
+    return spec.c_m * total
 
 
 def _gram(spec: BasisSpec, nd: _NodeData) -> dict:
@@ -620,10 +582,10 @@ def reproducing_residual(spec: BasisSpec, v, mu):
 
     ``mu`` is one point (d,), which gives a float, or k points (k, d), which
     give a (k,) array, each bitwise the single-point residual.  The node sum
-    runs over blocks of radial nodes times all angles (about _BLOCK_BYTES of
-    unit lifts, at least one radial node): the radial lifts times the
-    characters, and wr times ``synthesize`` on the block's rows of R.  Each
-    point's pairing with a block is added to its sum in block order.
+    runs over blocks of whole radial nodes, about _BLOCK_BYTES of unit lifts
+    (``_lifts``) but at least one radial node, with wr times ``synthesize``
+    on the block.  Each point's pairing with a block is added to its sum in
+    block order.
 
     Contract: <= 1e-8 * (1 + |v(mu)|) at the spec's level.
     """
@@ -633,17 +595,12 @@ def reproducing_residual(spec: BasisSpec, v, mu):
     single = np.ndim(mu) <= 1
     pts = as_point(mu, d=spec.d).reshape(1, -1) if single else _as_points(spec, mu)
     nd = spec.node_data()
-    roots, k = nd._angles()
-    chars = np.column_stack([roots[k], np.ones(k.shape[0])])
-    lifts = unit_lift(pts)
+    lifts, chars = unit_lift(pts), _lift_chars(nd.rule)
     paired = np.zeros(pts.shape[0], dtype=complex)
-    step = max(1, _BLOCK_BYTES // (16 * (spec.d + 1) * k.shape[0]))
-    for lo in range(0, nd.R.shape[0], step):
-        wv = _synthesize(spec, nd, nd.R[lo:lo + step], v).reshape(-1, k.shape[0])
-        wv *= nd.wr[lo:lo + step, None]
-        lift = (nd.rlift[lo:lo + step, None, :] * chars[None]).reshape(-1, spec.d + 1)
+    for blk in quadrature.node_blocks(nd.rule, 16 * (spec.d + 1), chars.shape[0]):
+        wv, lift = synthesize(spec, nd, v, blk) * nd.wr[blk.r], _lifts(nd, blk, chars)
         for j in range(pts.shape[0]):
-            paired[j] += _power(np.conj(lift @ lifts[j].conj()), spec.m) @ wv.ravel()
+            paired[j] += _power(np.conj(lift @ lifts[j].conj()), spec.m) @ wv
     rows = _lift_rows(spec, lifts)
     scale = np.exp(0.5 * spec.m * np.log1p(np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)))
     out = np.array([abs(spec.c_m * paired[j] - rows[j] @ v) * scale[j]

@@ -27,17 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import geometry, hilbert
+from . import geometry, hilbert, quadrature
 from .errors import DegenerateKernel, DimensionMismatch
 from .hilbert import BasisSpec
 
 # Refuse symbol division once |what|^m drops below this; below it the quotient
 # has no trustworthy digits in double precision.
 DEGENERATE_TOL = 1e-14
-
-# Ket nodes per block of operator_from_symbol's callable path.  Blocks of
-# 2 MiB of basis rows made the d=3, m=3 round trip 40% slower.
-_SYMBOL_CHUNK = 512
 
 
 class OperatorMatrix:
@@ -214,22 +210,24 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
     bra and ket nodes; for symbols of actual level-m operators the integrand
     is in the rule's exact family and recovery is at rounding error.  For a
     CovariantSymbol of A that quadrature is G A G with G the numeric Gram
-    matrix, which is returned directly; a plain callable is integrated in
-    blocks of _SYMBOL_CHUNK ket nodes to bound memory, with the pairings
-    taken from the node data's cached unit lifts.
+    matrix, which is returned directly.  A plain callable is integrated
+    over ket node blocks of about _BLOCK_BYTES / n_theta^d nodes, each against
+    bra blocks of whole radial nodes, so a (bra, ket) table holds about
+    _BLOCK_BYTES; the bra sum is ``hilbert.analyze`` of the block.
     """
     if isinstance(symbol, CovariantSymbol):
         gram = OperatorMatrix(spec, hilbert.gram_matrix(spec))
         return gram @ symbol.op @ gram
-    nd = spec.node_data()
-    nodes, n = nd.rule.nodes, nd.rule.node_count
-    out = np.zeros((spec.N, spec.N), dtype=complex)
-    for lo in range(0, n, _SYMBOL_CHUNK):
-        hi = min(lo + _SYMBOL_CHUNK, n)
-        what = nd.lift @ nd.lift[lo:hi].conj().T
-        mid = np.asarray(symbol(nodes, nodes[lo:hi])) * what ** spec.m
-        ket = nd.rows(lo, hi) * nd.wcore[lo:hi, None]
-        out += hilbert.analyze(spec, nd, nd.wcore[:, None] * mid) @ ket
+    nd, out = spec.node_data(), np.zeros((spec.N, spec.N), dtype=complex)
+    chars = hilbert._lift_chars(nd.rule)
+    for ket in quadrature.node_blocks(nd.rule, 16 * chars.shape[0]):
+        lift = hilbert._lifts(nd, ket, chars).conj().T
+        bra_sum = 0
+        for bra in quadrature.node_blocks(nd.rule, 16 * ket.r.size, chars.shape[0]):
+            what = hilbert._lifts(nd, bra, chars) @ lift
+            mid = np.asarray(symbol(bra.nodes, ket.nodes)) * what ** spec.m
+            bra_sum = bra_sum + hilbert.analyze(spec, nd, nd.wr[bra.r, None] * mid, bra)
+        out += bra_sum @ (hilbert._rows(nd, ket) * nd.wr[ket.r, None])
     return OperatorMatrix(spec, spec.c_m ** 2 * out)
 
 
@@ -247,12 +245,14 @@ class SweepResult:
 
 
 def _fit_slope(ms: Sequence[int], errs: Sequence[float]) -> float | None:
+    """Least-squares slope of log e against log m over the positive errors, in closed form."""
     pairs = [(m, e) for m, e in zip(ms, errs) if e > 0.0]
     if len(pairs) < 2:
         return None
     lx = np.log([p[0] for p in pairs])
     ly = np.log([p[1] for p in pairs])
-    return float(np.polyfit(lx, ly, 1)[0])
+    lx -= np.mean(lx)
+    return float(np.dot(lx, ly - np.mean(ly)) / np.dot(lx, lx))
 
 
 def correspondence_sweep(f_op_builder: Callable[[int], OperatorMatrix],

@@ -120,22 +120,16 @@ class DiffeoChart:
 
 
 def _numeric_jacobian_det(chart: DiffeoChart, params: np.ndarray) -> np.ndarray:
-    out = np.empty(params.shape[0])
-    w = 2 * chart.d
-    for k in range(params.shape[0]):
-        p = params[k]
-        h = 1e-6 * max(1.0, float(np.max(np.abs(p))))
-        jac = np.empty((w, w))
-        for j in range(w):
-            e = np.zeros(w)
-            e[j] = h
-            zp = np.asarray(chart.forward_fn((p + e).reshape(1, -1)), dtype=complex).ravel()
-            zm = np.asarray(chart.forward_fn((p - e).reshape(1, -1)), dtype=complex).ravel()
-            dz = (zp - zm) / (2.0 * h)
-            jac[0::2, j] = dz.real
-            jac[1::2, j] = dz.imag
-        out[k] = abs(np.linalg.det(jac))
-    return out
+    """|det| of central-difference Jacobians, steps h = 1e-6 max(1, max |p|) per row."""
+    n, w = params.shape
+    h = 1e-6 * np.fmax(1.0, np.max(np.abs(params), axis=1))
+    jac = np.empty((n, w, w))
+    for j in range(w):
+        e = np.outer(h, np.eye(w)[j])
+        zp = np.asarray(chart.forward_fn(params + e), dtype=complex).reshape(n, -1)
+        zm = np.asarray(chart.forward_fn(params - e), dtype=complex).reshape(n, -1)
+        jac[:, :, j] = ((zp - zm) / (2.0 * h)[:, None]).view(float)  # rows re, im per z_k
+    return np.abs(np.linalg.det(jac))
 
 
 def measure_factor(chart: DiffeoChart, params) -> np.ndarray:
@@ -206,8 +200,11 @@ def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2) -> co
     sections against the transported rule, one bounded node block at a time
     (``hilbert._row_blocks``).  The Lebesgue weight w / (2^d |det J|) times
     ``measure_factor`` is w (1 + s)^-(d+1): the Jacobian cancels and is never
-    evaluated.
+    evaluated.  An ``equivariant`` chart streams nothing: the sum is v1^H G v2
+    with G its Gram matrix from the radial points (``_radial_gram``).
     """
+    if chart.equivariant:
+        return complex(np.vdot(v1, _radial_gram(spec, chart, chart) @ np.asarray(v2)))
     v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
     total = 0j
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):

@@ -34,16 +34,17 @@ radial margin for ``integrate`` on integrands outside the family.
 
 Layout.  A rule keeps its factored form: ``radii`` (n_r^d, d) and
 ``radii_weights`` (n_r^d,) for the radial product grid, and ``n_theta``
-uniform angles per dimension.  The assembled ``nodes``/``weights`` put the
-radial index outer and the angle inner: node r * n_theta^d + k is
-radii[r] * exp(2 pi i k_vec / n_theta) with weight radii_weights[r], where
-k_vec is the C-order multi-index of k over (n_theta,) * d; both are built
-on first read.  Node tables (``hilbert``) rely on this to factor each basis
-row into a radial part times an angular character.
+uniform angles per dimension.  Node r * n_theta^d + k, radial index outer
+and angle inner, is radii[r] * exp(2 pi i k_vec / n_theta) with weight
+radii_weights[r], where k_vec is the C-order multi-index of k over
+(n_theta,) * d.  ``node_blocks`` is the one loop over the nodes: it yields
+them in this order, a bounded block at a time, and no array over all of a
+rule's nodes is ever formed.  Node tables (``hilbert``) rely on the layout
+to factor each basis row into a radial part times an angular character.
 
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
-all nodes and reduces with numpy's fixed pairwise summation, so results are
-bitwise reproducible.
+each block, reduces it with numpy's fixed pairwise summation and adds the
+block sums in block order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteIntegrand, ResourceLimit
 
 NODE_CAP = 10_000_000
+
+# Bytes of per-node data in one block of ``node_blocks``.
+_BLOCK_BYTES = 2 ** 19
 
 
 def m_max(level: int) -> int:
@@ -77,9 +81,9 @@ class QuadratureRule:
     ``radial_nodes``/``radial_weights`` are the shared, read-only 1-d
     Gauss-Legendre data in the compactified variable u; ``radii`` and
     ``radii_weights`` are the radial product grid and its weights (angular
-    cell 2 pi / n_theta per dimension included); ``nodes`` and ``weights``,
-    built on first read, are the d-dimensional rule in the module's layout
-    (weights include the 2^d volume convention).  ``exact_family`` records
+    cell 2 pi / n_theta per dimension and the 2^d volume convention
+    included).  The nodes are these times the angles, in the module's
+    layout, and only ``node_blocks`` forms them.  ``exact_family`` records
     the radial sizing (see the module docstring).  ``coarse`` is the coarser
     companion of the same sizing used for error estimates; it stays None
     until the first ``integrate`` call on this rule builds it.
@@ -99,15 +103,44 @@ class QuadratureRule:
     def node_count(self) -> int:
         return self.radii.shape[0] * self.n_theta ** self.d
 
-    @functools.cached_property
-    def nodes(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-        th = np.stack(np.meshgrid(*([theta] * self.d), indexing="ij"), -1).reshape(1, -1, self.d)
-        return (self.radii[:, None] * np.exp(1j * th)).reshape(-1, self.d)
+
+class NodeBlock:
+    """Nodes lo .. lo + n - 1 of a rule: radial index ``r`` (n,); the angle
+    multi-indices ``k`` (n, d), ``nodes`` (n, d) and ``weights`` (n,) are
+    formed on first read, bitwise the layout formula's."""
+
+    def __init__(self, rule: QuadratureRule, lo: int, hi: int, angles, chars):
+        self.rule, self.lo, self._angles, self._chars = rule, lo, angles, chars
+        self.r, self._flat = np.divmod(np.arange(lo, hi), angles.shape[0])
+
+    k = functools.cached_property(lambda self: self._angles[self._flat])
+    weights = functools.cached_property(lambda self: self.rule.radii_weights[self.r])
 
     @functools.cached_property
-    def weights(self) -> np.ndarray:
-        return np.repeat(self.radii_weights, self.n_theta ** self.d)
+    def nodes(self) -> np.ndarray:
+        r0, a = divmod(self.lo, self._angles.shape[0])
+        grid = self.rule.radii[r0:int(self.r[-1]) + 1, None].astype(complex) * self._chars
+        return np.ascontiguousarray(grid.reshape(-1, self.rule.d)[a:a + self.r.size])
+
+
+def node_blocks(rule: QuadratureRule, row_bytes: int, min_nodes: int = 1):
+    """The rule's nodes in layout order, one NodeBlock at a time.
+
+    A block has max(min_nodes, _BLOCK_BYTES // row_bytes) nodes, ``row_bytes``
+    being what the caller holds per node, rounded down to whole radial nodes;
+    a larger radial node is cut into pieces of that many, so min_nodes =
+    n_theta^d keeps radial nodes whole (the angular FFTs).
+    """
+    d, n, n_ang = rule.d, rule.node_count, rule.n_theta ** rule.d
+    step = max(min_nodes, _BLOCK_BYTES // row_bytes)
+    step -= step % n_ang if step >= n_ang else 0
+    angles = np.indices((rule.n_theta,) * d).reshape(d, -1).T
+    chars = np.exp(1j * (2.0 * np.pi * np.arange(rule.n_theta) / rule.n_theta)[angles])
+    lo = 0
+    while lo < n:
+        hi = min(lo + step, n if step >= n_ang else (lo // n_ang + 1) * n_ang)
+        yield NodeBlock(rule, lo, hi, angles, chars)
+        lo = hi
 
 
 @dataclass
@@ -201,34 +234,41 @@ def build_rule(d: int, level: int, *, exact_family: bool = False) -> QuadratureR
     return _make_rule(d, level, exact_family)
 
 
+def _values(f: Callable, pts: np.ndarray) -> np.ndarray:
+    """f at the (n, d) points, checked to be one value per point."""
+    vals = np.asarray(f(pts))
+    if vals.shape != (pts.shape[0],):
+        raise DimensionMismatch(
+            f"function returned shape {vals.shape}, expected ({pts.shape[0]},)")
+    return vals
+
+
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> IntegrationResult:
     """Integrate f over the chart against the 2^d Lebesgue convention.
 
-    ``f`` receives the (n, d) complex node array and must return (n,) values.
+    ``f`` receives (n, d) blocks of complex nodes and must return (n,) values.
     The error estimate compares against the rule's coarse companion: one
     level down with the same sizing, half the radial nodes and 3 angles below
     level 1.  The first call builds it and stores it as ``rule.coarse``; a
     companion of level 0 has none, and its estimate is 0.  Raises
     NonFiniteIntegrand naming the first offending node.
     """
-    def reduce(nodes, weights):
-        vals = np.asarray(f(nodes))
-        if vals.shape != (nodes.shape[0],):
-            raise DimensionMismatch(
-                f"integrand returned shape {vals.shape}, expected ({nodes.shape[0]},)")
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise NonFiniteIntegrand(f"integrand non-finite at node {k}: {nodes[k]}")
-        return complex(np.sum(weights * vals))
+    def reduce(rule):
+        total = 0j
+        for blk in node_blocks(rule, 16 * (rule.d + 3)):
+            vals = _values(f, blk.nodes)
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise NonFiniteIntegrand(
+                    f"integrand non-finite at node {blk.lo + k}: {blk.nodes[k]}")
+            total += complex(np.sum(blk.weights * vals))
+        return total
 
-    value = reduce(rule.nodes, rule.weights)
+    value = reduce(rule)
     if rule.coarse is None and rule.level > 0:
         rule.coarse = _make_rule(rule.d, rule.level - 1, rule.exact_family)
-    if rule.coarse is not None:
-        err = abs(value - reduce(rule.coarse.nodes, rule.coarse.weights))
-    else:
-        err = 0.0
+    err = abs(value - reduce(rule.coarse)) if rule.coarse is not None else 0.0
     return IntegrationResult(value=value, error_estimate=float(err))
 
 

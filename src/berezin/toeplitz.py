@@ -67,11 +67,14 @@ def project(spec: BasisSpec, f) -> np.ndarray:
     """Coefficients of the orthogonal projection of ``f`` into the level space.
 
     For ``f`` already a section (a polynomial of degree <= m) this returns its
-    coefficient vector back.
+    coefficient vector back.  ``f`` is evaluated one node block at a time.
     """
     nd = spec.node_data(_default_level(spec, f))
-    fv = np.asarray(f(nd.rule.nodes), dtype=complex) * nd.halfw
-    return spec.c_m * hilbert.analyze(spec, nd, nd.wcore * fv)
+    out = 0
+    for blk in quadrature.node_blocks(nd.rule, 16 * (spec.d + 2), nd.rule.n_theta ** spec.d):
+        fv = np.asarray(f(blk.nodes), dtype=complex) * nd.hr[blk.r]
+        out = out + hilbert.analyze(spec, nd, nd.wr[blk.r] * fv, blk)
+    return spec.c_m * out
 
 
 def toeplitz_matrix(spec: BasisSpec, f) -> ToeplitzMatrix:
@@ -86,7 +89,8 @@ def toeplitz_matrix(spec: BasisSpec, f) -> ToeplitzMatrix:
     nd = spec.node_data(_default_level(spec, f))
     modes, sign, name = getattr(f, "modes", None), int(getattr(f, "real", False)), _symbol_name(f)
     if modes is None:
-        return ToeplitzMatrix(spec, hilbert.compress(spec, nd, f), adjoint_sign=sign, symbol=name)
+        return ToeplitzMatrix(spec, hilbert._compress_nodes(spec, nd, f), adjoint_sign=sign,
+                              symbol=name)
     return ToeplitzMatrix(spec, bands=hilbert._compress_bands(spec, nd, f, modes(spec.d)),
                           adjoint_sign=sign, symbol=name)
 

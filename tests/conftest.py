@@ -50,6 +50,21 @@ def sample_ball(rng, d, radius, n):
     return out
 
 
+def layout_nodes(rule):
+    """All nodes (n, d) and weights (n,) of a rule from the layout formula.
+
+    Node r * n_theta^d + k is radii[r] * exp(i theta_k), theta_k = 2 pi
+    k_vec / n_theta with k_vec the C-order multi-index of k, and its weight
+    is radii_weights[r].  Test references only: the package forms nodes one
+    block at a time (``quadrature.node_blocks``).
+    """
+    d, n_ang = rule.d, rule.n_theta ** rule.d
+    theta = 2.0 * np.pi * np.arange(rule.n_theta) / rule.n_theta
+    k = np.indices((rule.n_theta,) * d).reshape(d, -1).T
+    nodes = (rule.radii[:, None] * np.exp(1j * theta[k])[None]).reshape(-1, d)
+    return nodes, np.repeat(rule.radii_weights, n_ang)
+
+
 def admissible(mu, nu):
     """Pairs whose pairing cannot lose precision to cancellation."""
     bound = 1.0 + np.sum(np.abs(mu) * np.abs(nu))

@@ -159,6 +159,24 @@ def test_star_sweep_equal_pair_passes_by_floor(capsys, tmp_path):
     assert rc == 0
 
 
+def test_sweeps_fit_slopes_without_least_squares(monkeypatch, tmp_path):
+    # The sidecar slopes are the closed-form fit: neither sweep reaches
+    # numpy's polynomial fit or its least-squares solver.
+    def refuse(*args, **kwargs):
+        raise AssertionError("least-squares solver called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    out = tmp_path / "a.csv"
+    for argv, keys in (
+            (["star-sweep", "--f", "re_rational", "--g", "im_rational"], ["slope_e0"]),
+            (["toeplitz-sweep", "--f", "abs2_rational", "--g", "im_rational"],
+             ["norm_defect_slope", "commutator_defect_slope"])):
+        assert cli.main(argv + ["--m-list", "4,8,16,32,64", "--out", str(out)]) == 0, argv
+        meta = json.loads(out.with_suffix(".json").read_text())
+        assert all(isinstance(meta[key], float) for key in keys), meta
+
+
 def test_star_sweep_single_level_has_null_slope(capsys, tmp_path):
     out = tmp_path / "star.csv"
     rc, _, _ = run(capsys, "star-sweep", "--m-list", "8",

@@ -1,6 +1,7 @@
 """Hilbert space data: index order, orthonormality, kernels, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from berezin import cli, geometry, hilbert, operators, pullback, quadrature, toeplitz
 from berezin.errors import DimensionMismatch, IndexOutOfRange
 from berezin.functions import REGISTRY
-from conftest import sample_ball, admissible
+from conftest import admissible, layout_nodes, sample_ball
 
 
 def test_index_enumeration_graded_lex():
@@ -111,11 +112,17 @@ def test_factored_table_matches_the_evaluator(d, m):
     # entry on either side carries O(m) rounded factors (power products at
     # the nodes, or at the radial points times a character), so the bound is
     # 8 m eps.
+    # The unit lifts of the node blocks, radial lifts times characters, are
+    # checked against unit_lift at the nodes the same way.
     spec = hilbert.build_basis(d, m)
     nd = spec.node_data()
-    want = hilbert.eval_matrix_normalized(spec, nd.rule.nodes)
+    nodes, _ = layout_nodes(nd.rule)
+    want = hilbert.eval_matrix_normalized(spec, nodes)
     assert np.max(np.abs(nd.ehat - want)) <= 8 * m * np.finfo(float).eps
-    assert np.max(np.abs(nd.lift - hilbert.unit_lift(nd.rule.nodes))) <= 8 * np.finfo(float).eps
+    chars = hilbert._lift_chars(nd.rule)
+    lifts = np.concatenate([hilbert._lifts(nd, blk, chars)
+                            for blk in quadrature.node_blocks(nd.rule, 2 ** 14)])
+    assert np.max(np.abs(lifts - hilbert.unit_lift(nodes))) <= 8 * np.finfo(float).eps
     n_ang = nd.rule.n_theta ** d
     assert np.array_equal(nd.ehat.reshape(-1, n_ang, spec.N)[:, 0], nd.R.astype(complex))
 
@@ -127,16 +134,19 @@ TRANSFORM_CASES = [(1, 8, None), (1, 256, None), (2, 12, None), (3, 5, None),
 
 
 @pytest.mark.parametrize("d, m, level", TRANSFORM_CASES)
-def test_transforms_match_the_dense_table(d, m, level):
+def test_transforms_match_the_dense_table(monkeypatch, d, m, level):
     # synthesize = E v and analyze = E^H x against the dense evaluator E at
     # the rule's nodes.  Columns have unit l1 norm, so the table's entry
     # error (8 m eps, the bound above) moves a result by at most 8 m eps; the
     # FFT adds O(log n_theta^d) eps.  The bound, 16 m eps, was fixed first.
+    # The same on blocks of whole radial nodes, several per block and (with
+    # the budget cut to 0) one: synthesize gives the block's rows of E v, and
+    # analyze summed over the blocks gives E^H x.
     spec = hilbert.build_basis(d, m, level=level)
     nd = spec.node_data()
     if level is not None:
         assert nd.rule.n_theta <= m
-    E = hilbert.eval_matrix_normalized(spec, nd.rule.nodes)
+    E = hilbert.eval_matrix_normalized(spec, layout_nodes(nd.rule)[0])
     rng = np.random.default_rng(d * 1000 + m)
     bound = 16 * m * np.finfo(float).eps
     for shape in ((spec.N,), (spec.N, 3)):
@@ -151,11 +161,24 @@ def test_transforms_match_the_dense_table(d, m, level):
         got = hilbert.analyze(spec, nd, x)
         assert got.shape == (spec.N,) + shape[1:]
         assert np.max(np.abs(got - E.conj().T @ x)) <= bound
+    n_ang = nd.rule.n_theta ** d
+    for budget in (None, 0):
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+        blocks = list(quadrature.node_blocks(nd.rule, 16, n_ang))
+        assert all(blk.lo % n_ang == 0 and blk.r.size % n_ang == 0 for blk in blocks)
+        assert (budget is None) == (len(blocks) < nd.rule.node_count // n_ang)
+        got = 0
+        for blk in blocks:
+            span = slice(blk.lo, blk.lo + blk.r.size)
+            assert np.max(np.abs(hilbert.synthesize(spec, nd, v, blk) - E[span] @ v)) <= bound
+            got = got + hilbert.analyze(spec, nd, x[span], blk)
+        assert np.max(np.abs(got - E.conj().T @ x)) <= bound
 
 
 def test_no_query_reads_the_dense_table(monkeypatch, capsys, tmp_path):
-    # The transforms read R and phi only: reading the dense table fails, and
-    # so does evaluating basis rows at more than a handful of points.
+    # The transforms read R only: reading the dense table fails, and so does
+    # evaluating basis rows at more than a handful of points.
     def refuse(self):
         raise AssertionError("dense node table read")
 
@@ -183,8 +206,9 @@ def test_no_query_reads_the_dense_table(monkeypatch, capsys, tmp_path):
         return np.prod(pts[:, None, :] ** np.array(spec.indices), axis=2) / np.sqrt(spec.D) @ v
     section.weight_degree = 0
     assert np.max(np.abs(toeplitz.project(spec, section) - v)) <= 1e-12
-    # The identity's two-point symbol is 1: the callable path gives G I G = I.
-    monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 100)
+    # The identity's two-point symbol is 1: the callable path gives G I G = I,
+    # here over ket blocks of 4 nodes (the budget is cut to 1,600 bytes).
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1600)
     back = operators.operator_from_symbol(
         spec, lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])))
     assert np.max(np.abs(back.mat - np.eye(spec.N))) <= 1e-12
@@ -218,8 +242,8 @@ def test_node_data_does_not_call_the_evaluator(monkeypatch):
 def test_registry_sweeps_build_no_full_grid(monkeypatch, tmp_path):
     # Band assembly, the diagonal Gram matrix, block norms and the star
     # product read only R and the radial weights, so after a Toeplitz sweep
-    # and a star sweep of registry functions no node data (nor its rule)
-    # holds an array over the full angular grid.  Their operators and Gram
+    # and a star sweep of registry functions no node data has built its
+    # dense table, the one array over the full grid.  Their operators and Gram
     # matrices stay banded: the one densifying function is never called.
     node_data, built = hilbert._node_data, []
 
@@ -239,13 +263,12 @@ def test_registry_sweeps_build_no_full_grid(monkeypatch, tmp_path):
     assert rc == 0
     assert 0 < n_sweep < len(built)
     for nd in built:
-        assert not {"nodes", "weights"} & set(vars(nd.rule))
-        assert not {"lift", "phi", "halfw", "wcore", "ehat"} & set(vars(nd))
+        assert "ehat" not in vars(nd)
 
 
 def test_checks_build_no_full_grid(monkeypatch, tmp_path):
     # kernel-check and the pullback checks hold one block of nodes at a time:
-    # no node data (nor its rule) keeps an array over the full angular grid.
+    # no node data builds its dense table, the one array over the full grid.
     node_data, built = hilbert._node_data, []
 
     def spy(spec, rule):
@@ -262,8 +285,66 @@ def test_checks_build_no_full_grid(monkeypatch, tmp_path):
     assert abs(pullback.inner_product_on_manifold(spec, ident, v, v) - np.vdot(v, v)) <= 1e-9
     assert len(built) == 2
     for nd in built:
-        assert not {"nodes", "weights"} & set(vars(nd.rule))
-        assert not {"lift", "phi", "halfw", "wcore", "ehat"} & set(vars(nd))
+        assert "ehat" not in vars(nd)
+
+
+def test_node_sums_hold_one_block_at_a_time():
+    # Every public query that sums over the rule's nodes, at a size where one
+    # array over all nodes is far beyond the bound: 706k nodes for the
+    # integral (23 MB of (n, 2) nodes), 1.1M nodes (54 MB of (n, 3) nodes)
+    # for the inner product, the projection and the Toeplitz matrix of a
+    # plain callable, and (2025, 512) node-pair tables (17 MB) for the
+    # operator of a plain symbol.  Node data are built first, so each peak
+    # is the query's own.  The bound, 8 MiB, was fixed before the first run.
+    bound = 8 * 2 ** 20
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def density(z):
+        return 1.0 / (1.0 + np.sum(np.abs(z) ** 2, axis=1)) ** 4
+
+    def section(z):
+        return z[:, 0] * z[:, 1]
+    section.weight_degree = 0
+
+    rule = quadrature.build_rule(2, 5)
+    used, res = peak(quadrature.integrate, density, rule)
+    assert rule.node_count == 705_600 and used <= bound, used
+    assert abs(res.value - quadrature.moment((0, 0), 1, 2)) <= 1e-10
+
+    spec = hilbert.build_basis(3, 12)
+    assert spec.node_data().rule.node_count == 1_124_864
+    used, ip = peak(hilbert.inner_product, spec, section, section)
+    # z_1 z_2 = sqrt(D_I) Psi_I for I = (1, 1, 0)
+    k = spec.position((1, 1, 0))
+    assert used <= bound, used
+    assert abs(ip - spec.D[k]) <= 1e-12
+    used, coef = peak(toeplitz.project, spec, section)
+    assert used <= bound, used
+    assert abs(coef[k] - np.sqrt(spec.D[k])) <= 1e-12
+
+    spec = hilbert.build_basis(3, 8)
+
+    def one(z):
+        return np.ones(z.shape[0])
+
+    assert spec.node_data(toeplitz._default_level(spec, one)).rule.node_count == 1_124_864
+    used, op = peak(toeplitz.toeplitz_matrix, spec, one)
+    assert used <= bound, used
+    assert np.max(np.abs(op.mat - np.eye(spec.N))) <= 1e-12
+
+    spec = hilbert.build_basis(2, 8)
+    assert spec.node_data().rule.node_count == 2025
+    used, op = peak(operators.operator_from_symbol, spec,
+                    lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])))
+    assert used <= bound, used
+    assert np.max(np.abs(op.mat - np.eye(spec.N))) <= 1e-12
 
 
 @pytest.mark.parametrize("d, m, budget", [(1, 8, 0), (2, 12, None), (3, 5, None)])
@@ -271,39 +352,53 @@ def test_row_blocks_fill_one_buffer_bitwise(monkeypatch, basis, d, m, budget):
     # Every block's nodes and weights are the rule's, and its rows, written
     # into one reused buffer, are bitwise the fresh evaluation; the last
     # block is short (at d = 1 the budget is cut to 0, so the 2N floor sets
-    # the block).  A scratch of fewer rows than points gathers in passes.
+    # the block; at d = 3 a radial node's rows exceed the budget, and the
+    # last piece of each is short).  With the budget cut to 7 rows the
+    # gathers of a fresh evaluation run in passes.
     if budget is not None:
-        monkeypatch.setattr(hilbert, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
     spec = basis(d, m)
     rule = spec.node_data().rule
+    all_nodes, all_weights = layout_nodes(rule)
     sizes, buffers = [], set()
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
         lo, hi = sum(sizes), sum(sizes) + nodes.shape[0]
         sizes.append(hi - lo)
-        assert nodes.tobytes() == rule.nodes[lo:hi].tobytes()
-        assert weights.tobytes() == rule.weights[lo:hi].tobytes()
+        assert nodes.tobytes() == all_nodes[lo:hi].tobytes()
+        assert weights.tobytes() == all_weights[lo:hi].tobytes()
         got = rows(nodes)
         buffers.add(got.__array_interface__["data"][0])
         assert got.tobytes() == hilbert.eval_matrix_normalized(spec, nodes).tobytes()
     assert sum(sizes) == rule.node_count and len(buffers) == 1
     assert sizes[0] >= 2 * spec.N and 0 < sizes[-1] < sizes[0]
-    pts, out = rule.nodes[:50], np.empty((60, spec.N), dtype=complex)
-    got = hilbert._lift_rows(spec, hilbert.unit_lift(pts), out,
-                             np.empty((7, spec.N), dtype=complex))
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 16 * spec.N)
+    pts, out = all_nodes[:50], np.empty((60, spec.N), dtype=complex)
+    got = hilbert._lift_rows(spec, hilbert.unit_lift(pts), out)
     assert np.shares_memory(got, out)
     assert got.tobytes() == hilbert.eval_matrix_normalized(spec, pts).tobytes()
 
 
 @pytest.mark.parametrize("d, m", [(1, 16), (2, 8), (3, 4)])
 def test_radial_weights_are_the_node_weights_per_radius(d, m):
-    # wr is wcore at angle 0 of each radius, bit for bit, and both equal the
-    # rule weights times (1+s)^(-(d+1)) formed over all nodes.
+    # wr gathered by the blocks' radial indices, the per-node factor of every
+    # node sum, is bit for bit the rule weights times (1+s)^(-(d+1)) formed
+    # over all nodes.
     nd = hilbert.build_basis(d, m).node_data()
     rule, n_ang = nd.rule, nd.rule.n_theta ** d
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
-    wcore = rule.weights * np.repeat(np.exp(-(d + 1.0) * log1ps), n_ang)
-    assert nd.wr.tobytes() == nd.wcore[::n_ang].tobytes() == wcore[::n_ang].tobytes()
-    assert nd.wcore.tobytes() == wcore.tobytes()
+    wcore = layout_nodes(rule)[1] * np.repeat(np.exp(-(d + 1.0) * log1ps), n_ang)
+    got = np.concatenate([nd.wr[blk.r] for blk in quadrature.node_blocks(rule, 16)])
+    assert got.tobytes() == wcore.tobytes()
+
+
+def test_eval_matrix_is_independent_of_the_memory_layout(rng):
+    # Fortran-ordered and strided point arrays give bitwise the rows of the
+    # C-ordered copy; the rounding scale once needed a contiguous last axis.
+    spec = hilbert.build_basis(2, 6)
+    pts = sample_ball(rng, 2, 2.0, 9)
+    want = hilbert.eval_matrix_normalized(spec, pts)
+    for other in (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+        assert hilbert.eval_matrix_normalized(spec, other).tobytes() == want.tobytes()
 
 
 def test_eval_matrix_finite_at_huge_points():

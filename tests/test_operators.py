@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from berezin import geometry, hilbert, operators, toeplitz
+from berezin import geometry, hilbert, operators, quadrature, toeplitz
 from berezin.errors import DegenerateKernel, DimensionMismatch
 from berezin.functions import get_function
 from conftest import sample_ball
@@ -265,16 +265,17 @@ def test_operator_from_symbol_roundtrip(basis, rng, monkeypatch):
     scale = 1.0 + np.max(np.abs(op.mat))
     assert np.max(np.abs(back.mat - op.mat)) <= 1e-10 * scale
 
-    # plain-callable path with chunking smaller than the node count
+    # plain-callable path with blocks smaller than a radial node (5 nodes):
+    # ket blocks of one node, bra blocks of one radial node
     sym = operators.CovariantSymbol(op)
-    monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 37)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 80)
     back2 = operators.operator_from_symbol(spec, lambda nu, mu: sym.cross(nu, mu))
     assert np.max(np.abs(back2.mat - op.mat)) <= 1e-10 * scale
 
 
 def test_operator_from_symbol_pairs_nodes_from_the_node_data(basis, monkeypatch):
-    # The callable path takes the node pairings from the cached unit lifts:
-    # no chunk lifts all n nodes again.
+    # The callable path takes the node pairings from the radial unit lifts
+    # times the characters: no block lifts all n nodes again.
     spec = basis(2, 4)
     n = spec.node_data().rule.node_count
     unit_lift = hilbert.unit_lift
@@ -284,7 +285,7 @@ def test_operator_from_symbol_pairs_nodes_from_the_node_data(basis, monkeypatch)
         return unit_lift(points)
 
     monkeypatch.setattr(hilbert, "unit_lift", few_rows)
-    monkeypatch.setattr(operators, "_SYMBOL_CHUNK", 37)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 1600)
     back = operators.operator_from_symbol(
         spec, lambda nu, mu: np.ones((nu.shape[0], mu.shape[0])))
     assert np.max(np.abs(back.mat - np.eye(spec.N))) <= 1e-12
@@ -320,6 +321,17 @@ def test_operator_from_symbol_rejects_other_level(basis, rng):
     op = random_operator(basis(1, 4), rng)
     with pytest.raises(DimensionMismatch):
         operators.operator_from_symbol(basis(1, 5), operators.CovariantSymbol(op))
+
+
+def test_fit_slope_closed_form():
+    # The closed-form least-squares slope of log e against log m: exact
+    # power laws come back to 1e-13; fewer than two positive errors give None.
+    ms = [4, 8, 16, 32, 64]
+    for p in (-1.0, -0.737, 0.5, -2.25):
+        assert abs(operators._fit_slope(ms, [3.0 * m ** p for m in ms]) - p) <= 1e-13
+    assert abs(operators._fit_slope([4, 8, 16], [0.0, 2.0, 1.0]) + 1.0) <= 1e-13
+    for ms, errs in (([4], [1.0]), ([4, 8], [0.0, 1.0]), ([4, 8, 16], [-1.0, 0.0, 2.0])):
+        assert operators._fit_slope(ms, errs) is None
 
 
 def test_correspondence_sweep_structure():

@@ -11,6 +11,7 @@ import pytest
 from berezin import geometry, hilbert, operators, pullback, quadrature
 from berezin.errors import (DimensionMismatch, OddLevel, OutOfDomain,
                             PathTooCoarse, SingularPair)
+from conftest import layout_nodes
 
 
 def interior_grid(n):
@@ -80,6 +81,47 @@ def test_numeric_jacobian_fallback():
     got = bare.jacobian_det(p)
     want = tc.jacobian_det(p)
     assert np.max(np.abs(got - want) / want) <= 1e-6
+
+
+def per_row_jacobian_det(chart, params):
+    """Central-difference |det J|, one row and one coordinate step at a time."""
+    out = np.empty(params.shape[0])
+    w = 2 * chart.d
+    for k in range(params.shape[0]):
+        p = params[k]
+        h = 1e-6 * max(1.0, float(np.max(np.abs(p))))
+        jac = np.empty((w, w))
+        for j in range(w):
+            e = np.zeros(w)
+            e[j] = h
+            zp = np.asarray(chart.forward_fn((p + e).reshape(1, -1)), dtype=complex).ravel()
+            zm = np.asarray(chart.forward_fn((p - e).reshape(1, -1)), dtype=complex).ravel()
+            dz = (zp - zm) / (2.0 * h)
+            jac[0::2, j] = dz.real
+            jac[1::2, j] = dz.imag
+        out[k] = abs(np.linalg.det(jac))
+    return out
+
+
+def test_numeric_jacobian_is_the_per_row_loop(rng):
+    # All rows at once, 2 * 2d forward calls on (n, 2d) arrays, bitwise the
+    # per-row loop; the samples include rows with max |p| > 1, where the
+    # step grows with the row.
+    charts = [pullback.identity_chart(2), pullback.rotation_chart(0.8, d=2),
+              pullback.scaling_chart(2.0, d=2), pullback.torus_chart()]
+    for chart in charts:
+        calls = []
+
+        def forward(p, fn=chart.forward_fn):
+            calls.append(p.shape)
+            return fn(p)
+
+        bare = dataclasses.replace(chart, forward_fn=forward, jacobian_fn=None)
+        params = chart.sample(rng, 500)
+        assert np.any(np.max(np.abs(params), axis=1) > 1.0) or chart.name == "torus"
+        got = bare.jacobian_det(params)
+        assert calls == [params.shape] * (4 * chart.d), chart.name
+        assert got.tobytes() == per_row_jacobian_det(chart, params).tobytes(), chart.name
 
 
 def test_measure_factor_change_of_variables():
@@ -188,9 +230,9 @@ def test_manifold_inner_product_general(basis, rng):
 
 def transported_nodes(spec, chart):
     """The whole chart rule pushed to parameter space: (params, Lebesgue weights)."""
-    rule = spec.node_data().rule
-    params = chart.inverse(rule.nodes)
-    return params, rule.weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
+    nodes, weights = layout_nodes(spec.node_data().rule)
+    params = chart.inverse(nodes)
+    return params, weights / ((2.0 ** chart.d) * chart.jacobian_det(params))
 
 
 def dense_gram(spec, chart_a, chart_b, psi, chunk=None):
@@ -223,13 +265,12 @@ def dense_inner_product(spec, chart, v1, v2):
 
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (2, 8)])
 def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
-    # A budget below 2N rows gives blocks of 2N rows, the floor, which
-    # divides no node count here, so the last block is short; entries agree
-    # to 1e-13 relative to the largest one.
+    # A budget below 2N rows gives blocks of the 2N floor rounded down to
+    # whole radial nodes, several per rule here; entries agree to 1e-13
+    # relative to the largest one.
     spec = basis(d, m)
-    n = spec.node_data().rule.node_count
-    assert n > 2 * spec.N and n % (2 * spec.N) != 0
-    monkeypatch.setattr(hilbert, "_BLOCK_BYTES", 7 * 16 * spec.N)
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 16 * spec.N)
+    assert len(list(hilbert._row_blocks(spec, spec.node_data()))) > 1
     ident = pullback.identity_chart(d)
     # The identity chart without its jacobian_fn: the reference takes the
     # Jacobian by finite differences, the streamed sums never take it.
@@ -287,6 +328,37 @@ def test_radial_gram_matches_streamed_and_dense(basis, d, m, level):
     if spec.node_data().rule.node_count <= 10_000:
         want = dense_gram(spec, numeric, rot, pullback._identity_map)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_equivariant_inner_product_streams_no_node_blocks(monkeypatch, basis, rng):
+    # A chart that declares equivariant pairs the sections through its
+    # radial Gram matrix; the torus chart and an undeclared copy of a stock
+    # chart still stream node blocks.  For unit vectors the radial value
+    # agrees with the streamed one to 1e-13, a bound fixed before the first
+    # run, and both with <v1, v2>.
+    class Streamed(Exception):
+        pass
+
+    def refuse(*args):
+        raise Streamed
+
+    spec = basis(2, 6)
+    v1, v2 = (rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N) for _ in range(2))
+    v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+    charts = [pullback.identity_chart(2), pullback.rotation_chart(0.8, d=2),
+              pullback.scaling_chart(2.0, d=2)]
+    undeclared = [dataclasses.replace(chart, equivariant=False) for chart in charts]
+    streamed = [pullback.inner_product_on_manifold(spec, chart, v1, v2) for chart in undeclared]
+    monkeypatch.setattr(hilbert, "_row_blocks", refuse)
+    for chart, want in zip(charts, streamed):
+        got = pullback.inner_product_on_manifold(spec, chart, v1, v2)
+        assert abs(got - want) <= 1e-13, chart.name
+        assert abs(got - np.vdot(v1, v2)) <= 1e-12, chart.name
+    with pytest.raises(Streamed):
+        pullback.inner_product_on_manifold(spec, undeclared[1], v1, v2)
+    v = np.ones(basis(1, 6).N)
+    with pytest.raises(Streamed):
+        pullback.inner_product_on_manifold(basis(1, 6), pullback.torus_chart(), v, v)
 
 
 def test_stock_equivalence_transports_no_node_blocks(monkeypatch, basis):

@@ -6,6 +6,7 @@ import pytest
 from berezin import hilbert, quadrature
 from berezin.errors import (DimensionMismatch, IndexOutOfRange, NonFiniteIntegrand,
                             ResourceLimit)
+from conftest import layout_nodes
 
 try:
     import mpmath
@@ -64,7 +65,7 @@ def gram_deviation(d, m, n_r):
     n_theta = 4 * spec.level + 1
     u, gw, radii, wr = quadrature._assemble(d, n_r, n_theta)
     rule = quadrature.QuadratureRule(d, spec.level, u, gw, n_theta, radii, wr)
-    nodes, weights = rule.nodes, rule.weights
+    nodes, weights = layout_nodes(rule)
     s = np.sum(np.abs(nodes) ** 2, axis=1)
     ehat = hilbert.eval_matrix_normalized(spec, nodes)
     gram = spec.c_m * ((ehat.conj().T * (weights * (1.0 + s) ** -(d + 1.0))) @ ehat)
@@ -91,16 +92,41 @@ def test_build_rule_rejections(monkeypatch):
 
 
 @pytest.mark.parametrize("d, level", [(1, 2), (2, 1), (3, 1)])
-def test_layout_is_radii_times_angles(d, level):
-    # node r * n_theta^d + k is radii[r] * exp(i theta_k), k in C order
+def test_layout_is_radii_times_angles(monkeypatch, d, level):
+    # node r * n_theta^d + k is radii[r] * exp(i theta_k), k in C order, with
+    # weight radii_weights[r], as node_blocks yields them.  The blocks cover
+    # the nodes in order; a block holds whole radial nodes, as many as the
+    # budget (4 KiB here, over row_bytes per node) allows, at least
+    # min_nodes, and a radial node of more nodes than that is split into
+    # pieces of that size, the last shorter.  The three (row_bytes,
+    # min_nodes) take either branch.
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 2 ** 12)
     for rule in (quadrature.build_rule(d, level), quadrature.build_rule(d, level, exact_family=True)):
         n_ang = rule.n_theta ** d
         k = np.indices((rule.n_theta,) * d).reshape(d, -1).T
         angles = np.exp(1j * (2.0 * np.pi * k / rule.n_theta))
         assert rule.radii.shape == (rule.radial_nodes.shape[0] ** d, d)
-        assert np.array_equal(rule.nodes.reshape(-1, n_ang, d),
-                              rule.radii[:, None, :] * angles[None])
-        assert np.array_equal(rule.weights, np.repeat(rule.radii_weights, n_ang))
+        for row_bytes, min_nodes in ((16, 1), (2 ** 14, 1), (2 ** 16, 3)):
+            step = max(min_nodes, 2 ** 12 // row_bytes)
+            blocks = list(quadrature.node_blocks(rule, row_bytes, min_nodes))
+            nodes = np.concatenate([blk.nodes for blk in blocks])
+            assert np.array_equal(nodes.reshape(-1, n_ang, d),
+                                  rule.radii[:, None, :] * angles[None])
+            weights = np.concatenate([blk.weights for blk in blocks])
+            assert np.array_equal(weights, np.repeat(rule.radii_weights, n_ang))
+            shape = (rule.n_theta,) * d
+            flat = np.concatenate([blk.r * n_ang + np.ravel_multi_index(blk.k.T, shape)
+                                   for blk in blocks])
+            assert np.array_equal(flat, np.arange(rule.node_count))
+            sizes = [blk.r.size for blk in blocks]
+            assert [blk.lo for blk in blocks] == list(np.cumsum([0] + sizes[:-1]))
+            if step >= n_ang:
+                full = step - step % n_ang
+                assert all(size == full for size in sizes[:-1]) and 0 < sizes[-1] <= full
+                assert sizes[-1] % n_ang == 0
+            else:
+                assert set(sizes) == {step, n_ang - (n_ang - 1) // step * step}
+                assert all(blk.r[0] == blk.r[-1] for blk in blocks)
 
 
 def test_gauss_legendre_data_is_shared_and_read_only():
@@ -189,10 +215,10 @@ def test_gauss_legendre_exact_through_degree_2n_minus_2(n):
 
 
 def test_build_rule_deterministic():
-    a = quadrature.build_rule(1, 3)
-    b = quadrature.build_rule(1, 3)
-    assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.weights, b.weights)
+    a, b = (list(quadrature.node_blocks(quadrature.build_rule(1, 3), 16)) for _ in range(2))
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x.nodes, y.nodes)
+        assert np.array_equal(x.weights, y.weights)
 
 
 def test_total_volume():
@@ -266,3 +292,22 @@ def test_integrate_rejects_bad_integrands():
         quadrature.integrate(lambda nodes: np.full(nodes.shape[0], np.nan), rule)
     with pytest.raises(DimensionMismatch):
         quadrature.integrate(lambda nodes: np.ones(3), rule)
+
+
+def test_integrate_sums_blocks_in_order(monkeypatch):
+    # With blocks of 5 nodes (64 bytes each at d = 1) the value is the sum
+    # of the block sums, and a non-finite value is reported at its index
+    # among all nodes.
+    rule = quadrature.build_rule(1, 2)
+    f = weighted_monomial((1,), (1,), 4, 1)
+    want = quadrature.integrate(f, rule).value
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 5 * 64)
+    assert abs(quadrature.integrate(f, rule).value - want) <= 1e-15
+    nodes, _ = layout_nodes(rule)
+    bad = nodes[77].tobytes()
+
+    def poisoned(pts):
+        return np.where([p.tobytes() == bad for p in pts], np.inf, 1.0)
+
+    with pytest.raises(NonFiniteIntegrand, match="node 77:"):
+        quadrature.integrate(poisoned, rule)

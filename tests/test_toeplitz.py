@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from berezin import geometry, hilbert, operators, toeplitz
 from berezin.functions import REGISTRY, get_function
+from conftest import layout_nodes
 
 
 def leg_disc_integral(fn, n_u=80, n_t=96):
@@ -39,12 +40,26 @@ def test_identity_and_constant_compressions(basis):
 
 
 def dense_compress(spec, nd, values, rows=20_000):
-    """c_m E^H diag(wcore v) E over the node table E, summed in blocks of rows."""
+    """c_m E^H diag(wcore v) E over the node table E, summed in blocks of rows.
+
+    E = R (x) Phi: row r * n_theta^d + k is R[r] times the characters
+    exp(i I . theta_k), their phases (k . I) mod n_theta in exact integers;
+    wcore is the rule weight times (1+s)^(-(d+1)).
+    """
+    rule, d, n = nd.rule, spec.d, nd.rule.n_theta
+    n_ang = n ** d
+    k_all = np.indices((n,) * d).reshape(d, -1).T
+    modes = spec._exponents[:, :d].T % n
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    _, weights = layout_nodes(rule)
+    log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
+    wcore = weights * np.repeat(np.exp(-(d + 1.0) * log1ps), n_ang)
     out = np.zeros((spec.N, spec.N), dtype=complex)
-    for lo in range(0, nd.rule.node_count, rows):
-        hi = min(lo + rows, nd.rule.node_count)
-        E = nd.rows(lo, hi)
-        out += (E.conj().T * (nd.wcore[lo:hi] * values[lo:hi])) @ E
+    for lo in range(0, rule.node_count, rows):
+        hi = min(lo + rows, rule.node_count)
+        r, k = np.divmod(np.arange(lo, hi), n_ang)
+        E = roots[(k_all[k] @ modes) % n] * nd.R[r]
+        out += (E.conj().T * (wcore[lo:hi] * values[lo:hi])) @ E
     return spec.c_m * out
 
 
@@ -70,8 +85,8 @@ def test_assembly_matches_two_copy_reference(basis):
         else:
             nd = spec.node_data(level)
             assert nd.rule.n_theta <= m
-            got = hilbert.compress(spec, nd, fn)
-        want = dense_compress(spec, nd, fn(nd.rule.nodes))
+            got = hilbert._densify(spec, hilbert._compress_bands(spec, nd, fn, fn.modes(d)))
+        want = dense_compress(spec, nd, fn(layout_nodes(nd.rule)[0]))
         assert np.max(np.abs(got - want)) <= 1e-13, (d, m, level)
 
 
@@ -88,7 +103,7 @@ def test_registry_declares_its_angular_modes(d, m):
     for fn in fns:
         nd = spec.node_data(toeplitz._default_level(spec, fn))
         n_theta = nd.rule.n_theta
-        vals = fn(nd.rule.nodes).reshape((-1,) + (n_theta,) * d)
+        vals = fn(layout_nodes(nd.rule)[0]).reshape((-1,) + (n_theta,) * d)
         coef = np.fft.fftn(vals, axes=tuple(range(1, d + 1))) / n_theta ** d
         outside = np.ones((n_theta,) * d, dtype=bool)
         for k in fn.modes(d):
