@@ -16,9 +16,8 @@ from .functions import REGISTRY, ChartFunction, get_function
 from .operators import (CovariantSymbol, OperatorMatrix, SweepResult, commutator,
                         correspondence_sweep, identity_operator,
                         operator_from_symbol, star_product, symbol_eval)
-from .toeplitz import (ToeplitzMatrix, bracket_function, commutator_defect,
-                       operator_norm, project, sup_estimate, toeplitz_matrix,
-                       toeplitz_sweep)
+from .toeplitz import (bracket_function, commutator_defect, operator_norm, project,
+                       sup_estimate, toeplitz_matrix, toeplitz_sweep)
 from .pullback import (DiffeoChart, EquivalenceReport, PulledOperator,
                        chart_to_json, circle_path, connection_integral,
                        curvature_disk_integral, equator_path, equivalence_check,

@@ -178,12 +178,13 @@ def build_basis(d: int, m: int, level: int | None = None) -> BasisSpec:
     if d < 1 or m < 1 or (level is not None and level < 1):
         raise ValueError(f"need d, m and level >= 1, got d={d}, m={m}, level={level}")
     indices = enumerate_indices(d, m)
+    fact = [math.factorial(q) for q in range(m + 1)]
     D = np.empty(len(indices))
     for k, I in enumerate(indices):
-        mult = math.factorial(m)
+        mult = fact[m]
         for qi in I:
-            mult //= math.factorial(qi)
-        mult //= math.factorial(m - sum(I))
+            mult //= fact[qi]
+        mult //= fact[m - sum(I)]
         D[k] = 1.0 / mult
     ratio = math.factorial(m + d) // math.factorial(m)
     c_m = ratio / (2.0 * math.pi) ** d

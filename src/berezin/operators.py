@@ -2,8 +2,8 @@
 
 An operator at level m is an (N, N) matrix in the orthonormal monomial basis,
 held densely or, for Toeplitz operators of functions with declared angular
-modes, as its nonzero bands.
-Its two-point symbol is
+modes, the identity and the Gram matrix, as its nonzero bands, which
+arithmetic keeps (``OperatorMatrix``).  Its two-point symbol is
 
     S(nu, mu) = <psi_nu, A psi_mu> / <psi_nu, psi_mu>,
 
@@ -40,14 +40,15 @@ class OperatorMatrix:
     """Level-m operator: a basis spec plus its (N, N) coefficient matrix.
 
     An operator is given either densely, ``mat``, or by ``bands``
-    ({delta: (rows, cols, vals)}, ``hilbert._compress_bands``): then it holds
-    only those, and ``mat`` is built from them (``hilbert._densify``) when a
-    caller first reads it.  ``dot`` applies either form.  A banded operator
-    vanishes between indices that differ in a coordinate that no band offset
-    delta touches.  ``adjoint_sign`` is +1 for a
-    Hermitian matrix, -1 for an anti-Hermitian one and 0 when unknown.
-    ``toeplitz.operator_norm`` takes the norm of a banded Hermitian one per
-    block; the arithmetic below is dense and drops both.
+    ({delta: (rows, cols, vals)} with band delta listing every admissible
+    (I, I - delta) in ``hilbert._band_index`` order): then ``mat`` is built
+    (``hilbert._densify``) only when a caller first reads it, and ``dot``
+    and the arithmetic below read the bands.  ``+``, ``-``, ``@`` (bands
+    K_a + K_b in O(|K_a| |K_b| N)), scalar ``*`` and ``adjoint`` of banded
+    operands are banded, and dense if an operand is.  ``adjoint_sign`` is +1
+    for a Hermitian matrix, -1 for an anti-Hermitian one and 0 when unknown;
+    every result carries it, so ``toeplitz.operator_norm`` takes the norm of
+    a banded Hermitian result per block.
     """
 
     def __init__(self, spec: BasisSpec, mat=None, *, bands: dict | None = None,
@@ -72,23 +73,57 @@ class OperatorMatrix:
             return hilbert._band_dot(self.bands, x, transpose)
         return (self.mat.T if transpose else self.mat) @ x
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _sum(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         _same_spec(self, other)
-        return OperatorMatrix(self.spec, self.mat + other.mat)
+        sign = self.adjoint_sign if self.adjoint_sign == other.adjoint_sign else 0
+        if self.bands is None or other.bands is None:
+            return OperatorMatrix(self.spec, op(self.mat, other.mat), adjoint_sign=sign)
+        bands = dict(self.bands)
+        for delta, (rows, cols, vals) in other.bands.items():
+            bands[delta] = rows, cols, op(bands[delta][2] if delta in bands else 0, vals)
+        return OperatorMatrix(self.spec, bands=bands, adjoint_sign=sign)
+
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._sum(other, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _same_spec(self, other)
-        return OperatorMatrix(self.spec, self.mat - other.mat)
+        return self._sum(other, np.subtract)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _same_spec(self, other)
-        return OperatorMatrix(self.spec, self.mat @ other.mat)
+        spec = self.spec
+        if self.bands is None or other.bands is None:
+            return OperatorMatrix(spec, self.mat @ other.mat)
+        full: dict = {}  # delta -> (N,) entries (I, I - delta), 0 where not admissible
+        for db, (rb, _, vb) in other.bands.items():
+            at = np.full(spec.N, -1)
+            at[rb] = np.arange(rb.size)
+            for da, (ra, ca, va) in self.bands.items():
+                k = at[ca]  # the entry of ``other`` in row J = I - da, if any
+                ok = k >= 0
+                out = full.setdefault(tuple(p + q for p, q in zip(da, db)),
+                                      np.zeros(spec.N, dtype=complex))
+                out[ra[ok]] += va[ok] * vb[k[ok]]
+        bands = {}
+        for delta, out in full.items():
+            rows, cols = hilbert._band_index(spec, delta)
+            bands[delta] = rows, cols, out[rows]
+        return OperatorMatrix(spec, bands=bands)
 
     def __rmul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.spec, complex(scalar) * self.mat)
+        c = complex(scalar)
+        sign = self.adjoint_sign if c.imag == 0 else -self.adjoint_sign if c.real == 0 else 0
+        if self.bands is None:
+            return OperatorMatrix(self.spec, c * self.mat, adjoint_sign=sign)
+        return OperatorMatrix(self.spec, adjoint_sign=sign, bands={
+            delta: (rows, cols, c * vals) for delta, (rows, cols, vals) in self.bands.items()})
 
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.spec, self.mat.conj().T)
+        if self.bands is None:
+            return OperatorMatrix(self.spec, self.mat.conj().T, adjoint_sign=self.adjoint_sign)
+        return OperatorMatrix(self.spec, adjoint_sign=self.adjoint_sign, bands={
+            tuple(-q for q in delta): (cols, rows, vals.conj())
+            for delta, (rows, cols, vals) in self.bands.items()})
 
 
 def _same_spec(a: OperatorMatrix, b: OperatorMatrix) -> None:
@@ -99,12 +134,17 @@ def _same_spec(a: OperatorMatrix, b: OperatorMatrix) -> None:
 
 
 def identity_operator(spec: BasisSpec) -> OperatorMatrix:
-    return OperatorMatrix(spec, np.eye(spec.N, dtype=complex))
+    zero = (0,) * spec.d
+    rows, cols = hilbert._band_index(spec, zero)
+    return OperatorMatrix(spec, bands={zero: (rows, cols, np.ones(spec.N, dtype=complex))},
+                          adjoint_sign=1)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    _same_spec(a, b)
-    return OperatorMatrix(a.spec, a.mat @ b.mat - b.mat @ a.mat)
+    """[a, b] = a @ b - b @ a: banded when both are, anti-Hermitian when both are Hermitian."""
+    out = a @ b - b @ a
+    out.adjoint_sign = -a.adjoint_sign * b.adjoint_sign
+    return out
 
 
 def symbol_eval(op: OperatorMatrix, nu, mu) -> complex:
@@ -209,14 +249,14 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
     (K, L) returning finite two-point symbol values.  Double quadrature over
     bra and ket nodes; for symbols of actual level-m operators the integrand
     is in the rule's exact family and recovery is at rounding error.  For a
-    CovariantSymbol of A that quadrature is G A G with G the numeric Gram
-    matrix, which is returned directly.  A plain callable is integrated
+    CovariantSymbol of A that quadrature is G A G with G the Gram bands, which
+    is returned directly (banded when A is).  A plain callable is integrated
     over ket node blocks of about _BLOCK_BYTES / n_theta^d nodes, each against
     bra blocks of whole radial nodes, so a (bra, ket) table holds about
     _BLOCK_BYTES; the bra sum is ``hilbert.analyze`` of the block.
     """
     if isinstance(symbol, CovariantSymbol):
-        gram = OperatorMatrix(spec, hilbert.gram_matrix(spec))
+        gram = OperatorMatrix(spec, bands=hilbert._gram(spec, spec.node_data()), adjoint_sign=1)
         return gram @ symbol.op @ gram
     nd, out = spec.node_data(), np.zeros((spec.N, spec.N), dtype=complex)
     chars = hilbert._lift_chars(nd.rule)

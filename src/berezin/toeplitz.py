@@ -13,20 +13,20 @@ approaches the quantized Poisson bracket.
 
 The weight is U(1)^d-invariant, so a function with angular modes K (every
 registry function, and the bracket of two of them, declares K) has T_f zero
-off the bands I - J in K.  Its ``ToeplitzMatrix`` holds those bands only
+off the bands I - J in K.  Its operator holds those bands only
 (``hilbert._compress_bands``), and it is Hermitian when f is real.  Its
 norm is then the largest |eigenvalue| over the index blocks that no mode
 couples (``operator_norm``): single indices for K = {0}, chains in I_1 at
 fixed (I_2, ..., I_d) for K = {e_1, -e_1}; each stack of equal-size blocks
-is scattered straight from the bands.  The commutator defect
-m [T_f, T_g] - i T_{f,g} of two real functions is anti-Hermitian with bands
-K_f + K_g, formed as band products in O(|K_f| |K_g| N) and normed the same
-way, so a registry sweep holds one block stack at a time and never an
+is scattered straight from the bands.  The commutator defect is normed as
+i m [T_f, T_g] + T_{f,g}, written in the operator algebra: for two real
+functions it is Hermitian with bands K_f + K_g (band products, O(|K_f|
+|K_g| N)), so a registry sweep holds one block stack at a time and never an
 (N, N) operator.  At d = 2, m = 48 (N = 1,225) a norm (a defect) takes
 10-20 ms (10 ms) from the blocks, 1.0 s (0.4 s) densely.  ``sup_estimate``
 samples angles only where a mode is.  Plain callables keep the dense
-matrix, the radial-node loop, the full sup grid, the dense commutator and
-the SVD.
+matrix, the radial-node loop and the full sup grid, and the algebra gives
+them a dense defect, normed by the SVD.
 """
 
 from __future__ import annotations
@@ -41,18 +41,6 @@ from .operators import OperatorMatrix, SweepResult, _fit_slope, commutator
 # Grid points per block of sup_estimate: d = 2 takes three blocks, and the
 # 20M points of d = 3 (1 GB as one array) stay a few MB at a time.
 _SUP_BLOCK = 2 ** 15
-
-
-class ToeplitzMatrix(OperatorMatrix):
-    """Compression of multiplication by a named chart function."""
-
-    def __init__(self, spec: BasisSpec, mat=None, *, symbol: str = "", **kwargs):
-        super().__init__(spec, mat, **kwargs)
-        self.symbol = symbol
-
-
-def _symbol_name(f) -> str:
-    return str(getattr(f, "name", getattr(f, "__name__", "f")))
 
 
 def _weight_degree(f) -> int:
@@ -77,7 +65,7 @@ def project(spec: BasisSpec, f) -> np.ndarray:
     return spec.c_m * out
 
 
-def toeplitz_matrix(spec: BasisSpec, f) -> ToeplitzMatrix:
+def toeplitz_matrix(spec: BasisSpec, f) -> OperatorMatrix:
     """Toeplitz operator of ``f`` at the spec's level.
 
     ``f`` is a vectorized evaluator over (n, d) node arrays; a ChartFunction's
@@ -87,12 +75,11 @@ def toeplitz_matrix(spec: BasisSpec, f) -> ToeplitzMatrix:
     and adjoint_sign 1 when ``f`` is real; otherwise it is dense.
     """
     nd = spec.node_data(_default_level(spec, f))
-    modes, sign, name = getattr(f, "modes", None), int(getattr(f, "real", False)), _symbol_name(f)
+    modes, sign = getattr(f, "modes", None), int(getattr(f, "real", False))
     if modes is None:
-        return ToeplitzMatrix(spec, hilbert._compress_nodes(spec, nd, f), adjoint_sign=sign,
-                              symbol=name)
-    return ToeplitzMatrix(spec, bands=hilbert._compress_bands(spec, nd, f, modes(spec.d)),
-                          adjoint_sign=sign, symbol=name)
+        return OperatorMatrix(spec, hilbert._compress_nodes(spec, nd, f), adjoint_sign=sign)
+    return OperatorMatrix(spec, bands=hilbert._compress_bands(spec, nd, f, modes(spec.d)),
+                          adjoint_sign=sign)
 
 
 def _block_norm(spec: BasisSpec, bands: dict) -> float:
@@ -176,45 +163,10 @@ def bracket_function(f, g):
     return evaluate
 
 
-def _defect(spec: BasisSpec, tf, tg, tb) -> float:
-    """|| m [T_f, T_g] - i T_b || from the three assembled operators.
-
-    When all three are banded and Hermitian, i (m [T_f, T_g] - i T_b) is
-    Hermitian with bands K_f + K_g; it is formed as band products, O(|K_f|
-    |K_g| N), and normed by ``_block_norm``.  Otherwise the dense commutator
-    goes to the SVD.
-    """
-    ops = (tf, tg, tb)
-    if any(t.bands is None or t.adjoint_sign != 1 for t in ops):
-        return operator_norm(spec.m * commutator(tf, tg).mat - 1j * tb.mat)
-    full: dict = {}  # delta -> (N,) entries (I, I - delta), zero where I - delta is not admissible
-    for a, b, sign in ((tf, tg, 1.0), (tg, tf, -1.0)):
-        for db, (rb, cb, vb) in b.bands.items():
-            at = np.full(spec.N, -1)
-            at[rb] = np.arange(rb.size)
-            for da, (ra, ca, va) in a.bands.items():
-                k = at[ca]  # B's entry in row J = I - da, if any
-                ok = k >= 0
-                delta = tuple(p + q for p, q in zip(da, db))
-                out = full.setdefault(delta, np.zeros(spec.N, dtype=complex))
-                out[ra[ok]] += sign * (va[ok] * vb[k[ok]])
-    for delta in tb.bands:
-        full.setdefault(delta, np.zeros(spec.N, dtype=complex))
-    bands = {}
-    for delta, out in full.items():
-        out *= spec.m
-        if delta in tb.bands:
-            rows, _, vals = tb.bands[delta]
-            out[rows] -= 1j * vals
-        out *= 1j
-        rows, cols = hilbert._band_index(spec, delta)
-        bands[delta] = rows, cols, out[rows]
-    return _block_norm(spec, bands)
-
-
 def commutator_defect(spec: BasisSpec, f, g) -> float:
     """Spectral-norm defect || m [T_f, T_g] - i T_{{f,g}} || at the spec level."""
-    return _defect(spec, *(toeplitz_matrix(spec, h) for h in (f, g, bracket_function(f, g))))
+    tf, tg, tb = (toeplitz_matrix(spec, h) for h in (f, g, bracket_function(f, g)))
+    return operator_norm(1j * (spec.m * commutator(tf, tg)) + tb)
 
 
 def sup_estimate(f, d: int) -> float:
@@ -255,8 +207,8 @@ def toeplitz_sweep(f, g, m_list, d: int = 1) -> SweepResult:
         spec = hilbert.build_basis(d, int(m))
         tf = toeplitz_matrix(spec, f)
         nrm = operator_norm(tf)
-        defect = _defect(spec, tf, toeplitz_matrix(spec, g),
-                         toeplitz_matrix(spec, bracket_function(f, g)))
+        tg, tb = toeplitz_matrix(spec, g), toeplitz_matrix(spec, bracket_function(f, g))
+        defect = operator_norm(1j * (spec.m * commutator(tf, tg)) + tb)
         rows.append((int(m), nrm, float(sup - nrm), defect))
     ms = [r[0] for r in rows]
     return SweepResult(rows=rows, slope_e0=_fit_slope(ms, [r[2] for r in rows]),

@@ -65,6 +65,50 @@ def layout_nodes(rule):
     return nodes, np.repeat(rule.radii_weights, n_ang)
 
 
+def ladder_bands(spec, a, b):
+    """T(x_a conj(x_b)) on the normalized basis, from the su(d+1) ladder algebra.
+
+    x = zeta(nu) is the unit lift, with h = d its homogeneous slot, and e_Jhat
+    the normalized basis vector of Jhat = (J, m - |J|).  In the Schwinger-boson
+    form of Sym^m C^(d+1), T(x_a conj(x_b)) = (a_a^dag a_b + delta_ab) / (m + d
+    + 1), where a_a^dag a_b e_Jhat = sqrt((Jhat_a + 1) Jhat_b) e_(Jhat + e_a -
+    e_b) for a != b and Jhat_a e_Jhat for a = b.  Returns the one band
+    {delta: (rows, cols, vals)}, delta = I - J in the chart coordinates, in
+    O(N) and without quadrature: a reference for the Toeplitz operators of
+    the registry functions.
+    """
+    d, m = spec.d, spec.m
+    J = spec._exponents
+    step = np.zeros(d + 1, dtype=int)
+    step[a] += 1
+    step[b] -= 1
+    cols = np.flatnonzero(np.all(J + step >= 0, axis=1))
+    rows = spec._grid[tuple((J[cols] + step)[:, :d].T)]
+    if a == b:
+        vals = J[:, a] + 1.0
+    else:
+        vals = np.sqrt((J[cols, a] + 1.0) * J[cols, b])
+    return {tuple(step[:d]): (rows, cols, vals / (m + d + 1))}
+
+
+def ladder_registry(spec):
+    """Dense T_f of the five registry functions from ``ladder_bands``.
+
+    one = 1, inv_rational = |x_h|^2, abs2_rational = 1 - |x_h|^2,
+    re_rational = Re(x_1 conj(x_h)) and im_rational = Im(x_1 conj(x_h)).
+    """
+    def dense(a, b):
+        out = np.zeros((spec.N, spec.N), dtype=complex)
+        for rows, cols, vals in ladder_bands(spec, a, b).values():
+            out[rows, cols] = vals
+        return out
+
+    h = spec.d
+    eye, hh, up, down = np.eye(spec.N), dense(h, h), dense(0, h), dense(h, 0)
+    return {"one": eye, "inv_rational": hh, "abs2_rational": eye - hh,
+            "re_rational": (up + down) / 2, "im_rational": -0.5j * (up - down)}
+
+
 def admissible(mu, nu):
     """Pairs whose pairing cannot lose precision to cancellation."""
     bound = 1.0 + np.sum(np.abs(mu) * np.abs(nu))

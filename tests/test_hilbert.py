@@ -1,6 +1,7 @@
 """Hilbert space data: index order, orthonormality, kernels, serialization."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,21 @@ def test_normalization_constants(basis):
     m = 5
     assert basis(2, m).c_m == pytest.approx(
         (m + 1) * (m + 2) / (2 * np.pi) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("d, m", [(1, 1024), (3, 12)])
+def test_normalizations_match_the_factorial_formula(d, m):
+    # D_I = I! (m - |I|)! / m!, each factorial from math.factorial per index:
+    # the same integers divided in the same order, so D is bitwise equal.
+    spec = hilbert.build_basis(d, m)
+    want = np.empty(spec.N)
+    for k, I in enumerate(spec.indices):
+        mult = math.factorial(m)
+        for q in I:
+            mult //= math.factorial(q)
+        mult //= math.factorial(m - sum(I))
+        want[k] = 1.0 / mult
+    assert np.array_equal(spec.D, want)
 
 
 def test_squared_norms_match_moments(basis):

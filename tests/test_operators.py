@@ -1,5 +1,6 @@
 """Operator symbols and the star product on coherent overlaps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,80 @@ def test_operator_algebra(basis, rng):
     assert np.array_equal(a.adjoint().mat, a.mat.conj().T)
     with pytest.raises(DimensionMismatch):
         operators.OperatorMatrix(spec, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("d, m, level", [(1, 9, None), (2, 8, None), (3, 5, None),
+                                         (1, 9, 1), (2, 8, 1), (3, 5, 1)])
+def test_banded_operator_algebra(basis, monkeypatch, d, m, level):
+    # +, -, @, scalar *, adjoint and commutator of banded registry operators
+    # (re, im, abs2: Hermitian; a holomorphic-mode function: no sign) return
+    # bands, densify nothing, list every band in _band_index order and carry
+    # the adjoint sign, at the default level and at level 1, where n_theta =
+    # 5 <= m and modes alias.  Elementwise results must equal the same
+    # arithmetic on the dense forms exactly; products are sums of at most
+    # 64 O(1) terms in another order, so their bound 1e-13 was fixed before
+    # the first run.
+    spec = basis(d, m)
+    e1 = (1,) + (0,) * (d - 1)
+
+    def holo(pts):
+        return pts[:, 0] / (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+
+    holo.modes = lambda dim: (e1,)
+    fns = [get_function(n) for n in ("re_rational", "im_rational", "abs2_rational")] + [holo]
+    if level is None:
+        ops = [toeplitz.toeplitz_matrix(spec, f) for f in fns]
+    else:
+        nd = spec.node_data(level)
+        assert nd.rule.n_theta <= m
+        ops = [operators.OperatorMatrix(spec, bands=hilbert._compress_bands(spec, nd, f, f.modes(d)),
+                                        adjoint_sign=int(f is not holo)) for f in fns]
+    ops.append(operators.identity_operator(spec))
+    mats = [op.mat.copy() for op in ops]
+    assert [op.adjoint_sign for op in ops] == [1, 1, 1, 0, 1]
+    assert list(ops[-1].bands) == [(0,) * d] and np.array_equal(mats[-1], np.eye(spec.N))
+
+    def refuse(*args):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(hilbert, "_densify", refuse)
+    results = []  # (operator, dense reference, adjoint sign, exact)
+    for (a, ma), (b, mb) in itertools.product(zip(ops, mats), repeat=2):
+        same = a.adjoint_sign if a.adjoint_sign == b.adjoint_sign else 0
+        results += [(a + b, ma + mb, same, True), (a - b, ma - mb, same, True),
+                    (a @ b, ma @ mb, 0, False),
+                    (operators.commutator(a, b), ma @ mb - mb @ ma,
+                     -a.adjoint_sign * b.adjoint_sign, False)]
+    for a, ma in zip(ops, mats):
+        s = a.adjoint_sign
+        results += [(2.5 * a, 2.5 * ma, s, True), (-2.5j * a, -2.5j * ma, -s, True),
+                    ((1.0 - 2.0j) * a, (1.0 - 2.0j) * ma, 0, True)]
+        adj = a.adjoint()
+        results.append((adj, ma.conj().T, s, True))
+        assert set(adj.bands) == {tuple(-q for q in delta) for delta in a.bands}
+    for op, _, _, _ in results:
+        assert op.bands is not None
+        for delta, (rows, cols, vals) in op.bands.items():
+            want_rows, want_cols = hilbert._band_index(spec, delta)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert vals.shape == rows.shape
+    monkeypatch.undo()
+    for op, want, sign, exact in results:
+        assert op.adjoint_sign == sign
+        if exact:
+            assert np.array_equal(op.mat, want)
+        else:
+            assert np.max(np.abs(op.mat - want)) <= 1e-13
+
+
+def test_operator_from_banded_symbol_stays_banded(basis):
+    # G A G with the Gram bands: banded for a banded A, and A back (G = 1 to
+    # rounding at the default level; entries O(1), bound fixed at 1e-13).
+    spec = basis(2, 6)
+    op = toeplitz.toeplitz_matrix(spec, get_function("re_rational"))
+    back = operators.operator_from_symbol(spec, operators.CovariantSymbol(op))
+    assert back.bands is not None
+    assert np.max(np.abs(back.mat - op.mat)) <= 1e-13
 
 
 def test_operations_reject_mixed_specs(basis, rng):
