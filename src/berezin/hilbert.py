@@ -14,6 +14,10 @@ sqrt(1/D_I) zeta^(I, m-|I|) and the pairing zeta(nu) . conj(zeta(mu)) are
 products of factors of modulus <= 1, finite at any m and any finite nu.
 Off-grid points (raw values, symbols, pullbacks) go through them.
 
+The index set is held once, as the exponent table Ihat = (I, m - |I|) of
+``BasisSpec``, with the (m+1)^d position grid its one inverse; both are
+built and read by array operations, with no loop over indices.
+
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
@@ -58,22 +62,24 @@ from .geometry import as_point
 SCHEMA = "berezin.basis/1"
 
 
+def _index_table(d: int, m: int) -> np.ndarray:
+    """(N, d+1) exponents Ihat = (I, m - |I|) of |I| <= m, graded lexicographic order."""
+    # Each prefix takes 0 .. m - |prefix| in the next coordinate; a stable sort grades it.
+    exps = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(d):
+        reps = m + 1 - exps.sum(axis=1)
+        last = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        exps = np.column_stack([np.repeat(exps, reps, axis=0), last])
+    deg = exps.sum(axis=1)
+    order = np.argsort(deg, kind="stable")
+    return np.column_stack([exps[order], m - deg[order]])
+
+
 def enumerate_indices(d: int, m: int) -> list[tuple[int, ...]]:
     """All exponent multi-indices with |I| <= m, graded lexicographic order."""
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for q in range(remaining + 1):
-            rec(prefix + [q], remaining - q)
-
-    rec([], m)
-    out.sort(key=lambda t: (sum(t), t))
-    return out
+    return list(map(tuple, _index_table(d, m)[:, :d].tolist()))
 
 
 @dataclass
@@ -106,7 +112,8 @@ class BasisSpec:
     """Frozen description of one quantization level.
 
     Fields mirror the serialized form: dimension, level m, size N, the index
-    order, the normalization vector D, the prefactor c_m and hbar = 1/m.
+    order (``_exponents``; ``indices`` reads it as tuples, ``_grid`` inverts
+    it), the normalization vector D, the prefactor c_m and hbar = 1/m.
     ``level`` is the quadrature level of every query; Toeplitz matrices
     and projections raise it for their integrands (``toeplitz._default_level``).
     """
@@ -114,22 +121,18 @@ class BasisSpec:
     d: int
     m: int
     N: int
-    indices: tuple[tuple[int, ...], ...]
     D: np.ndarray
     c_m: float
     hbar: float
     level: int
     # Homogeneous exponents Ihat = (I, m - |I|), one (d+1,) row per index.
-    _exponents: np.ndarray = field(default=None, repr=False)
-    _positions: dict = field(default=None, repr=False)
+    _exponents: np.ndarray = field(repr=False)
     _nodes: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if self._exponents is None:
-            exps = np.array(self.indices, dtype=int).reshape(self.N, self.d)
-            self._exponents = np.column_stack([exps, self.m - exps.sum(axis=1)])
-        if self._positions is None:
-            self._positions = {I: k for k, I in enumerate(self.indices)}
+    @functools.cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The multi-indices I in basis order, read from ``_exponents``."""
+        return tuple(map(tuple, self._exponents[:, :self.d].tolist()))
 
     @functools.cached_property
     def _grid(self) -> np.ndarray:
@@ -140,9 +143,9 @@ class BasisSpec:
 
     def position(self, index: Sequence[int]) -> int:
         key = tuple(int(q) for q in index)
-        if key not in self._positions:
+        if len(key) != self.d or min(key) < 0 or sum(key) > self.m:
             raise IndexOutOfRange(f"index {key} not admissible for d={self.d}, m={self.m}")
-        return self._positions[key]
+        return int(self._grid[key])
 
     @functools.cached_property
     def _lowering(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +154,10 @@ class BasisSpec:
         src (d, N) is the position of I - e_k and coef = sqrt(I_k (m - |I| + 1));
         both are 0 where I_k = 0.
         """
-        src = np.array([[self._positions.get(I[:k] + (I[k] - 1,) + I[k + 1:], 0)
-                         for I in self.indices] for k in range(self.d)], dtype=np.intp)
-        free = self._exponents[:, self.d] + 1.0  # m - |I| + 1
-        return src, np.sqrt(self._exponents[:, :self.d].T * free)
+        exps = self._exponents[:, :self.d]
+        lower = np.maximum(exps[None] - np.eye(self.d, dtype=np.intp)[:, None], 0)
+        src = np.where(exps.T > 0, self._grid[tuple(np.moveaxis(lower, 2, 0))], 0)
+        return src, np.sqrt(exps.T * (self._exponents[:, self.d] + 1.0))  # m - |I| + 1
 
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
@@ -177,20 +180,17 @@ def build_basis(d: int, m: int, level: int | None = None) -> BasisSpec:
     """
     if d < 1 or m < 1 or (level is not None and level < 1):
         raise ValueError(f"need d, m and level >= 1, got d={d}, m={m}, level={level}")
-    indices = enumerate_indices(d, m)
-    fact = [math.factorial(q) for q in range(m + 1)]
-    D = np.empty(len(indices))
-    for k, I in enumerate(indices):
-        mult = fact[m]
-        for qi in I:
-            mult //= fact[qi]
-        mult //= fact[m - sum(I)]
-        D[k] = 1.0 / mult
+    exps = _index_table(d, m)
+    # Exact integer multinomials m! / (I! (m - |I|)!), divided column by column.
+    fact = np.array([math.factorial(q) for q in range(m + 1)], dtype=object)
+    mult = np.full(exps.shape[0], fact[m], dtype=object)
+    for col in exps.T:
+        mult //= fact[col]
     ratio = math.factorial(m + d) // math.factorial(m)
     c_m = ratio / (2.0 * math.pi) ** d
     lv = quadrature.level_for(m) if level is None else int(level)
-    return BasisSpec(d=d, m=m, N=len(indices), indices=tuple(indices), D=D,
-                     c_m=c_m, hbar=1.0 / m, level=lv)
+    return BasisSpec(d=d, m=m, N=exps.shape[0], D=(1.0 / mult).astype(float),
+                     c_m=c_m, hbar=1.0 / m, level=lv, _exponents=exps)
 
 
 def unit_lift(points: np.ndarray) -> np.ndarray:
@@ -327,9 +327,7 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     """
     d, n_theta = spec.d, rule.n_theta
     rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
-    flat = np.zeros(spec.N, dtype=np.intp)
-    for j in range(d):
-        flat = flat * n_theta + spec._exponents[:, j] % n_theta
+    flat = np.ravel_multi_index(tuple(spec._exponents[:, :d].T % n_theta), (n_theta,) * d)
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
     return _NodeData(rule=rule, hr=np.exp(-(spec.m / 2.0) * log1ps), rlift=rlift,
                      R=_lift_rows(spec, rlift).real.copy(), flat=flat,
@@ -635,7 +633,7 @@ def to_json(spec: BasisSpec) -> str:
         "hbar": spec.hbar,
         "c_m": spec.c_m,
         "level": spec.level,
-        "indices": [list(I) for I in spec.indices],
+        "indices": spec._exponents[:, :spec.d].tolist(),
         "D": [float(x) for x in spec.D],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

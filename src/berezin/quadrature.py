@@ -218,7 +218,7 @@ def build_rule(d: int, level: int, *, exact_family: bool = False) -> QuadratureR
     nothing more).  Total nodes (n_r * n_theta)^d must stay within
     ``NODE_CAP`` (read at call time) or ResourceLimit is raised before
     anything is allocated, also for callers that never assemble the full
-    grid (a known limitation: ``toeplitz-sweep`` from m = 96 at d = 2, and
+    grid (a known limitation: ``toeplitz-sweep`` from m = 74 at d = 2, and
     from m = 14 at d = 3, where the bracket's weight degree 3 needs level 5,
     252^3 nodes; d = 3 ``kernel-check`` reaches the cap at m = 17).  The
     error-estimate companion is not built here (``integrate``).

@@ -119,12 +119,13 @@ def operator_norm(op) -> float:
     """Spectral norm; accepts an operator wrapper or a bare matrix.
 
     A banded Hermitian operator is block diagonal, and its norm is the
-    largest |eigenvalue| over the blocks (``_block_norm``).  A bare matrix,
-    or an operator without that structure, goes to the SVD.
+    largest |eigenvalue| over the blocks (``_block_norm``); a banded
+    anti-Hermitian A has the norm of the Hermitian 1j * A.  A bare matrix,
+    or an operator without either structure, goes to the SVD.
     """
-    if getattr(op, "bands", None) is None or op.adjoint_sign != 1:
+    if getattr(op, "bands", None) is None or op.adjoint_sign == 0:
         return float(np.linalg.norm(getattr(op, "mat", op), 2))
-    return _block_norm(op.spec, op.bands)
+    return _block_norm(op.spec, (op if op.adjoint_sign == 1 else 1j * op).bands)
 
 
 def _gradients(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

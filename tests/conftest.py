@@ -91,22 +91,32 @@ def ladder_bands(spec, a, b):
     return {tuple(step[:d]): (rows, cols, vals / (m + d + 1))}
 
 
-def ladder_registry(spec):
-    """Dense T_f of the five registry functions from ``ladder_bands``.
+def moment_matrix(name, d):
+    """Hermitian A with the registry function ``name`` = x^H A x, x the unit lift.
 
-    one = 1, inv_rational = |x_h|^2, abs2_rational = 1 - |x_h|^2,
-    re_rational = Re(x_1 conj(x_h)) and im_rational = Im(x_1 conj(x_h)).
+    h = d is the homogeneous slot: one = sum_a |x_a|^2, inv_rational =
+    |x_h|^2, abs2_rational = 1 - |x_h|^2, re_rational = Re(x_1 conj(x_h)) and
+    im_rational = Im(x_1 conj(x_h)).
     """
-    def dense(a, b):
-        out = np.zeros((spec.N, spec.N), dtype=complex)
-        for rows, cols, vals in ladder_bands(spec, a, b).values():
-            out[rows, cols] = vals
-        return out
-
-    h = spec.d
-    eye, hh, up, down = np.eye(spec.N), dense(h, h), dense(0, h), dense(h, 0)
+    eye = np.eye(d + 1, dtype=complex)
+    hh, h1 = np.outer(eye[d], eye[d]), np.outer(eye[d], eye[0])  # |x_h|^2, x_1 conj(x_h)
     return {"one": eye, "inv_rational": hh, "abs2_rational": eye - hh,
-            "re_rational": (up + down) / 2, "im_rational": -0.5j * (up - down)}
+            "re_rational": (h1 + h1.T) / 2, "im_rational": -0.5j * (h1 - h1.T)}[name]
+
+
+def ladder_operator(spec, A):
+    """Dense T(x^H A x) = sum_ab A_ab T(x_b conj(x_a)) from ``ladder_bands``."""
+    out = np.zeros((spec.N, spec.N), dtype=complex)
+    for a, b in zip(*np.nonzero(A)):
+        for rows, cols, vals in ladder_bands(spec, b, a).values():
+            out[rows, cols] += A[a, b] * vals
+    return out
+
+
+def ladder_registry(spec):
+    """Dense T_f of the five registry functions from ``ladder_bands``."""
+    return {name: ladder_operator(spec, moment_matrix(name, spec.d))
+            for name in ("one", "inv_rational", "abs2_rational", "re_rational", "im_rational")}
 
 
 def admissible(mu, nu):

@@ -23,6 +23,48 @@ def test_index_enumeration_graded_lex():
         hilbert.enumerate_indices(1, -1)
 
 
+def recursive_indices(d, m):
+    """Every I with |I| <= m by recursion over the coordinates, sorted by (|I|, I).
+
+    The reference definition of the index order, against which the array
+    enumeration of ``hilbert`` is checked.
+    """
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == d:
+            out.append(tuple(prefix))
+            return
+        for q in range(remaining + 1):
+            rec(prefix + [q], remaining - q)
+
+    rec([], m)
+    out.sort(key=lambda t: (sum(t), t))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_index_table_matches_the_recursive_definition(d):
+    # enumerate_indices, the exponent table, positions and the ladder gather
+    # against the recursive enumeration and a position dict, exactly.
+    for m in range(11):
+        want = recursive_indices(d, m)
+        assert hilbert.enumerate_indices(d, m) == want
+        if m == 0:
+            continue
+        spec = hilbert.build_basis(d, m)
+        assert spec.N == len(want) and spec.indices == tuple(want)
+        assert np.array_equal(spec._exponents, [I + (m - sum(I),) for I in want])
+        positions = {I: k for k, I in enumerate(want)}
+        assert [spec.position(I) for I in want] == list(range(spec.N))
+        src, coef = spec._lowering
+        lowered = [[positions.get(I[:k] + (I[k] - 1,) + I[k + 1:], 0) for I in want]
+                   for k in range(d)]
+        assert src.dtype == np.intp and np.array_equal(src, lowered)
+        assert np.array_equal(coef, [[math.sqrt(I[k] * (m - sum(I) + 1)) for I in want]
+                                     for k in range(d)])
+
+
 def test_build_basis_counts(basis):
     spec = basis(1, 4)
     assert spec.N == 5
@@ -48,7 +90,7 @@ def test_normalization_constants(basis):
         (m + 1) * (m + 2) / (2 * np.pi) ** 2, rel=1e-15)
 
 
-@pytest.mark.parametrize("d, m", [(1, 1024), (3, 12)])
+@pytest.mark.parametrize("d, m", [(1, 1024), (3, 12), (4, 32)])
 def test_normalizations_match_the_factorial_formula(d, m):
     # D_I = I! (m - |I|)! / m!, each factorial from math.factorial per index:
     # the same integers divided in the same order, so D is bitwise equal.
@@ -90,8 +132,11 @@ def test_basis_eval_monomial_form(basis, rng):
 def test_position_lookup(basis):
     spec = basis(2, 2)
     assert spec.position((1, 1)) == 4
-    with pytest.raises(IndexOutOfRange):
-        spec.position((3, 0))
+    # |I| > m, a negative entry (which would wrap around in the position
+    # grid), and the wrong length each raise.
+    for index in ((3, 0), (2, 1), (-1, 1), (1, -1), (1,), (1, 1, 0), ()):
+        with pytest.raises(IndexOutOfRange):
+            spec.position(index)
 
 
 def test_eval_matrix_shapes(basis, rng):

@@ -8,8 +8,8 @@ import pytest
 
 from berezin import geometry, hilbert, operators, quadrature, toeplitz
 from berezin.errors import DegenerateKernel, DimensionMismatch
-from berezin.functions import get_function
-from conftest import sample_ball
+from berezin.functions import REGISTRY, get_function
+from conftest import ladder_registry, moment_matrix, sample_ball
 
 try:
     import mpmath
@@ -263,6 +263,26 @@ def test_star_equals_product_symbol(basis, rng):
             got = operators.star_product(a, b, mu)
             want = operators.symbol_eval(a @ b, mu, mu)
             assert got == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("d, m", [(1, 7), (2, 8), (3, 5)])
+def test_registry_symbols_match_the_ladder_reference(basis, rng, d, m):
+    # The covariant symbol of T_f for f = x^H A x is (m f + tr A) / (m + d + 1)
+    # (the Schwinger-boson form of conftest.ladder_bands), and the star
+    # product of T_f and T_g is the diagonal symbol of the ladder product
+    # L_f @ L_g.  Bounds fixed before the first run: 1e-14 for the symbols,
+    # 1e-13 for the star products (an N-term sum through the Gram bands).
+    spec = basis(d, m)
+    pts = sample_ball(rng, d, 2.0, 20)
+    ops = {name: toeplitz.toeplitz_matrix(spec, f) for name, f in REGISTRY.items()}
+    for name, op in ops.items():
+        want = (m * REGISTRY[name](pts) + np.trace(moment_matrix(name, d)).real) / (m + d + 1)
+        assert np.max(np.abs(operators.CovariantSymbol(op)(pts) - want)) <= 1e-14, name
+    ladder = {name: operators.OperatorMatrix(spec, mat) for name, mat in ladder_registry(spec).items()}
+    for f, g in itertools.product(REGISTRY, repeat=2):
+        want = operators.CovariantSymbol(ladder[f] @ ladder[g])(pts[:3])
+        got = [operators.star_product(ops[f], ops[g], mu) for mu in pts[:3]]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-13, (f, g)
 
 
 def test_star_bilinear(basis, rng):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from berezin import geometry, hilbert, operators, toeplitz
 from berezin.functions import REGISTRY, get_function
-from conftest import ladder_registry, layout_nodes
+from conftest import ladder_operator, ladder_registry, layout_nodes, moment_matrix, sample_ball
 
 
 def leg_disc_integral(fn, n_u=80, n_t=96):
@@ -150,7 +150,7 @@ def test_block_norms_match_the_svd(d, m):
         assert toeplitz.commutator_defect(spec, f, g) == pytest.approx(want, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("d, m", [(1, 7), (2, 8), (3, 5)])
+@pytest.mark.parametrize("d, m", [(1, 7), (2, 8), (3, 5), (4, 3)])
 @pytest.mark.parametrize("raise_level", [0, 1])
 def test_registry_operators_match_the_ladder_reference(d, m, raise_level):
     # The five registry Toeplitz operators entrywise against the su(d+1)
@@ -174,6 +174,34 @@ def test_registry_operators_match_the_ladder_reference(d, m, raise_level):
     tb = toeplitz.toeplitz_matrix(spec, toeplitz.bracket_function(get_function("abs2_rational"),
                                                                   get_function("im_rational")))
     assert np.max(np.abs(tb.mat + want["re_rational"])) <= 1e-14
+
+
+@pytest.mark.parametrize("d, m, raise_level", [(1, 7, 0), (1, 7, 1), (2, 8, 0), (2, 8, 1),
+                                                (3, 5, 0), (3, 5, 1), (4, 3, 0)])
+def test_registry_brackets_match_the_ladder_reference(rng, d, m, raise_level):
+    # Brackets of moment maps are moment maps: with f = x^H A_f x on the unit
+    # lift, {f, g} = x^H C x for C = i [A_f, A_g].  Each of the 25 registry
+    # brackets is checked pointwise against that form first, then T_{f,g}
+    # entrywise against its ladder operator (conftest.ladder_operator), at
+    # the brackets' default rule and, below d = 4 (where one level above
+    # exceeds NODE_CAP), one level above it.  {re, im} = (|x_1|^2 - |x_h|^2)
+    # / 2 is no registry function at d >= 2.  Both bounds, 1e-13, were fixed
+    # before the first run.
+    spec = hilbert.build_basis(d, m)
+    if raise_level:  # {re, im} has the largest weight degree, 3
+        top = toeplitz._default_level(spec, toeplitz.bracket_function(REGISTRY["re_rational"],
+                                                                      REGISTRY["im_rational"]))
+        spec = hilbert.build_basis(d, m, level=top + 1)
+    pts = sample_ball(rng, d, 2.0, 50)
+    x = hilbert.unit_lift(pts)
+    for (fname, f), (gname, g) in itertools.product(REGISTRY.items(), repeat=2):
+        a_f, a_g = moment_matrix(fname, d), moment_matrix(gname, d)
+        c = 1j * (a_f @ a_g - a_g @ a_f)
+        bracket = toeplitz.bracket_function(f, g)
+        want = np.einsum("na,ab,nb->n", x.conj(), c, x)
+        assert np.max(np.abs(bracket(pts) - want)) <= 1e-13, (fname, gname)
+        got = toeplitz.toeplitz_matrix(spec, bracket).mat
+        assert np.max(np.abs(got - ladder_operator(spec, c))) <= 1e-13, (fname, gname)
 
 
 # (d, m, relative bound), fixed before the first run: those of the abs2 norm
@@ -204,6 +232,26 @@ def test_re_sweep_norm_defect_column():
                                   [4, 16], d=d)
     for m, _, defect, _ in res.rows:
         assert defect == pytest.approx((d + 1) / (2.0 * (m + d + 1)), rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("d, m", [(1, 16), (2, 8), (3, 5)])
+def test_anti_hermitian_bands_are_normed_per_block(monkeypatch, d, m):
+    # A banded anti-Hermitian A (a commutator of two Hermitian band
+    # operators) takes the block norm of the Hermitian 1j * A and is never
+    # densified; the dense SVD is the reference, bound 1e-13 relative fixed
+    # before the first run.
+    spec = hilbert.build_basis(d, m)
+    ops = {name: toeplitz.toeplitz_matrix(spec, get_function(name))
+           for name in ("abs2_rational", "re_rational", "im_rational")}
+    comms = [operators.commutator(ops[f], ops["im_rational"])
+             for f in ("abs2_rational", "re_rational")]
+    with monkeypatch.context() as mp:
+        mp.setattr(hilbert, "_densify", lambda *a: pytest.fail("densified"))
+        for comm in comms:
+            assert comm.adjoint_sign == -1 and comm.bands is not None
+        got = [toeplitz.operator_norm(comm) for comm in comms]
+    for norm, comm in zip(got, comms):
+        assert norm == pytest.approx(np.linalg.norm(comm.mat, 2), rel=1e-13, abs=0)
 
 
 def test_toeplitz_matrix_type(basis):
