@@ -44,11 +44,6 @@ class ChartFunction:
             pts = pts.reshape(1, -1)
         return np.asarray(self.evaluator(pts))
 
-    def gradient(self, mu) -> tuple[np.ndarray, np.ndarray]:
-        mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-        return (np.asarray(self.grad_mu(mu), dtype=complex),
-                np.asarray(self.grad_mubar(mu), dtype=complex))
-
 
 def _s(pts: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(pts) ** 2, axis=-1)

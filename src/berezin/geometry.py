@@ -13,8 +13,10 @@ potential ln(1 + |mu|^2).  This module owns the conventions:
   contracts with its inverse.  The constant is pinned so that the
   first-order commutator law of the operator layer holds with factor +1j;
   an exactly soluble rank-one case in the test suite locks the sign,
-* derivatives: exact Wirtinger gradients of registry functions and symbols;
-  ``wirtinger`` (central, step 1e-5 * max(1, |mu|)) for plain callables.
+* derivatives: ``gradients`` evaluates a declared ``grad_mu``/``grad_mubar``
+  pair (every registry function) and never differences it; any other
+  callable takes one central ``wirtinger`` stencil (step 1e-5 * max(1, |mu|))
+  over one point or n points at once.
 """
 
 from __future__ import annotations
@@ -144,53 +146,62 @@ def diastasis(mu, nu) -> float:
     return float(np.log(p / (a * b)))
 
 
-def wirtinger_step(mu) -> float:
-    """Finite-difference step 1e-5 * max(1, |mu|)."""
-    mu = as_point(mu)
-    return WIRTINGER_STEP * max(1.0, float(np.linalg.norm(mu)))
-
-
 def wirtinger(f: Callable, mu):
-    """Central-difference Wirtinger derivatives of a scalar function, step ``wirtinger_step``.
+    """Central-difference Wirtinger derivatives of a scalar function at one point or n points.
 
-    Parameters
-    ----------
-    f : callable
-        Accepts a (d,) complex vector, returns a scalar.
-    mu : array_like
-        Evaluation point.
-
-    Returns
-    -------
-    (dmu, dmubar) : pair of (d,) complex arrays
-        Derivatives with respect to mu_i and conj(mu_i).
+    ``mu`` is one (d,) point, where ``f`` maps (d,) vectors to scalars, or
+    (n, d) points, where ``f`` maps (n, d) arrays to (n,).  Either way ``f``
+    is called 4d times, on the stencils mu +- h e_i and mu +- i h e_i with
+    the per-row step h = 1e-5 * max(1, |mu_n|).  Returns (dmu, dmubar) shaped
+    like ``mu``, the derivatives in mu_i and conj(mu_i).  DerivativeFailure
+    names the coordinate (and the first bad row of n points) where an
+    evaluation fails or a quotient is not finite.
     """
-    mu = as_point(mu)
-    h = wirtinger_step(mu)
-    d = mu.shape[0]
-    dmu = np.empty(d, dtype=complex)
-    dmubar = np.empty(d, dtype=complex)
+    pts = np.asarray(mu, dtype=complex)
+    single = pts.ndim < 2
+    if single:
+        pts = as_point(pts)[None]
+    elif pts.ndim != 2:
+        raise DimensionMismatch(f"chart points must be (n, d), got shape {pts.shape}")
+    n, d = pts.shape
+    h = WIRTINGER_STEP * np.maximum(1.0, np.sqrt(np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)))
+    dmu, dmubar = np.empty((2, n, d), dtype=complex)
 
-    def val(p) -> complex:
-        # accept scalars and size-1 arrays (vectorized evaluators)
-        a = np.asarray(f(p))
-        if a.size != 1:
-            raise ValueError(f"scalar function returned shape {a.shape}")
-        return complex(a.item())
+    def value(p) -> np.ndarray:
+        a = np.asarray(f(p[0] if single else p), dtype=complex)
+        if a.size != n:
+            raise ValueError(f"evaluator returned shape {a.shape} for {n} points")
+        return a.reshape(n)
 
     for i in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
+        e = np.zeros((n, d), dtype=complex)
+        e[:, i] = h
         try:
-            fx = (val(mu + h * e) - val(mu - h * e)) / (2.0 * h)
-            fy = (val(mu + 1j * h * e) - val(mu - 1j * h * e)) / (2.0 * h)
+            fx = (value(pts + e) - value(pts - e)) / (2.0 * h)
+            e[:, i] *= 1j
+            fy = (value(pts + e) - value(pts - e)) / (2.0 * h)
         except Exception as exc:  # stencil left the admissible domain
             raise DerivativeFailure(f"stencil evaluation failed at coordinate {i}: {exc}") from exc
-        if not (np.isfinite(fx) and np.isfinite(fy)):
-            raise DerivativeFailure(f"non-finite difference quotient at coordinate {i}")
-        dmu[i] = 0.5 * (fx - 1j * fy)
-        dmubar[i] = 0.5 * (fx + 1j * fy)
-    return dmu, dmubar
+        bad = ~(np.isfinite(fx) & np.isfinite(fy))
+        if np.any(bad):
+            row = "" if single else f", row {int(np.argmax(bad))}"
+            raise DerivativeFailure(f"non-finite difference quotient at coordinate {i}{row}")
+        dmu[:, i] = 0.5 * (fx - 1j * fy)
+        dmubar[:, i] = 0.5 * (fx + 1j * fy)
+    return (dmu[0], dmubar[0]) if single else (dmu, dmubar)
+
+
+def gradients(fn: Callable, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Wirtinger gradients (d/dmu, d/dmubar) of ``fn`` at one (d,) point or (n, d) points.
+
+    A declared ``fn.grad_mu``/``fn.grad_mubar`` pair (every ChartFunction has
+    one) is evaluated and never differenced; any other callable takes one
+    ``wirtinger`` stencil over all the points.
+    """
+    if hasattr(fn, "grad_mu"):
+        return (np.asarray(fn.grad_mu(mu), dtype=complex),
+                np.asarray(fn.grad_mubar(mu), dtype=complex))
+    return wirtinger(fn, mu)
 
 
 def bracket_from_gradients(pts, dt_mu, dt_mubar, ds_mu, ds_mubar) -> np.ndarray:
@@ -213,22 +224,14 @@ def bracket_from_gradients(pts, dt_mu, dt_mubar, ds_mu, ds_mubar) -> np.ndarray:
     return -1j * (1.0 + s) * (contract(ds_mu, dt_mubar) - contract(dt_mu, ds_mubar))
 
 
-def poisson_bracket(t: Callable, s: Callable, mu, t_grad=None, s_grad=None) -> complex:
+def poisson_bracket(t: Callable, s: Callable, mu) -> complex:
     """Chart Poisson bracket of two scalar functions at a single point ``mu``.
 
     {t, s} = sum_ij W[i, j] * (dt/dmubar_j ds/dmu_i - ds/dmubar_j dt/dmu_i)
     with W the inverse form matrix; evaluated by ``bracket_from_gradients``.
-    Antisymmetric in (t, s) by construction.
-
-    ``t_grad``/``s_grad`` optionally supply analytic derivatives as a pair of
-    callables (d_mu, d_mubar), each mapping a (d,) point to a (d,) array;
-    otherwise central Wirtinger differences are used.
+    Antisymmetric in (t, s) by construction.  Gradients come from
+    ``gradients``: a declared ``grad_mu``/``grad_mubar`` pair is evaluated,
+    any other function is differenced by ``wirtinger``.
     """
     mu = as_point(mu)
-
-    def gradients(fn, grad):
-        if grad is None:
-            return wirtinger(fn, mu)
-        return np.asarray(grad[0](mu), dtype=complex), np.asarray(grad[1](mu), dtype=complex)
-
-    return complex(bracket_from_gradients(mu, *gradients(t, t_grad), *gradients(s, s_grad)))
+    return complex(bracket_from_gradients(mu, *gradients(t, mu), *gradients(s, mu)))

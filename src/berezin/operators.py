@@ -180,19 +180,17 @@ class CovariantSymbol:
         vals = np.einsum("ki,ik->k", ehat, self.op.dot(ehat.conj().T))
         return complex(vals[0]) if single else vals
 
-    def cross(self, nu_pts, mu_pts, weighted: bool = False) -> np.ndarray:
+    def cross(self, nu_pts, mu_pts) -> np.ndarray:
         """Two-point symbol on a (K, L) grid of (bra, ket) points.
 
-        With ``weighted=True`` returns S * what^m instead, which is bounded by
-        the operator norm and needs no division.
+        The quotient of <ehat_nu, A ehat_mu> by what^m, with the power taken
+        by repeated squaring (``hilbert._power``).
         """
         nu_pts = hilbert._as_points(self.spec, nu_pts)
         mu_pts = hilbert._as_points(self.spec, mu_pts)
         ehat_nu = hilbert.eval_matrix_normalized(self.spec, nu_pts)
         ehat_mu = hilbert.eval_matrix_normalized(self.spec, mu_pts)
         weighted_vals = self.op.dot(ehat_nu.T, transpose=True).T @ ehat_mu.conj().T
-        if weighted:
-            return weighted_vals
         what = hilbert.normalized_pairing(nu_pts, mu_pts)
         mag = np.abs(what)
         bad = (mag == 0.0) | (self.spec.m * np.log(np.where(mag > 0, mag, 1.0))
@@ -202,7 +200,7 @@ class CovariantSymbol:
             raise DegenerateKernel(
                 f"symbol requested at a degenerate pair (rows {k}, cols {l}): "
                 f"|normalized pairing| = {mag[k, l]:.3e} at level m = {self.spec.m}")
-        return weighted_vals / what ** self.spec.m
+        return weighted_vals / hilbert._power(what, self.spec.m)
 
     def gradient(self, mu):
         """Exact Wirtinger gradient (d/dmu, d/dmubar) of the diagonal symbol at one point.
@@ -265,7 +263,7 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
         bra_sum = 0
         for bra in quadrature.node_blocks(nd.rule, 16 * ket.r.size, chars.shape[0]):
             what = hilbert._lifts(nd, bra, chars) @ lift
-            mid = np.asarray(symbol(bra.nodes, ket.nodes)) * what ** spec.m
+            mid = np.asarray(symbol(bra.nodes, ket.nodes)) * hilbert._power(what, spec.m)
             bra_sum = bra_sum + hilbert.analyze(spec, nd, nd.wr[bra.r, None] * mid, bra)
         out += bra_sum @ (hilbert._rows(nd, ket) * nd.wr[ket.r, None])
     return OperatorMatrix(spec, spec.c_m ** 2 * out)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry, hilbert, quadrature
-from .functions import ChartFunction
 from .hilbert import BasisSpec
 from .operators import OperatorMatrix, SweepResult, _fit_slope, commutator
 
@@ -128,19 +127,14 @@ def operator_norm(op) -> float:
     return _block_norm(op.spec, (op if op.adjoint_sign == 1 else 1j * op).bands)
 
 
-def _gradients(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dmu, d/dmubar) at (n, d) points: analytic, else per-point differences."""
-    if isinstance(fn, ChartFunction):
-        return fn.grad_mu(pts), fn.grad_mubar(pts)
-    diffs = np.array([geometry.wirtinger(fn, p) for p in pts], dtype=complex)
-    return diffs[:, 0], diffs[:, 1]
-
-
 def bracket_function(f, g):
     """Pointwise chart Poisson bracket {f, g} as a vectorized evaluator.
 
-    Gradients at all nodes (analytic for a ChartFunction, else Wirtinger
-    differences) go through one ``geometry.bracket_from_gradients`` call.
+    ``geometry.gradients`` supplies the gradients at all the points at once:
+    a declared grad_mu/grad_mubar pair (every ChartFunction) is evaluated and
+    never differenced, and a plain callable, a vectorized evaluator over
+    (n, d) arrays, takes one central stencil of 4d calls whatever n.  Both
+    go through one ``geometry.bracket_from_gradients`` call.
     The returned callable carries a weight_degree attribute p_f + p_g + 1:
     the reduced bracket of bounded rational functions stays within that
     weight class, which keeps Toeplitz integrands exact.  When f and g both
@@ -152,7 +146,8 @@ def bracket_function(f, g):
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        return geometry.bracket_from_gradients(pts, *_gradients(f, pts), *_gradients(g, pts))
+        return geometry.bracket_from_gradients(pts, *geometry.gradients(f, pts),
+                                               *geometry.gradients(g, pts))
 
     evaluate.weight_degree = _weight_degree(f) + _weight_degree(g) + 1
     evaluate.__name__ = "bracket"

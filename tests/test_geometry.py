@@ -117,6 +117,17 @@ def test_diastasis_basic_values():
         geometry.diastasis([1.0], [-1.0])
 
 
+def _im_rows(p):
+    """Im mu_1 / (1 + |mu|^2) at one (d,) point or at each row of (n, d) points."""
+    return p[..., 0].imag / (1.0 + np.sum(p.real ** 2 + p.imag ** 2, axis=-1))
+
+
+def _mixed_rows(p):
+    # complex-valued from real arithmetic alone, which rounds alike on a
+    # (d,) point and on a row of an (n, d) array
+    return p[..., 0].real * p[..., -1].imag + 1j * p[..., 0].imag ** 2
+
+
 def test_wirtinger_exact_on_polynomials(rng):
     z0 = 0.3 - 0.7j
 
@@ -138,6 +149,43 @@ def test_wirtinger_failure_modes():
 
     with pytest.raises(DerivativeFailure):
         geometry.wirtinger(boom, np.array([0.1]))
+    # n points: the coordinate, and the first row whose quotient is not finite
+    pts = np.full((6, 2), 0.1 + 0.2j)
+
+    def nan_row(p):
+        # NaN at row 3 once the stencil moves coordinate 1
+        return np.where((np.arange(6) == 3) & (p[:, 1] != pts[:, 1]), np.nan, _im_rows(p))
+
+    with pytest.raises(DerivativeFailure, match="coordinate 1, row 3"):
+        geometry.wirtinger(nan_row, pts)
+    with pytest.raises(DerivativeFailure, match="coordinate 0: no value here"):
+        geometry.wirtinger(boom, pts)
+    with pytest.raises(DerivativeFailure, match="coordinate 0: evaluator returned shape"):
+        geometry.wirtinger(lambda p: _im_rows(p)[:-1], pts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_wirtinger_rows_equal_single_points(rng, d):
+    pts = rng.normal(size=(40, d)) * 0.8 + 1j * rng.normal(size=(40, d)) * 0.8
+    for f in (_im_rows, _mixed_rows):
+        dmu, dmubar = geometry.wirtinger(f, pts)
+        assert dmu.shape == dmubar.shape == (40, d)
+        for k, mu in enumerate(pts):
+            one_mu, one_mubar = geometry.wirtinger(f, mu)
+            assert np.array_equal(one_mu, dmu[k]) and np.array_equal(one_mubar, dmubar[k])
+
+
+def test_declared_gradients_are_never_differenced(rng, monkeypatch):
+    def spy(*args):
+        raise AssertionError("declared gradients were differenced")
+
+    monkeypatch.setattr(geometry, "wirtinger", spy)
+    f, g = get_function("re_rational"), get_function("im_rational")
+    pts = rng.normal(size=(7, 2)) * 0.5 + 1j * rng.normal(size=(7, 2)) * 0.5
+    for mu in (pts, pts[0]):
+        assert np.array_equal(geometry.gradients(f, mu)[1], f.grad_mubar(mu))
+    assert geometry.poisson_bracket(f, g, pts[0]) == complex(geometry.bracket_from_gradients(
+        pts[0], f.grad_mu(pts[0]), f.grad_mubar(pts[0]), g.grad_mu(pts[0]), g.grad_mubar(pts[0])))
 
 
 def test_bracket_coordinate_pair_at_origin():
@@ -154,13 +202,11 @@ def test_bracket_rational_pair_closed_form(rng):
         mu = rng.normal(size=d) * 0.6 + 1j * rng.normal(size=d) * 0.6
         s = float(np.vdot(mu, mu).real)
         expected = -(1.0 - abs(mu[0]) ** 2) / (2.0 * (1.0 + s))
-        val = geometry.poisson_bracket(f, g, mu,
-                                       t_grad=(f.grad_mu, f.grad_mubar),
-                                       s_grad=(g.grad_mu, g.grad_mubar))
+        val = geometry.poisson_bracket(f, g, mu)
         assert abs(val.imag) <= 1e-12
         assert val.real == pytest.approx(expected, abs=1e-12)
         # difference path agrees with the analytic one
-        fd = geometry.poisson_bracket(f, g, mu)
+        fd = geometry.poisson_bracket(lambda p: f(p), lambda p: g(p), mu)
         assert abs(fd - val) <= 1e-7
 
 
@@ -168,16 +214,10 @@ def test_bracket_antisymmetry(rng):
     f = get_function("abs2_rational")
     g = get_function("re_rational")
     mu = np.array([0.4 + 0.25j])
-    ab = geometry.poisson_bracket(f, g, mu,
-                                  t_grad=(f.grad_mu, f.grad_mubar),
-                                  s_grad=(g.grad_mu, g.grad_mubar))
-    ba = geometry.poisson_bracket(g, f, mu,
-                                  t_grad=(g.grad_mu, g.grad_mubar),
-                                  s_grad=(f.grad_mu, f.grad_mubar))
+    ab = geometry.poisson_bracket(f, g, mu)
+    ba = geometry.poisson_bracket(g, f, mu)
     assert abs(ab + ba) <= 1e-14
-    same = geometry.poisson_bracket(f, f, mu,
-                                    t_grad=(f.grad_mu, f.grad_mubar),
-                                    s_grad=(f.grad_mu, f.grad_mubar))
+    same = geometry.poisson_bracket(f, f, mu)
     assert abs(same) <= 1e-16
 
 
@@ -185,14 +225,14 @@ def test_bracket_antisymmetry(rng):
 def test_vectorized_gradients_match_wirtinger_differences(rng, d):
     pts = rng.normal(size=(40, d)) * 0.8 + 1j * rng.normal(size=(40, d)) * 0.8
     for name, fn in REGISTRY.items():
-        gmu, gmubar = fn.gradient(pts)
+        gmu, gmubar = geometry.gradients(fn, pts)
         assert gmu.shape == gmubar.shape == (40, d), name
         for k, mu in enumerate(pts):
             dmu, dmubar = geometry.wirtinger(fn, mu)
             assert np.max(np.abs(gmu[k] - dmu)) <= 1e-7, name
             assert np.max(np.abs(gmubar[k] - dmubar)) <= 1e-7, name
             # a single (d,) point gives that point's row
-            one_mu, one_mubar = fn.gradient(mu)
+            one_mu, one_mubar = geometry.gradients(fn, mu)
             assert np.allclose(one_mu, gmu[k], rtol=0.0, atol=1e-15), name
             assert np.allclose(one_mubar, gmubar[k], rtol=0.0, atol=1e-15), name
 
@@ -221,12 +261,12 @@ def test_bracket_antisymmetry_property(data, d, n, names):
     f, g = (REGISTRY[name] for name in names)
 
     def bracket(a, b):
-        return geometry.bracket_from_gradients(pts, *a.gradient(pts), *b.gradient(pts))
+        return geometry.bracket_from_gradients(pts, *geometry.gradients(a, pts),
+                                               *geometry.gradients(b, pts))
 
     assert np.array_equal(bracket(f, g), -bracket(g, f))
     assert np.all(bracket(f, f) == 0.0)
     # the single-point API agrees with the vectorized path row by row
     for k in range(n):
-        single = geometry.poisson_bracket(f, g, pts[k], t_grad=(f.grad_mu, f.grad_mubar),
-                                          s_grad=(g.grad_mu, g.grad_mubar))
+        single = geometry.poisson_bracket(f, g, pts[k])
         assert abs(single - bracket(f, g)[k]) <= 1e-13 * (1.0 + abs(single))

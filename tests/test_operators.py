@@ -125,6 +125,15 @@ def test_identity_symbol_is_one(basis, rng):
     diag = operators.CovariantSymbol(ident)(pts)
     assert np.allclose(diag, 1.0, atol=1e-13)
     assert operators.symbol_eval(ident, pts[0], pts[1]) == pytest.approx(1.0, abs=1e-12)
+    # high levels: what^m is taken by repeated squaring (hilbert._power), where
+    # numpy's ** would take a complex log and exp.  Points within 0.02 of one
+    # centre keep |what|^m near 1.  Bound fixed before the first run.
+    for d, m in [(1, 100), (1, 512), (2, 100)]:
+        ident = operators.identity_operator(basis(d, m))
+        pts = 0.3 + 0.2j + 0.01 * (rng.normal(size=(12, d)) + 1j * rng.normal(size=(12, d)))
+        vals = operators.CovariantSymbol(ident).cross(pts, pts[::-1])
+        assert vals.shape == (12, 12)
+        assert np.max(np.abs(vals - 1.0)) <= 1e-11, (d, m)
 
 
 def test_rank_one_symbol_closed_form(basis):
@@ -161,7 +170,9 @@ def test_weighted_cross_symbol_is_bounded(basis, rng):
     op = random_operator(spec, rng)
     norm = np.linalg.norm(op.mat, 2)
     pts = sample_ball(rng, 1, 1.8, 30)
-    vals = operators.CovariantSymbol(op).cross(pts, pts, weighted=True)
+    # S(nu, mu) what^m = <ehat_nu, A ehat_mu> is bounded by the operator norm
+    what_m = hilbert.normalized_pairing(pts, pts) ** spec.m
+    vals = operators.CovariantSymbol(op).cross(pts, pts) * what_m
     assert np.max(np.abs(vals)) <= norm + 1e-12
 
 
@@ -338,8 +349,9 @@ def test_banded_operators_act_as_their_dense_form(basis, rng, d, m, level):
                 assert np.max(np.abs(a.dot(v, t) - dense.dot(v, t))) <= 1e-13
         sa, sd = operators.CovariantSymbol(a), operators.CovariantSymbol(dense)
         assert np.max(np.abs(sa(pts) - sd(pts))) <= 1e-13
-        assert np.max(np.abs(sa.cross(pts, pts[::-1], weighted=True)
-                             - sd.cross(pts, pts[::-1], weighted=True))) <= 1e-13
+        what_m = np.abs(hilbert.normalized_pairing(pts, pts[::-1])) ** m
+        assert np.max(np.abs(sa.cross(pts, pts[::-1]) - sd.cross(pts, pts[::-1]))
+                      * what_m) <= 1e-13
         for got, want in zip(sa.gradient(pts[0]), sd.gradient(pts[0])):
             assert np.max(np.abs(got - want)) <= 1e-13
         for b in banded:

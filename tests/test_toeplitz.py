@@ -404,8 +404,7 @@ def test_bracket_function_matches_pointwise_bracket(rng, d):
     for f, g in itertools.product(REGISTRY.values(), repeat=2):
         got = toeplitz.bracket_function(f, g)(pts)
         assert got.shape == (200,)
-        want = [geometry.poisson_bracket(f, g, mu, t_grad=(f.grad_mu, f.grad_mubar),
-                                         s_grad=(g.grad_mu, g.grad_mubar)) for mu in pts]
+        want = [geometry.poisson_bracket(f, g, mu) for mu in pts]
         assert np.max(np.abs(got - want)) <= 1e-13, (f.name, g.name)
     got = toeplitz.bracket_function(get_function("re_rational"),
                                     get_function("im_rational"))(pts)
@@ -415,13 +414,48 @@ def test_bracket_function_matches_pointwise_bracket(rng, d):
 
 
 def test_bracket_function_mixed_arguments_use_differences(rng):
-    # a plain callable has no analytic gradients: the per-point path runs
+    # a plain callable has no analytic gradients: the central stencil runs
     f = get_function("re_rational")
     g = get_function("im_rational")
     pts = rng.normal(size=(5, 2)) * 0.5 + 1j * rng.normal(size=(5, 2)) * 0.5
     want = toeplitz.bracket_function(f, g)(pts)
     got = toeplitz.bracket_function(f, lambda p: g(p))(pts)
     assert np.max(np.abs(got - want)) <= 1e-7
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_plain_callable_bracket_takes_one_stencil(rng, d):
+    # 4d calls of the plain callable per evaluation, each on the whole
+    # (n, d) stencil array, whatever the number n of points
+    f, g = get_function("abs2_rational"), get_function("im_rational")
+    shapes = []
+
+    def plain(p):
+        shapes.append(p.shape)
+        return g(p)
+
+    bracket = toeplitz.bracket_function(f, plain)
+    for n in (1, 500):
+        pts = sample_ball(rng, d, 0.9, n)
+        shapes.clear()
+        got = bracket(pts)
+        assert shapes == [(n, d)] * (4 * d)
+        assert np.max(np.abs(got - toeplitz.bracket_function(f, g)(pts))) <= 1e-7
+
+
+@pytest.mark.parametrize("d, m", [(1, 8), (2, 6), (2, 12)])
+def test_commutator_defect_of_an_array_only_evaluator(basis, d, m):
+    # pts[:, 0] reads the first column of an (n, d) array, so this evaluator
+    # accepts (n, d) arrays only; its bracket is differenced on the stencil
+    # arrays.  Closed form of the abs2/im defect; bound fixed before the run.
+    spec = basis(d, m)
+
+    def im(pts):
+        return pts[:, 0].imag / (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+
+    want = (d + 1) * m / (2 * (m + d + 1) ** 2)
+    got = toeplitz.commutator_defect(spec, get_function("abs2_rational"), im)
+    assert abs(got - want) <= 1e-8 * want
 
 
 def test_commutator_defect_degenerate_pairs(basis):
