@@ -166,6 +166,8 @@ def _cmd_kernel_check(args) -> int:
     _default(args, d=1, seed=1234, pairs=50, tol=1e-8)
     if args.pairs < 1:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+    if not 0.0 < args.tol < float("inf"):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     spec = hilbert.build_basis(args.d, args.m, level=args.level)
     rng = np.random.default_rng(args.seed)
     v = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)

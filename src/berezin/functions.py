@@ -1,7 +1,8 @@
 """Named scalar functions on the chart used by sweeps and the CLI.
 
-Each entry is smooth on the whole compactified space, bounded, and carries
-analytic Wirtinger gradients plus the metadata sweeps need: the power of
+Each entry is smooth on the whole compactified space, bounded, and declares
+its analytic Wirtinger gradients as ``grad`` (read by ``geometry.gradients``,
+never differenced) plus the metadata sweeps need: the power of
 (1 + |mu|^2) required to clear its denominator (weight_degree), its exact
 sup norm for estimator tests, its angular modes and whether it is real.
 
@@ -12,8 +13,8 @@ integer d-vectors.  Toeplitz assembly and operator norms use it
 (``hilbert._compress_bands``, ``toeplitz.operator_norm``).
 
 Evaluators are vectorized over an (n, d) complex array and return (n,).
-Gradients take a single point (d,) or an (n, d) array of points and return
-an array of the same shape (d/dmu or d/dmubar, per coordinate).
+``grad`` takes a single point (d,) or an (n, d) array of points and returns
+the pair (d/dmu, d/dmubar), two arrays of that shape.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class ChartFunction:
 
     name: str
     evaluator: Callable          # (n, d) complex -> (n,)
-    grad_mu: Callable            # (d,) or (n, d) points -> same shape, d/dmu_i
-    grad_mubar: Callable         # (d,) or (n, d) points -> same shape, d/dmubar_i
+    grad: Callable               # (d,) or (n, d) points -> (d/dmu_i, d/dmubar_i), same shape
     weight_degree: int           # min p with (1+|mu|^2)^p * f polynomial in mu, mubar
     sup_exact: float
     description: str
@@ -54,7 +54,7 @@ def _one(pts):
 
 
 def _zero_grad(mu):
-    return np.zeros(mu.shape, dtype=complex)
+    return tuple(np.zeros((2, *mu.shape), dtype=complex))
 
 
 def _quotient_grads(num, num_dmu1: complex, num_dmubar1: complex):
@@ -62,17 +62,19 @@ def _quotient_grads(num, num_dmu1: complex, num_dmubar1: complex):
 
     ``num`` is affine in (mu_1, mubar_1) with the given constant derivatives,
     so df/dmu_i = [i = 1] num_dmu1 / w - num * mubar_i / w^2, and df/dmubar_i
-    likewise with num_dmubar1 and mu_i.  Both take (d,) or (n, d) points.
+    likewise with num_dmubar1 and mu_i.  Returns one ``grad`` of (d,) or (n, d)
+    points that forms w once for both.
     """
 
-    def grad(mu, wrt, own):
+    def grad(mu):
         w = 1.0 + _s(mu)[..., None]
-        g = -(num(mu[..., :1]) / w ** 2) * wrt
-        g[..., :1] += own / w
-        return g
+        q = -(num(mu[..., :1]) / w ** 2)
+        dmu, dmubar = q * np.conj(mu), q * mu
+        dmu[..., :1] += num_dmu1 / w
+        dmubar[..., :1] += num_dmubar1 / w
+        return dmu, dmubar
 
-    return (lambda mu: grad(mu, np.conj(mu), num_dmu1),
-            lambda mu: grad(mu, mu, num_dmubar1))
+    return grad
 
 
 def _radial(d: int) -> tuple:
@@ -111,33 +113,20 @@ _INV = _quotient_grads(lambda mu1: 1.0, 0.0, 0.0)
 
 REGISTRY: dict[str, ChartFunction] = {
     "one": ChartFunction(
-        name="one", evaluator=_one, grad_mu=_zero_grad, grad_mubar=_zero_grad,
-        weight_degree=0, sup_exact=1.0, description="constant 1",
-        modes=_radial, real=True),
+        name="one", evaluator=_one, grad=_zero_grad, weight_degree=0,
+        sup_exact=1.0, description="constant 1", modes=_radial, real=True),
     "re_rational": ChartFunction(
-        name="re_rational", evaluator=_re_rational,
-        grad_mu=_RE[0], grad_mubar=_RE[1],
-        weight_degree=1, sup_exact=0.5,
-        description="Re mu_1 / (1 + |mu|^2)",
-        modes=_first_axis, real=True),
+        name="re_rational", evaluator=_re_rational, grad=_RE, weight_degree=1,
+        sup_exact=0.5, description="Re mu_1 / (1 + |mu|^2)", modes=_first_axis, real=True),
     "im_rational": ChartFunction(
-        name="im_rational", evaluator=_im_rational,
-        grad_mu=_IM[0], grad_mubar=_IM[1],
-        weight_degree=1, sup_exact=0.5,
-        description="Im mu_1 / (1 + |mu|^2)",
-        modes=_first_axis, real=True),
+        name="im_rational", evaluator=_im_rational, grad=_IM, weight_degree=1,
+        sup_exact=0.5, description="Im mu_1 / (1 + |mu|^2)", modes=_first_axis, real=True),
     "abs2_rational": ChartFunction(
-        name="abs2_rational", evaluator=_abs2_rational,
-        grad_mu=_ABS2[0], grad_mubar=_ABS2[1],
-        weight_degree=1, sup_exact=1.0,
-        description="|mu|^2 / (1 + |mu|^2)",
-        modes=_radial, real=True),
+        name="abs2_rational", evaluator=_abs2_rational, grad=_ABS2, weight_degree=1,
+        sup_exact=1.0, description="|mu|^2 / (1 + |mu|^2)", modes=_radial, real=True),
     "inv_rational": ChartFunction(
-        name="inv_rational", evaluator=_inv_rational,
-        grad_mu=_INV[0], grad_mubar=_INV[1],
-        weight_degree=1, sup_exact=1.0,
-        description="1 / (1 + |mu|^2)",
-        modes=_radial, real=True),
+        name="inv_rational", evaluator=_inv_rational, grad=_INV, weight_degree=1,
+        sup_exact=1.0, description="1 / (1 + |mu|^2)", modes=_radial, real=True),
 }
 
 

@@ -13,10 +13,11 @@ potential ln(1 + |mu|^2).  This module owns the conventions:
   contracts with its inverse.  The constant is pinned so that the
   first-order commutator law of the operator layer holds with factor +1j;
   an exactly soluble rank-one case in the test suite locks the sign,
-* derivatives: ``gradients`` evaluates a declared ``grad_mu``/``grad_mubar``
-  pair (every registry function) and never differences it; any other
-  callable takes one central ``wirtinger`` stencil (step 1e-5 * max(1, |mu|))
-  over one point or n points at once.
+* derivatives: ``gradients`` is the one place that decides how a function
+  is differentiated.  A declared ``grad(points) -> (d/dmu, d/dmubar)`` (every
+  registry function and every covariant symbol) is evaluated and never
+  differenced; any other callable takes one central ``wirtinger`` stencil
+  (step 1e-5 * max(1, |mu|)) over one point or n points at once.
 """
 
 from __future__ import annotations
@@ -194,13 +195,12 @@ def wirtinger(f: Callable, mu):
 def gradients(fn: Callable, mu) -> tuple[np.ndarray, np.ndarray]:
     """Wirtinger gradients (d/dmu, d/dmubar) of ``fn`` at one (d,) point or (n, d) points.
 
-    A declared ``fn.grad_mu``/``fn.grad_mubar`` pair (every ChartFunction has
-    one) is evaluated and never differenced; any other callable takes one
-    ``wirtinger`` stencil over all the points.
+    A declared ``fn.grad`` (every ChartFunction and CovariantSymbol has one),
+    returning the pair shaped like ``mu``, is evaluated and never differenced;
+    any other callable takes one ``wirtinger`` stencil over all the points.
     """
-    if hasattr(fn, "grad_mu"):
-        return (np.asarray(fn.grad_mu(mu), dtype=complex),
-                np.asarray(fn.grad_mubar(mu), dtype=complex))
+    if hasattr(fn, "grad"):
+        return tuple(np.asarray(g, dtype=complex) for g in fn.grad(mu))
     return wirtinger(fn, mu)
 
 
@@ -230,8 +230,8 @@ def poisson_bracket(t: Callable, s: Callable, mu) -> complex:
     {t, s} = sum_ij W[i, j] * (dt/dmubar_j ds/dmu_i - ds/dmubar_j dt/dmu_i)
     with W the inverse form matrix; evaluated by ``bracket_from_gradients``.
     Antisymmetric in (t, s) by construction.  Gradients come from
-    ``gradients``: a declared ``grad_mu``/``grad_mubar`` pair is evaluated,
-    any other function is differenced by ``wirtinger``.
+    ``gradients``: a declared ``grad`` is evaluated, any other function is
+    differenced by ``wirtinger``.
     """
     mu = as_point(mu)
     return complex(bracket_from_gradients(mu, *gradients(t, mu), *gradients(s, mu)))

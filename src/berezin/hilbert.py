@@ -219,7 +219,7 @@ def normalized_pairing(nu_pts: np.ndarray, mu_pts: np.ndarray) -> np.ndarray:
 
 def _as_points(spec: BasisSpec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
+    if pts.ndim < 2:
         pts = pts.reshape(1, -1)
     if pts.shape[1] != spec.d:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {spec.d}")

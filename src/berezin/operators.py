@@ -172,11 +172,8 @@ class CovariantSymbol:
         self.spec = op.spec
 
     def __call__(self, points):
-        pts = np.asarray(points, dtype=complex)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, -1)
-        ehat = hilbert.eval_matrix_normalized(self.spec, pts)
+        single = np.ndim(points) < 2
+        ehat = hilbert.eval_matrix_normalized(self.spec, points)
         vals = np.einsum("ki,ik->k", ehat, self.op.dot(ehat.conj().T))
         return complex(vals[0]) if single else vals
 
@@ -202,22 +199,27 @@ class CovariantSymbol:
                 f"|normalized pairing| = {mag[k, l]:.3e} at level m = {self.spec.m}")
         return weighted_vals / hilbert._power(what, self.spec.m)
 
-    def gradient(self, mu):
-        """Exact Wirtinger gradient (d/dmu, d/dmubar) of the diagonal symbol at one point.
+    def grad(self, points):
+        """Exact Wirtinger gradients (d/dmu, d/dmubar) of the diagonal symbol, shaped like ``points``.
 
-        With row = ehat(mu), zeta its unit lift and L_k the ladder gather
-        ``BasisSpec._lowering``: d sigma / d mu_k = (L_k row) A row^H -
-        m conj(zeta_k) zeta_d sigma, d sigma / d mubar_k = row A (L_k row)^H -
-        m zeta_k zeta_d sigma.  One row, d gathers, two mat-vecs and d + 1 dots.
+        With row = ehat at one (d,) point or each of (n, d) points, zeta its
+        unit lift and L_k the ladder gather ``BasisSpec._lowering``:
+        d sigma / d mu_k = (L_k row) A row^H - m conj(zeta_k) zeta_d sigma and
+        d sigma / d mubar_k = row A (L_k row)^H - m zeta_k zeta_d sigma.  One
+        row table, one gather and two (N, n) products with A, whatever n.
         """
-        spec = self.spec
-        lift = hilbert.unit_lift(geometry.as_point(mu, d=spec.d)[None])
-        row = hilbert._lift_rows(spec, lift)[0]
-        src, coef = spec._lowering
-        low = coef * row[src]
-        a_row, row_a = self.op.dot(row.conj()), self.op.dot(row, transpose=True)
-        zeta, scale = lift[0, :spec.d], -spec.m * lift[0, spec.d] * (row @ a_row)
-        return low @ a_row + scale * zeta.conj(), low.conj() @ row_a + scale * zeta
+        spec, single = self.spec, np.ndim(points) < 2
+        lift = hilbert.unit_lift(hilbert._as_points(spec, points))
+        rows, (src, coef) = hilbert._lift_rows(spec, lift), spec._lowering
+        low = coef * rows[:, src]  # (n, d, N): L_k row per point
+        # A row^H and row A as (n, N, 1) columns: one mat-vec per point below.
+        a_rows = self.op.dot(rows.conj().T).T[..., None]
+        rows_a = self.op.dot(rows.T, transpose=True).T[..., None]
+        zeta, sigma = lift[:, :spec.d], (rows[:, None] @ a_rows)[:, 0]
+        scale = -spec.m * lift[:, spec.d, None] * sigma
+        dmu = (low @ a_rows)[..., 0] + scale * zeta.conj()
+        dmubar = (low.conj() @ rows_a)[..., 0] + scale * zeta
+        return (dmu[0], dmubar[0]) if single else (dmu, dmubar)
 
 
 def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu) -> complex:
@@ -248,10 +250,10 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
     bra and ket nodes; for symbols of actual level-m operators the integrand
     is in the rule's exact family and recovery is at rounding error.  For a
     CovariantSymbol of A that quadrature is G A G with G the Gram bands, which
-    is returned directly (banded when A is).  A plain callable is integrated
-    over ket node blocks of about _BLOCK_BYTES / n_theta^d nodes, each against
-    bra blocks of whole radial nodes, so a (bra, ket) table holds about
-    _BLOCK_BYTES; the bra sum is ``hilbert.analyze`` of the block.
+    is returned directly (banded when A is).  A plain callable costs (node
+    count)^2 evaluations, taken in ket node blocks of about _BLOCK_BYTES /
+    n_theta^d nodes, each against bra blocks of whole radial nodes, so a
+    (bra, ket) table holds about _BLOCK_BYTES; the bra sum is ``hilbert.analyze``.
     """
     if isinstance(symbol, CovariantSymbol):
         gram = OperatorMatrix(spec, bands=hilbert._gram(spec, spec.node_data()), adjoint_sign=1)
@@ -305,7 +307,8 @@ def correspondence_sweep(f_op_builder: Callable[[int], OperatorMatrix],
         e1 = |m ((A1 * A2) - (A2 * A1))(mu) - i {a1, a2}(mu)|
 
     with * the star product, a_i the diagonal symbols, and {,} the chart
-    Poisson bracket of their exact gradients (``CovariantSymbol.gradient``).
+    Poisson bracket ``geometry.poisson_bracket``, which reads the symbols'
+    exact gradients (``CovariantSymbol.grad``).
     Both decay like 1/m for smooth bounded families; e1 is 0 for moment maps.
     """
     rows = []
@@ -317,8 +320,7 @@ def correspondence_sweep(f_op_builder: Callable[[int], OperatorMatrix],
         star12 = star_product(a1, a2, pt)
         star21 = star_product(a2, a1, pt)
         e0 = abs(star12 - s1(pt) * s2(pt))
-        bracket = geometry.bracket_from_gradients(pt, *s1.gradient(pt), *s2.gradient(pt))
-        e1 = abs(m * (star12 - star21) - 1j * bracket)
+        e1 = abs(m * (star12 - star21) - 1j * geometry.poisson_bracket(s1, s2, pt))
         rows.append((int(m), float(e0), float(e1)))
     ms = [r[0] for r in rows]
     return SweepResult(rows=rows,

@@ -341,6 +341,8 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
     the Gram matrix accumulated one bounded node block at a time, so memory
     stays within a few blocks and (2N, 2N) products whatever the node count.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     if chart_a.d != spec.d or chart_b.d != spec.d:
         raise DimensionMismatch("chart dimensions do not match the basis spec")
     if psi is None:
@@ -354,7 +356,7 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
     # |K_b / K_a - 1| in log form (the kernels overflow at large m); a NaN
     # ratio propagates, so the report shows it and the pair is not equivalent.
     log_k = spec.m * np.log(1.0 + np.sum(np.conj(z[:, :, 1]) * z[:, :, 0], axis=2))
-    kernel_dev = np.max(np.abs(np.expm1(log_k[1] - log_k[0])), initial=0.0)
+    kernel_dev = np.max(np.abs(np.expm1(log_k[1] - log_k[0])))
 
     return EquivalenceReport(
         inner_product_deviation=float(ip_dev),

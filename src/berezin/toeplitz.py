@@ -131,8 +131,8 @@ def bracket_function(f, g):
     """Pointwise chart Poisson bracket {f, g} as a vectorized evaluator.
 
     ``geometry.gradients`` supplies the gradients at all the points at once:
-    a declared grad_mu/grad_mubar pair (every ChartFunction) is evaluated and
-    never differenced, and a plain callable, a vectorized evaluator over
+    a declared ``grad`` (every ChartFunction and CovariantSymbol) is evaluated
+    and never differenced, and a plain callable, a vectorized evaluator over
     (n, d) arrays, takes one central stencil of 4d calls whatever n.  Both
     go through one ``geometry.bracket_from_gradients`` call.
     The returned callable carries a weight_degree attribute p_f + p_g + 1:

@@ -364,6 +364,9 @@ BAD_ARGUMENTS = [
     (("torus-holonomy", "--m", "2", "--segments", "-5"), "segments must be >= 1"),
     (("basis", "--m", "4", "--level", "0"), "level=0"),
     (("kernel-check", "--m", "4", "--pairs", "0"), "--pairs must be >= 1"),
+    (("kernel-check", "--m", "4", "--tol", "0"), "--tol must be finite and > 0"),
+    (("kernel-check", "--m", "4", "--tol", "-1"), "--tol must be finite and > 0"),
+    (("kernel-check", "--m", "4", "--tol", "nan"), "--tol must be finite and > 0"),
 ]
 
 

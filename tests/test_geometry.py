@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berezin import geometry
+from berezin import geometry, operators, toeplitz
 from berezin.errors import DerivativeFailure, DimensionMismatch, SingularPair
 from berezin.functions import REGISTRY, get_function
 
@@ -175,17 +175,22 @@ def test_batched_wirtinger_rows_equal_single_points(rng, d):
             assert np.array_equal(one_mu, dmu[k]) and np.array_equal(one_mubar, dmubar[k])
 
 
-def test_declared_gradients_are_never_differenced(rng, monkeypatch):
+def test_declared_gradients_are_never_differenced(basis, rng, monkeypatch):
     def spy(*args):
         raise AssertionError("declared gradients were differenced")
 
-    monkeypatch.setattr(geometry, "wirtinger", spy)
     f, g = get_function("re_rational"), get_function("im_rational")
+    spec = basis(2, 6)
+    s, t = (operators.CovariantSymbol(toeplitz.toeplitz_matrix(spec, h)) for h in (f, g))
+    monkeypatch.setattr(geometry, "wirtinger", spy)
     pts = rng.normal(size=(7, 2)) * 0.5 + 1j * rng.normal(size=(7, 2)) * 0.5
     for mu in (pts, pts[0]):
-        assert np.array_equal(geometry.gradients(f, mu)[1], f.grad_mubar(mu))
-    assert geometry.poisson_bracket(f, g, pts[0]) == complex(geometry.bracket_from_gradients(
-        pts[0], f.grad_mu(pts[0]), f.grad_mubar(pts[0]), g.grad_mu(pts[0]), g.grad_mubar(pts[0])))
+        assert np.array_equal(geometry.gradients(f, mu)[1], f.grad(mu)[1])
+    for a, b in ((f, g), (s, t)):
+        assert geometry.poisson_bracket(a, b, pts[0]) == complex(
+            geometry.bracket_from_gradients(pts[0], *a.grad(pts[0]), *b.grad(pts[0])))
+        assert np.array_equal(toeplitz.bracket_function(a, b)(pts),
+                              geometry.bracket_from_gradients(pts, *a.grad(pts), *b.grad(pts)))
 
 
 def test_bracket_coordinate_pair_at_origin():

@@ -187,16 +187,21 @@ def test_gradient_of_hermitian_symbol(basis, rng):
     spec = basis(1, 6)
     a = random_operator(spec, rng)
     herm = operators.OperatorMatrix(spec, a.mat + a.mat.conj().T)
-    dmu, dmubar = operators.CovariantSymbol(herm).gradient([0.3 + 0.2j])
+    dmu, dmubar = operators.CovariantSymbol(herm).grad([0.3 + 0.2j])
     # real diagonal symbol: the two Wirtinger derivatives are conjugate
     assert np.allclose(dmubar, np.conj(dmu), atol=1e-12)
+    # a scalar is a point at d = 1
+    sym = operators.CovariantSymbol(herm)
+    assert sym(0.3 + 0.2j) == sym([0.3 + 0.2j])
+    for got, want in zip(sym.grad(0.3 + 0.2j), (dmu, dmubar)):
+        assert got.shape == (1,) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 12), (3, 6)])
 def test_gradient_of_identity_symbol_vanishes(basis, rng, d, m):
     ident = operators.identity_operator(basis(d, m))
     mu = sample_ball(rng, d, 1.2, 1)[0]
-    for part in operators.CovariantSymbol(ident).gradient(mu):
+    for part in operators.CovariantSymbol(ident).grad(mu):
         assert np.max(np.abs(part)) <= 1e-14
 
 
@@ -235,7 +240,7 @@ def test_gradient_matches_mpmath_derivative(basis, rng, d, m):
                    for k in range(2 * d)]
     fx, fy = np.array(partial[:d]), np.array(partial[d:])
     want = (0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy))
-    got = operators.CovariantSymbol(op).gradient(mu)
+    got = operators.CovariantSymbol(op).grad(mu)
     scale = max(np.max(np.abs(w)) for w in want)
     # Relative bound fixed before the first run.
     for g, w in zip(got, want):
@@ -249,8 +254,35 @@ def test_gradient_matches_central_differences(basis, rng, d, m):
     mu = sample_ball(rng, d, 1.2, 1)[0]
     want = geometry.wirtinger(sym, mu)
     scale = max(np.max(np.abs(w)) for w in want)
-    for g, w in zip(sym.gradient(mu), want):
+    for g, w in zip(sym.grad(mu), want):
         assert np.max(np.abs(g - w)) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("d, m", [(1, 8), (2, 12), (3, 6)])
+def test_gradient_rows_match_single_points(basis, rng, d, m):
+    spec = basis(d, m)
+    pts = sample_ball(rng, d, 1.2, 9)
+    for op in (random_operator(spec, rng), toeplitz.toeplitz_matrix(spec, get_function("re_rational"))):
+        sym = operators.CovariantSymbol(op)
+        single = [sym.grad(mu) for mu in pts]
+        for part, got in enumerate(sym.grad(pts)):
+            assert got.shape == (9, d)
+            want = np.array([one[part] for one in single])
+            # Relative bound fixed before the first run.
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, m", [(1, 8), (1, 64), (2, 8), (2, 24), (3, 6)])
+def test_symbol_bracket_is_the_scaled_moment_bracket(basis, rng, d, m):
+    # re and im are trace-free moment maps, so the symbol of T_f is
+    # m / (m + d + 1) f and the bracket of two symbols scales by its square.
+    spec = basis(d, m)
+    re, im = get_function("re_rational"), get_function("im_rational")
+    s_re, s_im = (operators.CovariantSymbol(toeplitz.toeplitz_matrix(spec, f)) for f in (re, im))
+    pts = sample_ball(rng, d, 1.2, 20)
+    want = (m / (m + d + 1)) ** 2 * toeplitz.bracket_function(re, im)(pts)
+    # Bound fixed before the first run.
+    assert np.max(np.abs(toeplitz.bracket_function(s_re, s_im)(pts) - want)) <= 1e-13
 
 
 def test_star_identity_laws(basis, rng):
@@ -352,7 +384,7 @@ def test_banded_operators_act_as_their_dense_form(basis, rng, d, m, level):
         what_m = np.abs(hilbert.normalized_pairing(pts, pts[::-1])) ** m
         assert np.max(np.abs(sa.cross(pts, pts[::-1]) - sd.cross(pts, pts[::-1]))
                       * what_m) <= 1e-13
-        for got, want in zip(sa.gradient(pts[0]), sd.gradient(pts[0])):
+        for got, want in zip(sa.grad(pts), sd.grad(pts)):
             assert np.max(np.abs(got - want)) <= 1e-13
         for b in banded:
             want = operators.star_product(dense, operators.OperatorMatrix(spec, b.mat), pts[1])

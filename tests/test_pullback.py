@@ -511,6 +511,28 @@ def test_equivalence_nan_kernel_ratio_is_not_equivalent(basis):
     assert not rep.equivalent
 
 
+def test_equivalence_requires_a_kernel_probe(basis, monkeypatch):
+    # The reflection psi = p * [1, -1] keeps the Gram matrix and fails only
+    # the kernel probe, so fewer than one pair must not report equivalence.
+    spec = basis(1, 6)
+    ident = pullback.identity_chart(1)
+
+    def reflect(p):
+        return p * np.array([1.0, -1.0])
+
+    rep = pullback.equivalence_check(spec, ident, ident, psi=reflect, pairs=64)
+    assert rep.inner_product_deviation <= 1e-12
+    assert rep.kernel_deviation > 1.0 and not rep.equivalent
+
+    def no_work(*args):
+        raise AssertionError("rejected before any work")
+
+    monkeypatch.setattr(pullback, "_pulled_gram", no_work)
+    for pairs in (0, -3):
+        with pytest.raises(ValueError, match="pairs must be >= 1"):
+            pullback.equivalence_check(spec, ident, ident, psi=reflect, pairs=pairs)
+
+
 def test_equivalence_accepts_isometric_presentations(basis, rng):
     spec = basis(1, 6)
     ident = pullback.identity_chart(1)
