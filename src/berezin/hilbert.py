@@ -15,8 +15,8 @@ products of factors of modulus <= 1, finite at any m and any finite nu.
 Off-grid points (raw values, symbols, pullbacks) go through them.
 
 The index set is held once, as the exponent table Ihat = (I, m - |I|) of
-``BasisSpec``, with the (m+1)^d position grid its one inverse; both are
-built and read by array operations, with no loop over indices.
+``BasisSpec``, read by array operations with no loop over indices and no
+inverse table: ``_band_index`` reads positions off it, as shifts keep order.
 
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
@@ -112,8 +112,8 @@ class BasisSpec:
     """Frozen description of one quantization level.
 
     Fields mirror the serialized form: dimension, level m, size N, the index
-    order (``_exponents``; ``indices`` reads it as tuples, ``_grid`` inverts
-    it), the normalization vector D, the prefactor c_m and hbar = 1/m.
+    order (``_exponents``, read by ``indices``, ``position`` and ``_band_index``),
+    the normalization vector D, the prefactor c_m and hbar = 1/m.
     ``level`` is the quadrature level of every query; Toeplitz matrices
     and projections raise it for their integrands (``toeplitz._default_level``).
     """
@@ -134,30 +134,24 @@ class BasisSpec:
         """The multi-indices I in basis order, read from ``_exponents``."""
         return tuple(map(tuple, self._exponents[:, :self.d].tolist()))
 
-    @functools.cached_property
-    def _grid(self) -> np.ndarray:
-        """(m+1,)^d array: the position of each admissible index, 0 elsewhere."""
-        grid = np.zeros((self.m + 1,) * self.d, dtype=np.intp)
-        grid[tuple(self._exponents[:, :self.d].T)] = np.arange(self.N)
-        return grid
-
     def position(self, index: Sequence[int]) -> int:
         key = tuple(int(q) for q in index)
         if len(key) != self.d or min(key) < 0 or sum(key) > self.m:
             raise IndexOutOfRange(f"index {key} not admissible for d={self.d}, m={self.m}")
-        return int(self._grid[key])
+        return int(np.flatnonzero(np.all(self._exponents[:, :self.d] == key, axis=1))[0])
 
     @functools.cached_property
     def _lowering(self) -> tuple[np.ndarray, np.ndarray]:
         """Ladder gather: (d Psi_I / d mu_k) (1+|mu|^2)^(-m/2) = coef[k, I] ehat[src[k, I]].
 
-        src (d, N) is the position of I - e_k and coef = sqrt(I_k (m - |I| + 1));
-        both are 0 where I_k = 0.
+        src (d, N) is the position of I - e_k, the columns of band e_k at its
+        rows, and coef = sqrt(I_k (m - |I| + 1)); both are 0 where I_k = 0.
         """
-        exps = self._exponents[:, :self.d]
-        lower = np.maximum(exps[None] - np.eye(self.d, dtype=np.intp)[:, None], 0)
-        src = np.where(exps.T > 0, self._grid[tuple(np.moveaxis(lower, 2, 0))], 0)
-        return src, np.sqrt(exps.T * (self._exponents[:, self.d] + 1.0))  # m - |I| + 1
+        src, exps = np.zeros((self.d, self.N), dtype=np.intp), self._exponents
+        for k, step in enumerate(np.eye(self.d, dtype=np.intp)):
+            rows, cols = _band_index(self, step)
+            src[k, rows] = cols
+        return src, np.sqrt(exps[:, :self.d].T * (exps[:, self.d] + 1.0))  # m - |I| + 1
 
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
@@ -272,31 +266,22 @@ def _rows(nd: _NodeData, blk) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)[(blk.k @ modes) % n] * nd.R[blk.r]
 
 
-def _lift_chars(rule: quadrature.QuadratureRule) -> np.ndarray:
-    """(n_theta^d, d+1): the characters exp(i theta_k) of each angle k, then 1."""
-    n, d = rule.n_theta, rule.d
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    return np.column_stack([roots[np.indices((n,) * d).reshape(d, -1).T], np.ones(n ** d)])
-
-
-def _lifts(nd: _NodeData, blk, chars: np.ndarray) -> np.ndarray:
-    """Unit lifts of a node block, the radial lifts times ``_lift_chars``: (block, d+1)."""
-    r0, a = divmod(blk.lo, chars.shape[0])
-    lift = nd.rlift[r0:int(blk.r[-1]) + 1, None, :] * chars[None]
-    return lift.reshape(-1, chars.shape[1])[a:a + blk.r.size]
+def _lifts(nd: _NodeData, blk) -> np.ndarray:
+    """Unit lifts of a node block, the radial lifts through ``blk.radial``: (block, d+1)."""
+    return np.column_stack([blk.radial(nd.rlift[:, :-1]), nd.rlift[blk.r, -1]])
 
 
 def _lift_rows(spec: BasisSpec, lift: np.ndarray, out=None) -> np.ndarray:
     """eval_matrix_normalized from the (n, d+1) unit lifts of the points.
 
-    Writes into the first n rows of ``out`` when given, else into a fresh
-    array; gathers go through a scratch of at most _BLOCK_BYTES.
+    Writes into the first n rows of ``out`` when given, else into a fresh array
+    of the lifts' dtype (real lifts, real rows); gathers use at most _BLOCK_BYTES.
     """
     n = lift.shape[0]
-    E = np.empty((n, spec.N), dtype=complex) if out is None else out[:n]
-    rows = max(1, min(n, quadrature._BLOCK_BYTES // (16 * spec.N)))
-    scratch = np.empty((rows, spec.N), dtype=complex)
-    powers = np.empty((n, spec.m + 1), dtype=complex)
+    E = np.empty((n, spec.N), dtype=lift.dtype) if out is None else out[:n]
+    rows = max(1, min(n, quadrature._BLOCK_BYTES // (lift.itemsize * spec.N)))
+    scratch = np.empty((rows, spec.N), dtype=lift.dtype)
+    powers = np.empty((n, spec.m + 1), dtype=lift.dtype)
     # The homogeneous coordinate comes first so that its gather fills E.
     for j in (spec.d, *range(spec.d)):
         powers[:, 0] = np.exp(_log_row_scale(spec, lift)) if j == spec.d else 1.0
@@ -330,7 +315,7 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     flat = np.ravel_multi_index(tuple(spec._exponents[:, :d].T % n_theta), (n_theta,) * d)
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
     return _NodeData(rule=rule, hr=np.exp(-(spec.m / 2.0) * log1ps), rlift=rlift,
-                     R=_lift_rows(spec, rlift).real.copy(), flat=flat,
+                     R=_lift_rows(spec, rlift), flat=flat,
                      wr=rule.radii_weights * np.exp(-(d + 1.0) * log1ps))
 
 
@@ -384,10 +369,15 @@ def band_modes(spec: BasisSpec, modes, n_theta: int) -> dict:
 
 
 def _band_index(spec: BasisSpec, delta) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): the positions of the indices I with I - delta admissible, and of I - delta."""
-    J = spec._exponents[:, :spec.d] - np.array(delta)
-    rows = np.flatnonzero(np.all(J >= 0, axis=1) & (J.sum(axis=1) <= spec.m))
-    return rows, spec._grid[tuple(J[rows].T)]
+    """(rows, cols): the positions of the indices I with I - delta admissible, and of I - delta.
+
+    I - delta is admissible where Ihat >= (delta, -|delta|).  The shift moves
+    |I| by |delta| and I_j by delta_j, so it keeps the graded lexicographic
+    order, and cols are the rows of band -delta in order.
+    """
+    def admissible(shift):
+        return np.flatnonzero(np.all(spec._exponents >= np.append(shift, -shift.sum()), axis=1))
+    return admissible(np.asarray(delta)), admissible(-np.asarray(delta))
 
 
 def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
@@ -396,24 +386,26 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
     (T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta), with
     ``rows``/``cols`` from ``_band_index``.  F_r[delta] is the node sum over
     the angles, n_theta^d wr_r times the sum of the Fourier coefficients
-    f_k(r) of the modes k that reach delta (``band_modes``).  With B = max
-    |k_j|, the f_k are exact from an FFT of f at 2B + 1 angles per dimension,
-    so f is evaluated at n_r^d (2B+1)^d points, and each band costs one
-    (2, n_r^d) x (n_r^d, N) product.
+    f_k(r) of the modes k that reach delta (``band_modes``).  With B_j = max
+    |k_j| over the modes, the f_k are exact from an FFT of f at 2 B_j + 1
+    angles in dimension j, so f is evaluated at n_r^d prod_j (2 B_j + 1)
+    points, and each band is one (2, n_r^d) x (n_r^d, band) product.
     """
     d, n_theta = spec.d, nd.rule.n_theta
     radii = nd.rule.radii
-    n_s = 2 * max(abs(q) for k in modes for q in k) + 1
-    angles = np.exp(2j * np.pi * np.arange(n_s) / n_s)[np.indices((n_s,) * d).reshape(d, -1).T]
+    n_s = tuple(2 * max(abs(k[j]) for k in modes) + 1 for j in range(d))
+    angles = np.exp(2j * np.pi * np.indices(n_s).reshape(d, -1).T / np.array(n_s))
     vals = quadrature._values(f, (radii[:, None, :] * angles[None]).reshape(-1, d))
-    fhat = np.fft.fftn(vals.reshape((-1,) + (n_s,) * d), axes=tuple(range(1, d + 1)))
+    fhat = np.fft.fftn(vals.reshape((-1,) + n_s), axes=tuple(range(1, d + 1)))
     fhat = fhat.reshape(radii.shape[0], -1)
-    fhat *= (nd.wr * (n_theta / n_s) ** d)[:, None]
+    fhat *= (nd.wr * (n_theta ** d / math.prod(n_s)))[:, None]
     out = {}
     for delta, ks in band_modes(spec, modes, n_theta).items():
-        col = sum(fhat[:, np.ravel_multi_index(np.mod(k, n_s), (n_s,) * d)] for k in ks)
+        col = sum(fhat[:, np.ravel_multi_index(np.mod(k, n_s), n_s)] for k in ks)
         rows, cols = _band_index(spec, delta)
-        band = np.stack([col.real, col.imag]) @ (nd.R[:, rows] * nd.R[:, cols])
+        rr = nd.R[:, rows]
+        rr *= nd.R[:, cols]
+        band = np.stack([col.real, col.imag]) @ rr
         band = band[0] + 1j * band[1]
         band *= spec.c_m
         out[delta] = rows, cols, band
@@ -593,11 +585,10 @@ def reproducing_residual(spec: BasisSpec, v, mu):
         raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
     single = np.ndim(mu) <= 1
     pts = as_point(mu, d=spec.d).reshape(1, -1) if single else _as_points(spec, mu)
-    nd = spec.node_data()
-    lifts, chars = unit_lift(pts), _lift_chars(nd.rule)
+    nd, lifts = spec.node_data(), unit_lift(pts)
     paired = np.zeros(pts.shape[0], dtype=complex)
-    for blk in quadrature.node_blocks(nd.rule, 16 * (spec.d + 1), chars.shape[0]):
-        wv, lift = synthesize(spec, nd, v, blk) * nd.wr[blk.r], _lifts(nd, blk, chars)
+    for blk in quadrature.node_blocks(nd.rule, 16 * (spec.d + 1), nd.rule.n_theta ** spec.d):
+        wv, lift = synthesize(spec, nd, v, blk) * nd.wr[blk.r], _lifts(nd, blk)
         for j in range(pts.shape[0]):
             paired[j] += _power(np.conj(lift @ lifts[j].conj()), spec.m) @ wv
     rows = _lift_rows(spec, lifts)
@@ -624,8 +615,9 @@ def resolution_check(spec: BasisSpec, v1, v2) -> float:
     return float(abs(complex(np.vdot(v1, gram_v2)) - complex(np.vdot(v1, v2))))
 
 
-def to_json(spec: BasisSpec) -> str:
-    payload = {
+def _payload(spec: BasisSpec) -> dict:
+    """The serialized form as a dict of JSON values: what ``to_json`` writes."""
+    return {
         "schema": SCHEMA,
         "d": spec.d,
         "m": spec.m,
@@ -636,16 +628,19 @@ def to_json(spec: BasisSpec) -> str:
         "indices": spec._exponents[:, :spec.d].tolist(),
         "D": [float(x) for x in spec.D],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def to_json(spec: BasisSpec) -> str:
+    return json.dumps(_payload(spec), indent=2, sort_keys=True)
 
 
 def from_json(text: str) -> BasisSpec:
-    """Load a serialized basis; refuse one that differs from build_basis(d, m, level)."""
+    """Load a serialized basis; refuse a payload other than build_basis(d, m, level)'s."""
     payload = json.loads(text)
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"unexpected schema {payload.get('schema')!r}")
     spec = build_basis(int(payload["d"]), int(payload["m"]), int(payload["level"]))
-    if json.loads(to_json(spec)) != payload:
+    if _payload(spec) != payload:
         raise ValueError(f"serialized basis differs from build_basis{spec.d, spec.m, spec.level}")
     return spec
 

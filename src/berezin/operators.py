@@ -259,12 +259,12 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
         gram = OperatorMatrix(spec, bands=hilbert._gram(spec, spec.node_data()), adjoint_sign=1)
         return gram @ symbol.op @ gram
     nd, out = spec.node_data(), np.zeros((spec.N, spec.N), dtype=complex)
-    chars = hilbert._lift_chars(nd.rule)
-    for ket in quadrature.node_blocks(nd.rule, 16 * chars.shape[0]):
-        lift = hilbert._lifts(nd, ket, chars).conj().T
+    n_ang = nd.rule.n_theta ** spec.d
+    for ket in quadrature.node_blocks(nd.rule, 16 * n_ang):
+        lift = hilbert._lifts(nd, ket).conj().T
         bra_sum = 0
-        for bra in quadrature.node_blocks(nd.rule, 16 * ket.r.size, chars.shape[0]):
-            what = hilbert._lifts(nd, bra, chars) @ lift
+        for bra in quadrature.node_blocks(nd.rule, 16 * ket.r.size, n_ang):
+            what = hilbert._lifts(nd, bra) @ lift
             mid = np.asarray(symbol(bra.nodes, ket.nodes)) * hilbert._power(what, spec.m)
             bra_sum = bra_sum + hilbert.analyze(spec, nd, nd.wr[bra.r, None] * mid, bra)
         out += bra_sum @ (hilbert._rows(nd, ket) * nd.wr[ket.r, None])

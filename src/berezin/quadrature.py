@@ -39,8 +39,10 @@ and angle inner, is radii[r] * exp(2 pi i k_vec / n_theta) with weight
 radii_weights[r], where k_vec is the C-order multi-index of k over
 (n_theta,) * d.  ``node_blocks`` is the one loop over the nodes: it yields
 them in this order, a bounded block at a time, and no array over all of a
-rule's nodes is ever formed.  Node tables (``hilbert``) rely on the layout
-to factor each basis row into a radial part times an angular character.
+rule's nodes is ever formed.  ``NodeBlock.radial``, rows of a radial table
+times the characters exp(2 pi i k_vec / n_theta), forms the nodes and the
+unit lifts of ``hilbert``, whose node tables rely on the layout to factor
+each basis row into a radial part times an angular character.
 
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
 each block, reduces it with numpy's fixed pairwise summation and adds the
@@ -115,11 +117,12 @@ class NodeBlock:
 
     k = functools.cached_property(lambda self: self._angles[self._flat])
     weights = functools.cached_property(lambda self: self.rule.radii_weights[self.r])
+    nodes = functools.cached_property(lambda self: self.radial(self.rule.radii))
 
-    @functools.cached_property
-    def nodes(self) -> np.ndarray:
+    def radial(self, table: np.ndarray) -> np.ndarray:
+        """(n, d): rows ``r`` of an (n_r^d, d) radial table times the angular characters."""
         r0, a = divmod(self.lo, self._angles.shape[0])
-        grid = self.rule.radii[r0:int(self.r[-1]) + 1, None].astype(complex) * self._chars
+        grid = table[r0:int(self.r[-1]) + 1, None] * self._chars
         return np.ascontiguousarray(grid.reshape(-1, self.rule.d)[a:a + self.r.size])
 
 

@@ -75,7 +75,8 @@ def ladder_bands(spec, a, b):
     e_b) for a != b and Jhat_a e_Jhat for a = b.  Returns the one band
     {delta: (rows, cols, vals)}, delta = I - J in the chart coordinates, in
     O(N) and without quadrature: a reference for the Toeplitz operators of
-    the registry functions.
+    the registry functions.  Positions come from its own dict over the
+    exponent table, not from ``hilbert._band_index``.
     """
     d, m = spec.d, spec.m
     J = spec._exponents
@@ -83,7 +84,8 @@ def ladder_bands(spec, a, b):
     step[a] += 1
     step[b] -= 1
     cols = np.flatnonzero(np.all(J + step >= 0, axis=1))
-    rows = spec._grid[tuple((J[cols] + step)[:, :d].T)]
+    position = {I: k for k, I in enumerate(map(tuple, J.tolist()))}
+    rows = np.array([position[I] for I in map(tuple, (J[cols] + step).tolist())], dtype=np.intp)
     if a == b:
         vals = J[:, a] + 1.0
     else:

@@ -1,5 +1,6 @@
 """Hilbert space data: index order, orthonormality, kernels, serialization."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -63,6 +64,83 @@ def test_index_table_matches_the_recursive_definition(d):
         assert src.dtype == np.intp and np.array_equal(src, lowered)
         assert np.array_equal(coef, [[math.sqrt(I[k] * (m - sum(I) + 1)) for I in want]
                                      for k in range(d)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_band_index_matches_a_position_dict(d):
+    # Every band delta in [-m, m]^d against the pairs (I, J) of a position
+    # dict with I - J = delta, rows in basis order; bands that no pair
+    # reaches are empty.  Both arrays bitwise, dtype included.
+    for m in range(1, 7):
+        spec = hilbert.build_basis(d, m)
+        positions = {I: k for k, I in enumerate(spec.indices)}
+        want = {}
+        for I, k in positions.items():
+            for J, l in positions.items():
+                rows, cols = want.setdefault(tuple(a - b for a, b in zip(I, J)), ([], []))
+                rows.append(k)
+                cols.append(l)
+        for delta in itertools.product(range(-m, m + 1), repeat=d):
+            rows, cols = hilbert._band_index(spec, delta)
+            want_rows, want_cols = want.get(delta, ([], []))
+            assert rows.dtype == cols.dtype == np.intp
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+def test_index_tables_build_no_position_grid():
+    # BasisSpec keeps its index set once, as the exponent table: no (m+1)^d
+    # position grid (44 MiB at d = 4, m = 48).  The band of e_1 and the
+    # ladder gather together peak at most 48 MiB there, the bound fixed
+    # before the first run (110.1 MiB with the grid).
+    spec = hilbert.build_basis(4, 48)
+    tracemalloc.start()
+    try:
+        hilbert._band_index(spec, (1, 0, 0, 0))
+        spec._lowering
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(spec, "_grid")
+    assert peak <= 48 * 2 ** 20, peak
+
+
+def test_radial_table_is_built_real():
+    # The radial table R is evaluated in the real dtype of the radial lifts,
+    # with no complex twin: the node data build at d = 2, m = 48 peaks at
+    # most 1.5 R.nbytes, and the d = 2 Toeplitz sweep at m = 73 at most
+    # 110 MiB.  Both bounds were fixed before the first run.
+    spec = hilbert.build_basis(2, 48)
+    tracemalloc.start()
+    try:
+        nd = spec.node_data()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        toeplitz.toeplitz_sweep(REGISTRY["abs2_rational"], REGISTRY["im_rational"], [73], d=2)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nd.R.dtype == np.float64 and peak <= 1.5 * nd.R.nbytes, (peak, nd.R.nbytes)
+    assert sweep_peak <= 110 * 2 ** 20, sweep_peak
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_band_assembly_samples_each_dimension_at_its_own_modes(d):
+    # f is sampled at 2 B_j + 1 angles in dimension j, B_j = max |k_j| over
+    # its modes: n_r^d prod_j (2 B_j + 1) points per band assembly.
+    spec = hilbert.build_basis(d, 3)
+    nd = spec.node_data()
+    fns = [REGISTRY["re_rational"], REGISTRY["abs2_rational"],
+           toeplitz.bracket_function(REGISTRY["re_rational"], REGISTRY["im_rational"])]
+    for fn in fns:
+        modes, seen = fn.modes(d), []
+
+        def spy(pts):
+            seen.append(pts.shape[0])
+            return fn(pts)
+
+        hilbert._compress_bands(spec, nd, spy, modes)
+        per_dim = [2 * max(abs(k[j]) for k in modes) + 1 for j in range(d)]
+        assert sum(seen) == nd.rule.radii.shape[0] * math.prod(per_dim), (fn, seen, per_dim)
 
 
 def test_build_basis_counts(basis):
@@ -132,8 +210,7 @@ def test_basis_eval_monomial_form(basis, rng):
 def test_position_lookup(basis):
     spec = basis(2, 2)
     assert spec.position((1, 1)) == 4
-    # |I| > m, a negative entry (which would wrap around in the position
-    # grid), and the wrong length each raise.
+    # |I| > m, a negative entry and the wrong length each raise.
     for index in ((3, 0), (2, 1), (-1, 1), (1, -1), (1,), (1, 1, 0), ()):
         with pytest.raises(IndexOutOfRange):
             spec.position(index)
@@ -173,15 +250,14 @@ def test_factored_table_matches_the_evaluator(d, m):
     # entry on either side carries O(m) rounded factors (power products at
     # the nodes, or at the radial points times a character), so the bound is
     # 8 m eps.
-    # The unit lifts of the node blocks, radial lifts times characters, are
+    # The unit lifts of the node blocks, radial lifts through NodeBlock.radial, are
     # checked against unit_lift at the nodes the same way.
     spec = hilbert.build_basis(d, m)
     nd = spec.node_data()
     nodes, _ = layout_nodes(nd.rule)
     want = hilbert.eval_matrix_normalized(spec, nodes)
     assert np.max(np.abs(nd.ehat - want)) <= 8 * m * np.finfo(float).eps
-    chars = hilbert._lift_chars(nd.rule)
-    lifts = np.concatenate([hilbert._lifts(nd, blk, chars)
+    lifts = np.concatenate([hilbert._lifts(nd, blk)
                             for blk in quadrature.node_blocks(nd.rule, 2 ** 14)])
     assert np.max(np.abs(lifts - hilbert.unit_lift(nodes))) <= 8 * np.finfo(float).eps
     n_ang = nd.rule.n_theta ** d
@@ -656,3 +732,25 @@ def test_from_json_refuses_edited_payloads(key, value):
     payload[key] = value
     with pytest.raises(ValueError):
         hilbert.from_json(json.dumps(payload))
+
+
+def test_from_json_compares_without_reserializing(monkeypatch):
+    # from_json compares the parsed payload with the spec's own payload dict
+    # and calls no json.dumps; an edited index or normalization entry is
+    # still refused, and the unchanged text still loads.
+    spec = hilbert.build_basis(3, 4)
+    text = hilbert.to_json(spec)
+    edited = []
+    for key, row, value in (("indices", 3, [0, 1, 1]), ("D", 5, 0.5)):
+        payload = json.loads(text)
+        payload[key][row] = value
+        edited.append(json.dumps(payload))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert hilbert.from_json(text).indices == spec.indices
+    for bad in edited:
+        with pytest.raises(ValueError):
+            hilbert.from_json(bad)
