@@ -166,6 +166,8 @@ def _cmd_kernel_check(args) -> int:
     _default(args, d=1, seed=1234, pairs=50, tol=1e-8)
     if args.pairs < 1:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < args.tol < float("inf"):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     spec = hilbert.build_basis(args.d, args.m, level=args.level)

@@ -23,24 +23,17 @@ radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
 R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
 (n_r^d, N), basis rows at the radial points, and the radial weights.  Node
 sums walk ``quadrature.node_blocks``, one bounded block at a time, with rows
-and unit lifts the radial ones times the characters (``_rows``, ``_lifts``).
-``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x) run through
-the angular FFT, one radial node at a time.  Compression (c_m sum_n w_n f_n
-conj(ehat_nI) ehat_nJ: the Toeplitz matrices, and the Gram matrix as the
-compression of the constant 1) uses the symmetry once more.  A function
-with angular modes K has entries only on the bands I - J in K, and each band
-is one radial column of Fourier coefficients times R, so assembly costs
-O(|K| N n_r^d).  ``_compress_bands`` returns those bands, {delta: (rows,
-cols, vals)}, and never an (N, N) array: the Toeplitz operators of such
-functions and the Gram matrix cached with the node data (its diagonal at
-the default level) are held as bands, applied by ``_band_dot`` and
-densified only by ``_densify``, for callers that read a dense matrix
-(``OperatorMatrix.mat``, ``gram_matrix``).  On a 2-core Xeon with numpy
-2.4, the bands of a registry function take 1-4 ms at d = 2, m = 24 and
-40-70 ms at d = 2, m = 48 (N = 1,225, 729 radial points).  Callables that
-declare no modes are summed into a dense matrix one radial node at a time
-instead.  Node sums hold about quadrature._BLOCK_BYTES at a time; the
-rule's node cap, quadrature.NODE_CAP, bounds the rest.
+and unit lifts the radial ones times ``quadrature.roots`` (``_rows``,
+``_lifts``).  ``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x)
+run through the angular FFT, one radial node at a time.  Compression (c_m
+sum_n w_n f_n conj(ehat_nI) ehat_nJ: the Toeplitz matrices, and the Gram
+matrix of the constant 1) uses the symmetry once more.  A function with
+angular modes K (a callable that declares none: every mode of the rule's
+angles) has entries only on the bands I - J in K, each one radial column of
+Fourier coefficients times R.  ``_contract``, the one band contraction,
+returns {delta: (rows, cols, vals)}, applied by ``_band_dot`` and densified
+only by ``_densify``.  Node sums hold about quadrature._BLOCK_BYTES at a
+time; the rule's node cap, quadrature.NODE_CAP, bounds the rest.
 """
 
 from __future__ import annotations
@@ -60,6 +53,10 @@ from .functions import REGISTRY
 from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
+
+# Fourier coefficients held by ``_compress_bands``; the arrays of an empty band.
+_FOURIER_BYTES = 2 ** 21
+_NO_INDEX, _NO_VALUE = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
 
 
 def _index_table(d: int, m: int) -> np.ndarray:
@@ -260,10 +257,10 @@ def _row_blocks(spec: BasisSpec, nd: _NodeData):
 
 
 def _rows(nd: _NodeData, blk) -> np.ndarray:
-    """Basis rows of a node block, R[r] exp(2 pi i ((k . I) mod n_theta) / n_theta)."""
+    """Basis rows of a node block, R[r] times ``quadrature.roots`` at (k . I) mod n_theta."""
     n = nd.rule.n_theta
     modes = np.array(np.unravel_index(nd.flat, (n,) * nd.rule.d))
-    return np.exp(2j * np.pi * np.arange(n) / n)[(blk.k @ modes) % n] * nd.R[blk.r]
+    return quadrature.roots(n)[(blk.k @ modes) % n] * nd.R[blk.r]
 
 
 def _lifts(nd: _NodeData, blk) -> np.ndarray:
@@ -307,8 +304,8 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     n_theta), so ehat_I = R_rI Phi_kI with the real radial factor R_rI, the
     normalized row at the real point radii[r] (``_lift_rows``, rounding
     scale included), and the character Phi_kI = exp(2 pi i ((k . I) mod
-    n_theta) / n_theta) indexed by exact integers.  Rows are evaluated at the
-    n_r^d radial points only; no array over the n nodes is built here.
+    n_theta) / n_theta), ``quadrature.roots`` at exact integers.  Rows are
+    evaluated at the n_r^d radial points only; no array over the nodes is built.
     """
     d, n_theta = spec.d, rule.n_theta
     rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
@@ -353,18 +350,19 @@ def analyze(spec: BasisSpec, nd: _NodeData, x, blk=None) -> np.ndarray:
     return np.einsum("ri,ri...->i...", R, F)
 
 
-def band_modes(spec: BasisSpec, modes, n_theta: int) -> dict:
-    """{delta: [k, ...]}: the differences I - J that modes k reach on n_theta angles.
+def band_modes(spec: BasisSpec, modes, n_theta: int, n_s) -> dict:
+    """{delta: [c, ...]}: the differences I - J that modes k reach on n_theta angles.
 
-    The angular grid reads mode k at every delta in [-m, m]^d congruent to k
+    c is the C-order index of k mod n_s on an (n_s)-grid of samples.  The
+    angular grid reads mode k at every delta in [-m, m]^d congruent to k
     mod n_theta.  At or above the default level that is delta = k alone;
     below it, n_theta <= m and a mode also reaches its aliases.
     """
     out: dict = {}
-    for k in modes:
+    for k, c in zip(modes, np.ravel_multi_index(tuple(np.mod(modes, n_s).T), n_s).tolist()):
         axes = [range(-spec.m + (q + spec.m) % n_theta, spec.m + 1, n_theta) for q in k]
         for delta in itertools.product(*axes):
-            out.setdefault(delta, []).append(tuple(k))
+            out.setdefault(delta, []).append(c)
     return out
 
 
@@ -373,43 +371,82 @@ def _band_index(spec: BasisSpec, delta) -> tuple[np.ndarray, np.ndarray]:
 
     I - delta is admissible where Ihat >= (delta, -|delta|).  The shift moves
     |I| by |delta| and I_j by delta_j, so it keeps the graded lexicographic
-    order, and cols are the rows of band -delta in order.
+    order, and cols are the rows of band -delta in order.  No I admits a
+    delta whose positive or negative entries sum past m.
     """
     def admissible(shift):
-        return np.flatnonzero(np.all(spec._exponents >= np.append(shift, -shift.sum()), axis=1))
-    return admissible(np.asarray(delta)), admissible(-np.asarray(delta))
+        return np.flatnonzero((spec._exponents >= (*shift, -sum(shift))).all(1))
+    if max(sum(q for q in delta if q > 0), -sum(q for q in delta if q < 0)) > spec.m:
+        return _NO_INDEX, _NO_INDEX
+    return admissible(delta), admissible([-q for q in delta])
+
+
+def _contract(spec: BasisSpec, reach: dict, chunks, X: np.ndarray) -> dict:
+    """The one band contraction, {delta: (rows, cols, vals)} with rows, cols from ``_band_index``.
+
+    vals = c_m sum_r F_r[delta] conj(X_rI) X_r(I - delta), where ``chunks``
+    yields (lo, A) for the radial rows lo, lo + 1, ... of X in order and
+    F[delta] sums the columns ``reach[delta]`` of A.  A real X takes one
+    (2, rows) x (rows, band) product of re F and im F per band and chunk.  A
+    complex X takes real A: the diagonal is sum F (re^2 + im^2) and each
+    -delta band the conjugate of the delta band, exactly Hermitian.
+    """
+    index = {delta: _band_index(spec, delta) for delta in reach}
+    vals, hermitian = {}, X.dtype.kind == "c"
+    for lo, A in chunks:
+        x, parts = X[lo:lo + A.shape[0]], np.empty((2, A.shape[0]))
+        for delta, (rows, cols) in index.items():
+            if not rows.size or hermitian and delta < tuple(-q for q in delta):
+                continue
+            col, xy = sum(A[:, k] for k in reach[delta]), x[:, rows]
+            if hermitian:
+                band = col @ (xy.real ** 2 + xy.imag ** 2 if not any(delta)
+                              else xy.conj() * x[:, cols])
+            else:
+                xy *= x[:, cols]
+                parts[0], parts[1] = col.real, col.imag
+                band = parts @ xy
+                band = band[0] + 1j * band[1]
+            band *= spec.c_m
+            vals[delta] = vals[delta] + band if delta in vals else band
+    for delta, (rows, _) in index.items():
+        if rows.size and delta not in vals:  # the mirror of a Hermitian band
+            vals[delta] = vals[tuple(-q for q in delta)].conj()
+    return {delta: (rows, cols, vals.get(delta, _NO_VALUE))
+            for delta, (rows, cols) in index.items()}
 
 
 def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
-    """{delta: (rows, cols, vals)}: (T_f)[rows, cols] = vals, zero off these bands.
+    """The bands of T_f for ``modes`` (None: every mode of the rule's angles).
 
-    (T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta), with
-    ``rows``/``cols`` from ``_band_index``.  F_r[delta] is the node sum over
-    the angles, n_theta^d wr_r times the sum of the Fourier coefficients
-    f_k(r) of the modes k that reach delta (``band_modes``).  With B_j = max
-    |k_j| over the modes, the f_k are exact from an FFT of f at 2 B_j + 1
-    angles in dimension j, so f is evaluated at n_r^d prod_j (2 B_j + 1)
-    points, and each band is one (2, n_r^d) x (n_r^d, band) product.
+    (T_f)_{I, I - delta} = c_m sum_r F_r[delta] R_rI R_r(I-delta) (``_contract``),
+    F_r[delta] n_theta^d wr_r times the Fourier coefficients f_k(r) of the
+    modes k that reach delta (``band_modes``), exact from an FFT of f at
+    2 B_j + 1 angles in dimension j, B_j = max |k_j|: n_r^d prod_j (2 B_j + 1)
+    points, held _FOURIER_BYTES and sampled _BLOCK_BYTES of points at a time.
     """
-    d, n_theta = spec.d, nd.rule.n_theta
-    radii = nd.rule.radii
+    d, n_theta, radii = spec.d, nd.rule.n_theta, nd.rule.radii
+    if modes is None:  # every mode of the rule's angles, k in [-B, B]^d, 2 B + 1 = n_theta
+        modes = (np.indices((n_theta,) * d).reshape(d, -1).T - n_theta // 2).tolist()
     n_s = tuple(2 * max(abs(k[j]) for k in modes) + 1 for j in range(d))
+    n_ang, n_rad = math.prod(n_s), radii.shape[0]
     angles = np.exp(2j * np.pi * np.indices(n_s).reshape(d, -1).T / np.array(n_s))
-    vals = quadrature._values(f, (radii[:, None, :] * angles[None]).reshape(-1, d))
-    fhat = np.fft.fftn(vals.reshape((-1,) + n_s), axes=tuple(range(1, d + 1)))
-    fhat = fhat.reshape(radii.shape[0], -1)
-    fhat *= (nd.wr * (n_theta ** d / math.prod(n_s)))[:, None]
-    out = {}
-    for delta, ks in band_modes(spec, modes, n_theta).items():
-        col = sum(fhat[:, np.ravel_multi_index(np.mod(k, n_s), n_s)] for k in ks)
-        rows, cols = _band_index(spec, delta)
-        rr = nd.R[:, rows]
-        rr *= nd.R[:, cols]
-        band = np.stack([col.real, col.imag]) @ rr
-        band = band[0] + 1j * band[1]
-        band *= spec.c_m
-        out[delta] = rows, cols, band
-    return out
+    step = max(1, _FOURIER_BYTES // (16 * n_ang))
+    piece = max(1, quadrature._BLOCK_BYTES // (16 * d * n_ang))
+
+    def chunks():
+        fhat = np.empty((min(step, n_rad), n_ang), dtype=complex)
+        for lo in range(0, n_rad, step):
+            hi = min(lo + step, n_rad)
+            for a in range(lo, hi, piece):
+                b = min(a + piece, hi)
+                vals = quadrature._values(f, (radii[a:b, None, :] * angles[None]).reshape(-1, d))
+                fhat[a - lo:b - lo] = np.fft.fftn(
+                    vals.reshape((-1,) + n_s), axes=tuple(range(1, d + 1))).reshape(-1, n_ang)
+            fhat[:hi - lo] *= (nd.wr[lo:hi] * (n_theta ** d / n_ang))[:, None]
+            yield lo, fhat[:hi - lo]
+
+    return _contract(spec, band_modes(spec, modes, n_theta, n_s), chunks(), nd.R)
 
 
 def _densify(spec: BasisSpec, bands: dict) -> np.ndarray:
@@ -431,39 +468,6 @@ def _band_dot(bands: dict, x, transpose: bool = False) -> np.ndarray:
     for rows, cols, vals in bands.values():
         src, dst = (rows, cols) if transpose else (cols, rows)
         out[dst] += vals.reshape(vals.shape + (1,) * (x.ndim - 1)) * x[src]
-    return out
-
-
-def _compress_nodes(spec: BasisSpec, nd: _NodeData, f: Callable) -> np.ndarray:
-    """T_f = c_m sum_n wcore_n f(nu_n) conj(ehat_nI) ehat_nJ of any callable f; (N, N).
-
-    wcore_n is the rule weight times (1+s)^(-(d+1)); the sum runs one radial
-    node at a time.
-    With ehat = R (x) Phi the angular sum at radial node r is the d-dim FFT
-    F_r of wcore f over the n_theta^d angles, so the entry is c_m sum_r
-    R_rI R_rJ F_r[(I - J) mod n_theta]; the scratch is a few (N, N) arrays
-    and one node block whatever the node count.
-    """
-    d, n_theta = spec.d, nd.rule.n_theta
-    # Flat C-order index of (I - J) mod n_theta over the angular grid.
-    diff = np.zeros((spec.N, spec.N), dtype=np.intp)
-    for j in range(d):
-        col = spec._exponents[:, j]
-        diff = diff * n_theta + (col[:, None] - col[None, :]) % n_theta
-    out = np.zeros((spec.N, spec.N), dtype=complex)
-    # One scratch for all radial nodes: with fresh (N, N) temporaries per
-    # node, glibc maps and unmaps each one past 128 KiB (a page fault per
-    # page), which took 2.3x the time of this loop at d = 1, m = 256.
-    buf = np.empty_like(out)
-    for blk in quadrature.node_blocks(nd.rule, 16 * (d + 2), n_theta ** d):
-        g = (nd.wr[blk.r] * quadrature._values(f, blk.nodes)).reshape((-1,) + (n_theta,) * d)
-        F = np.fft.fftn(g, axes=tuple(range(1, d + 1))).reshape(g.shape[0], -1)
-        for Rr, Fr in zip(nd.R[blk.r[0]:blk.r[-1] + 1], F):
-            np.take(Fr, diff, out=buf, mode="clip")
-            buf *= Rr[:, None]
-            buf *= Rr
-            out += buf
-    out *= spec.c_m
     return out
 
 

@@ -34,6 +34,8 @@ from .hilbert import BasisSpec
 # Refuse symbol division once |what|^m drops below this; below it the quotient
 # has no trustworthy digits in double precision.
 DEGENERATE_TOL = 1e-14
+# Rounding floor of the sweep slopes, in units of m eps (``_fit_slope``).
+SLOPE_FLOOR = 64
 
 
 class OperatorMatrix:
@@ -276,7 +278,7 @@ class SweepResult:
     """Error decay rows plus log-log slopes of their e0 and e1 columns.
 
     Rows are (m, e0, e1) from correspondence_sweep and (m, norm, e0, e1) from
-    toeplitz_sweep; a slope is None with fewer than two positive errors.
+    toeplitz_sweep; a slope is None with fewer than two errors above its floor.
     """
 
     rows: list
@@ -285,8 +287,9 @@ class SweepResult:
 
 
 def _fit_slope(ms: Sequence[int], errs: Sequence[float]) -> float | None:
-    """Least-squares slope of log e against log m over the positive errors, in closed form."""
-    pairs = [(m, e) for m, e in zip(ms, errs) if e > 0.0]
+    """Closed-form least-squares slope of log e against log m over the errors above
+    SLOPE_FLOOR m eps; below it, a difference of O(1) quantities times m is rounding."""
+    pairs = [(m, e) for m, e in zip(ms, errs) if e > SLOPE_FLOOR * m * np.finfo(float).eps]
     if len(pairs) < 2:
         return None
     lx = np.log([p[0] for p in pairs])

@@ -269,37 +269,21 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
 def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) -> np.ndarray:
     """``_pulled_gram`` of two equivariant charts under the identity ``psi``.
 
-    Node (r, k) of the rule is radii[r] times the angular characters of k, so
-    both charts carry it to their images of radii[r] times those characters:
-    s_a, s_b and the weight are radial, and the row is E_r, the row at the
-    radial point, times exp(i I . theta_k).  The angular sum of exp(i (J - I)
-    . theta_k) is n_theta^d where I = J mod n_theta and 0 elsewhere, so the
-    Gram matrix lives on the bands of the constant mode (``hilbert.band_modes``;
-    the diagonal alone at the default level), (G)_{I, I - delta} = c_m sum_r
-    conj(E_rI) E_r(I-delta), with E_r scaled by the rescaling and
-    sqrt(n_theta^d wleb h).  Rows are evaluated at the n_r^d radial points
-    only.  The diagonal band is sum re^2 + im^2 and each -delta band the
-    conjugate of the delta band, so the result is exactly Hermitian.
+    Both charts carry node (r, k) to their images of radii[r] times the
+    angular characters of k: s_a, s_b and the weight are radial, and the row
+    is E_r, the row at the radial point, times exp(i I . theta_k).  Summing
+    exp(i (J - I) . theta_k) over the angles leaves the bands of the constant
+    mode (``hilbert.band_modes``), c_m sum_r conj(E_rI) E_r(I-delta) with E_r
+    scaled by the rescaling and sqrt(n_theta^d wleb h): ``hilbert._contract``, F = 1.
     """
     rule = spec.node_data().rule
     params = chart_a.inverse(rule.radii)
     z_a, mapped = chart_a.forward(params), chart_b.forward(params)
     E = hilbert.eval_matrix_normalized(spec, mapped)
     E *= _row_scale(spec, z_a, mapped, rule.n_theta ** spec.d * rule.radii_weights)[:, None]
-    bands: dict = {}
-    for delta in hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta):
-        neg = tuple(-q for q in delta)
-        if neg in bands:
-            rows, cols, vals = bands[neg]
-            bands[delta] = cols, rows, vals.conj()
-            continue
-        rows, cols = hilbert._band_index(spec, delta)
-        if delta == neg:
-            vals = np.sum(E.real[:, rows] ** 2 + E.imag[:, rows] ** 2, axis=0)
-        else:
-            vals = np.sum(E[:, rows].conj() * E[:, cols], axis=0)
-        bands[delta] = rows, cols, spec.c_m * vals
-    return hilbert._densify(spec, bands)
+    reach = hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta, (1,) * spec.d)
+    ones = [(0, np.ones((E.shape[0], 1)))]
+    return hilbert._densify(spec, hilbert._contract(spec, reach, ones, E))
 
 
 @dataclass

@@ -42,7 +42,7 @@ them in this order, a bounded block at a time, and no array over all of a
 rule's nodes is ever formed.  ``NodeBlock.radial``, rows of a radial table
 times the characters exp(2 pi i k_vec / n_theta), forms the nodes and the
 unit lifts of ``hilbert``, whose node tables rely on the layout to factor
-each basis row into a radial part times an angular character.
+each basis row into a radial part times an angular character (``roots``).
 
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
 each block, reduces it with numpy's fixed pairwise summation and adds the
@@ -126,6 +126,11 @@ class NodeBlock:
         return np.ascontiguousarray(grid.reshape(-1, self.rule.d)[a:a + self.r.size])
 
 
+def roots(n: int) -> np.ndarray:
+    """exp(2 pi i k / n), k = 0 .. n - 1: the one table of the angular characters."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+
+
 def node_blocks(rule: QuadratureRule, row_bytes: int, min_nodes: int = 1):
     """The rule's nodes in layout order, one NodeBlock at a time.
 
@@ -138,7 +143,7 @@ def node_blocks(rule: QuadratureRule, row_bytes: int, min_nodes: int = 1):
     step = max(min_nodes, _BLOCK_BYTES // row_bytes)
     step -= step % n_ang if step >= n_ang else 0
     angles = np.indices((rule.n_theta,) * d).reshape(d, -1).T
-    chars = np.exp(1j * (2.0 * np.pi * np.arange(rule.n_theta) / rule.n_theta)[angles])
+    chars = roots(rule.n_theta)[angles]
     lo = 0
     while lo < n:
         hi = min(lo + step, n if step >= n_ang else (lo // n_ang + 1) * n_ang)

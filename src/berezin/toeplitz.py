@@ -24,9 +24,9 @@ functions it is Hermitian with bands K_f + K_g (band products, O(|K_f|
 |K_g| N)), so a registry sweep holds one block stack at a time and never an
 (N, N) operator.  At d = 2, m = 48 (N = 1,225) a norm (a defect) takes
 10-20 ms (10 ms) from the blocks, 1.0 s (0.4 s) densely.  ``sup_estimate``
-samples angles only where a mode is.  Plain callables keep the dense
-matrix, the radial-node loop and the full sup grid, and the algebra gives
-them a dense defect, normed by the SVD.
+samples angles only where a mode is.  A plain callable has every mode of
+the rule's angles, its bands are densified once, and its defect is dense,
+normed by the SVD.
 """
 
 from __future__ import annotations
@@ -71,14 +71,15 @@ def toeplitz_matrix(spec: BasisSpec, f) -> OperatorMatrix:
     weight_degree (default 1 for plain callables) picks a rule exact for the
     matrix-element integrands.  When ``f`` declares angular modes the
     operator holds only the bands it has on that rule (``hilbert.band_modes``),
-    and adjoint_sign 1 when ``f`` is real; otherwise it is dense.
+    and adjoint_sign 1 when ``f`` is real; otherwise it has every mode of the
+    rule's angles and is densified once (products of (2m + 1)^d bands cost more).
     """
     nd = spec.node_data(_default_level(spec, f))
-    modes, sign = getattr(f, "modes", None), int(getattr(f, "real", False))
+    modes = getattr(f, "modes", None)
+    bands = hilbert._compress_bands(spec, nd, f, None if modes is None else modes(spec.d))
     if modes is None:
-        return OperatorMatrix(spec, hilbert._compress_nodes(spec, nd, f), adjoint_sign=sign)
-    return OperatorMatrix(spec, bands=hilbert._compress_bands(spec, nd, f, modes(spec.d)),
-                          adjoint_sign=sign)
+        return OperatorMatrix(spec, hilbert._densify(spec, bands))
+    return OperatorMatrix(spec, bands=bands, adjoint_sign=int(getattr(f, "real", False)))
 
 
 def _block_norm(spec: BasisSpec, bands: dict) -> float:

@@ -367,6 +367,7 @@ BAD_ARGUMENTS = [
     (("kernel-check", "--m", "4", "--tol", "0"), "--tol must be finite and > 0"),
     (("kernel-check", "--m", "4", "--tol", "-1"), "--tol must be finite and > 0"),
     (("kernel-check", "--m", "4", "--tol", "nan"), "--tol must be finite and > 0"),
+    (("kernel-check", "--m", "4", "--seed", "-1"), "--seed must be >= 0"),
 ]
 
 

@@ -264,6 +264,23 @@ def test_factored_table_matches_the_evaluator(d, m):
     assert np.array_equal(nd.ehat.reshape(-1, n_ang, spec.N)[:, 0], nd.R.astype(complex))
 
 
+@pytest.mark.parametrize("d, m, blocks", [(1, 12, None), (2, 12, None), (3, 8, 3)])
+def test_rows_and_node_blocks_share_one_table_of_roots(d, m, blocks):
+    # _rows and the node blocks index one table of roots of unity
+    # (quadrature.roots), so the basis row of I = e_j is R times the block's
+    # character in dimension j, bitwise.  n_theta >= 9, where exp(2j pi k / n)
+    # and exp(1j (2 pi k / n)) round some roots differently; at d = 3 only
+    # the first blocks are checked.
+    spec = hilbert.build_basis(d, m)
+    nd = spec.node_data()
+    assert nd.rule.n_theta >= 9
+    for blk in itertools.islice(quadrature.node_blocks(nd.rule, 16 * spec.N), blocks):
+        rows, chars = hilbert._rows(nd, blk), blk.radial(np.ones_like(nd.rule.radii))
+        for j, e_j in enumerate(np.eye(d, dtype=int)):
+            k = spec.position(e_j)
+            assert np.array_equal(rows[:, k], nd.R[blk.r, k] * chars[:, j]), (d, j)
+
+
 # (d, m, level): the default levels of the table test above, and two levels
 # below the default where n_theta <= m, so that indices share angular modes.
 TRANSFORM_CASES = [(1, 8, None), (1, 256, None), (2, 12, None), (3, 5, None),

@@ -464,12 +464,25 @@ def test_operator_from_symbol_rejects_other_level(basis, rng):
 
 def test_fit_slope_closed_form():
     # The closed-form least-squares slope of log e against log m: exact
-    # power laws come back to 1e-13; fewer than two positive errors give None.
+    # power laws come back to 1e-13; fewer than two errors above the rounding
+    # floor give None.  The rounding-level rows are the e1 columns of the
+    # README star-sweeps (d = 1 over 4,...,64 and 128,256,512, d = 2 over
+    # 16,32,48), whose fits read 1.41, -0.49 and 2.25 without the floor.
     ms = [4, 8, 16, 32, 64]
     for p in (-1.0, -0.737, 0.5, -2.25):
         assert abs(operators._fit_slope(ms, [3.0 * m ** p for m in ms]) - p) <= 1e-13
     assert abs(operators._fit_slope([4, 8, 16], [0.0, 2.0, 1.0]) + 1.0) <= 1e-13
-    for ms, errs in (([4], [1.0]), ([4, 8], [0.0, 1.0]), ([4, 8, 16], [-1.0, 0.0, 2.0])):
+    assert abs(operators._fit_slope([4, 8, 16, 32], [1e-16, 2.0, 1e-15, 1.0]) + 0.5) <= 1e-13
+    rounding = (
+        ([4, 8, 16, 32, 64], [2.7755575615628914e-17, 1.9990378901206219e-16,
+                              5.6062183418676072e-17, 1.4432899320127035e-15,
+                              1.3517848686956847e-15]),
+        ([128, 256, 512], [4.6629367034256575e-15, 8.1046318726881088e-15,
+                           2.3710173309054243e-15]),
+        ([16, 32, 48], [5.5649420802754122e-17, 4.0378594004162749e-16,
+                        6.0725850418654261e-16]))
+    for ms, errs in (([4], [1.0]), ([4, 8], [0.0, 1.0]), ([4, 8, 16], [-1.0, 0.0, 2.0]),
+                     ([4, 8], [1.0, float("nan")])) + rounding:
         assert operators._fit_slope(ms, errs) is None
 
 

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from berezin import geometry, hilbert, operators, toeplitz
+from berezin import geometry, hilbert, operators, quadrature, toeplitz
 from berezin.functions import REGISTRY, get_function
 from conftest import ladder_operator, ladder_registry, layout_nodes, moment_matrix, sample_ball
 
@@ -77,7 +78,8 @@ def test_assembly_matches_two_copy_reference(basis):
     cases = [(d, m, fn, None) for d, m in [(1, 8), (2, 4), (3, 2), (1, 128), (2, 12), (3, 6)]
              for fn in declared]
     cases += [(2, 8, fn, 1) for fn in declared + (get_function("abs2_rational"),)]
-    for d, m, fn, level in cases + [(2, 6, wavy, None)]:
+    cases += [(d, m, wavy, None) for d, m in [(1, 64), (2, 6), (3, 4)]]
+    for d, m, fn, level in cases:
         spec = basis(d, m) if m <= 8 and d < 3 else hilbert.build_basis(d, m)
         if level is None:
             nd = spec.node_data(toeplitz._default_level(spec, fn))
@@ -112,23 +114,44 @@ def test_registry_declares_its_angular_modes(d, m):
 
 
 def test_declared_functions_never_reach_the_node_loop(basis, monkeypatch):
-    # Registry functions, their brackets and Gram matrices (at, above and
-    # below the default level) are assembled by bands; a plain callable
-    # still takes the radial-node loop.
-    def refuse(*args):
-        raise AssertionError("radial-node loop")
+    # _compress_bands samples f at n_r^d prod_j (2 B_j + 1) points, B_j the
+    # largest |k_j| over its modes: registry functions, their brackets and
+    # Gram matrices (at, above and below the default level) at fewer points
+    # than the rule has nodes.  A plain callable declares no modes and is
+    # compressed over every mode of the rule's angles, at n_r^d n_theta^d
+    # points, every node once.
+    values, seen = quadrature._values, []
 
-    monkeypatch.setattr(hilbert, "_compress_nodes", refuse)
+    def spy(f, pts):
+        seen.append(pts.shape[0])
+        return values(f, pts)
+
+    def sampled(fn, *args):
+        seen.clear()
+        return fn(*args), sum(seen)
+
+    monkeypatch.setattr(quadrature, "_values", spy)
     for d, m in ((1, 8), (2, 5), (3, 3)):
         spec = hilbert.build_basis(d, m)
-        for f in REGISTRY.values():
-            toeplitz.toeplitz_matrix(spec, f)
-            for g in REGISTRY.values():
-                toeplitz.toeplitz_matrix(spec, toeplitz.bracket_function(f, g))
-        for level in (1, spec.level, spec.level + 1):
-            hilbert._gram(spec, spec.node_data(level))
-    with pytest.raises(AssertionError, match="radial-node loop"):
-        toeplitz.toeplitz_matrix(basis(1, 4), lambda pts: np.ones(pts.shape[0]))
+        fns = list(REGISTRY.values()) + [toeplitz.bracket_function(f, g)
+                                         for f, g in itertools.product(REGISTRY.values(), repeat=2)]
+        for fn in fns:
+            rule = spec.node_data(toeplitz._default_level(spec, fn)).rule
+            want = rule.radii.shape[0] * math.prod(
+                2 * max(abs(k[j]) for k in fn.modes(d)) + 1 for j in range(d))
+            assert sampled(toeplitz.toeplitz_matrix, spec, fn)[1] == want < rule.node_count
+        for level in {1, spec.level, spec.level + 1}:
+            nd = spec.node_data(level)
+            assert sampled(hilbert._gram, spec, nd)[1] == nd.rule.radii.shape[0]
+
+    def one(pts):
+        return np.ones(pts.shape[0])
+
+    for d, m in ((1, 4), (2, 3), (3, 2)):
+        spec = basis(d, m)
+        rule = spec.node_data(toeplitz._default_level(spec, one)).rule
+        op, count = sampled(toeplitz.toeplitz_matrix, spec, one)
+        assert count == rule.node_count and op.bands is None and op.adjoint_sign == 0
 
 
 @pytest.mark.parametrize("d, m", [(1, 64), (1, 128), (2, 24), (3, 8)])
