@@ -31,7 +31,7 @@ from .errors import (DegenerateKernel, DerivativeFailure, DimensionMismatch,
                      IndexOutOfRange, NonFiniteIntegrand, OddLevel, OutOfDomain,
                      PathTooCoarse, ResourceLimit, SingularPair)
 from .functions import get_function
-from .geometry import diastasis
+from .geometry import diastasis, pairing
 
 # Fixed evaluation point for star sweeps: generic (no symmetry with the
 # function family's axes), modest modulus, documented in the README.
@@ -161,6 +161,16 @@ def _admissible_pair(rng, d: int):
             return mu, nu
 
 
+def _draws(rng, spec, pairs: int):
+    """v, then per pair mu, nu (``_admissible_pair``), va, vb: stacked (pairs, d) and (pairs, N)."""
+    def gauss():
+        return rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
+
+    v = gauss()
+    draws = [(*_admissible_pair(rng, spec.d), gauss(), gauss()) for _ in range(pairs)]
+    return (v, *(np.array(col) for col in zip(*draws)))
+
+
 def _cmd_kernel_check(args) -> int:
     _require(args, ["m"])
     _default(args, d=1, seed=1234, pairs=50, tol=1e-8)
@@ -171,36 +181,20 @@ def _cmd_kernel_check(args) -> int:
     if not 0.0 < args.tol < float("inf"):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     spec = hilbert.build_basis(args.d, args.m, level=args.level)
-    rng = np.random.default_rng(args.seed)
-    v = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
-    draws = []
-    for _ in range(args.pairs):
-        mu, nu = _admissible_pair(rng, spec.d)
-        va = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
-        vb = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
-        draws.append((mu, nu, va, vb))
-    # One synthesis of v and one row evaluation for all the mus.
-    mus = np.array([mu for mu, _, _, _ in draws])
-    rel_repro = (hilbert.reproducing_residual(spec, v, mus)
-                 / (1.0 + np.abs(hilbert.section_eval(spec, v, mus))))
-    rows = []
-    worst_k, worst_r, worst_i = 0.0, 0.0, 0.0  # np.maximum fails a NaN; max() drops it
-    for k, (mu, nu, va, vb) in enumerate(draws):
-        # |K(mu, nu)|^2 against its closed form, in log form: no overflow.
-        log_rhs = spec.m * (diastasis(mu, nu)
-                            + np.log1p(float(np.vdot(mu, mu).real))
-                            + np.log1p(float(np.vdot(nu, nu).real)))
-        rel_kernel = abs(np.expm1(2.0 * hilbert.log_kernel(spec, mu, nu).real - log_rhs))
-        rel_ident = (hilbert.resolution_check(spec, va, vb)
-                     / float(np.linalg.norm(va) * np.linalg.norm(vb)))
-        rows.append((k, rel_kernel, rel_repro[k], rel_ident))
-        worst_k = float(np.maximum(worst_k, rel_kernel))
-        worst_r = float(np.maximum(worst_r, rel_repro[k]))
-        worst_i = float(np.maximum(worst_i, rel_ident))
+    v, mus, nus, va, vb = _draws(np.random.default_rng(args.seed), spec, args.pairs)
+    # |K(mu, nu)|^2 against its closed form, in log form: no overflow.
+    log_rhs = spec.m * (diastasis(mus, nus) + np.log(pairing(mus, mus).real)
+                        + np.log(pairing(nus, nus).real))
+    rel_kernel = np.abs(np.expm1(2.0 * hilbert.log_kernel(spec, mus, nus).real - log_rhs))
+    rel_repro = hilbert.reproducing_residual(spec, v, mus, relative=True)
+    norm_a, norm_b = (np.sqrt(np.sum(x.real ** 2 + x.imag ** 2, axis=1)) for x in (va, vb))
+    rel_ident = hilbert.resolution_check(spec, va.T, vb.T) / (norm_a * norm_b)
+    # np.max propagates a NaN, so a NaN fails the gate.
+    worst_k, worst_r, worst_i = (float(np.max(col)) for col in (rel_kernel, rel_repro, rel_ident))
     passed = bool(worst_k <= args.tol and worst_r <= args.tol and worst_i <= args.tol)
     _write_csv(args.out,
                ["pair", "kernel_rel_err", "reproducing_rel_err", "resolution_rel_err"],
-               rows)
+               zip(range(args.pairs), rel_kernel, rel_repro, rel_ident))
     _write_sidecar(args.out, {
         "command": "kernel-check", "d": spec.d, "m": spec.m, "level": spec.level,
         "seed": args.seed, "pairs": args.pairs, "tol": args.tol,
@@ -264,16 +258,15 @@ def _cmd_torus_holonomy(args) -> int:
     # Both coordinates off the square's center lines, where a cycle integral
     # vanishes by parity; at 1/4 each cycle carries +-pi/sqrt(2).
     base = (0.25, 0.25)
-    rows = []
     h10 = pullback.torus_holonomy(1, 0, args.m, segments=args.segments, base=base)
     h01 = pullback.torus_holonomy(0, 1, args.m, segments=args.segments, base=base)
-    worst_mod, worst_mult = 0.0, 0.0  # np.maximum fails a NaN; max() drops it
-    for k1 in range(-args.kmax, args.kmax + 1):
-        for k2 in range(-args.kmax, args.kmax + 1):
-            h = pullback.torus_holonomy(k1, k2, args.m, segments=args.segments, base=base)
-            rows.append((k1, k2, args.m, h.real, h.imag, float(np.angle(h))))
-            worst_mod = float(np.maximum(worst_mod, abs(abs(h) - 1.0)))
-            worst_mult = float(np.maximum(worst_mult, abs(h - h10 ** k1 * h01 ** k2)))
+    ks = range(-args.kmax, args.kmax + 1)
+    cells = [(k1, k2, pullback.torus_holonomy(k1, k2, args.m, segments=args.segments, base=base))
+             for k1 in ks for k2 in ks]
+    rows = [(k1, k2, args.m, h.real, h.imag, float(np.angle(h))) for k1, k2, h in cells]
+    # np.max propagates a NaN, so a NaN fails the gate.
+    worst_mod = float(np.max([abs(abs(h) - 1.0) for _, _, h in cells]))
+    worst_mult = float(np.max([abs(h - h10 ** k1 * h01 ** k2) for k1, k2, h in cells]))
     passed = worst_mod <= 1e-9 and worst_mult <= 1e-10
     _write_csv(args.out, ["k1", "k2", "m", "holonomy_re", "holonomy_im", "phase"], rows)
     _write_sidecar(args.out, {

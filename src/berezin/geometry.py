@@ -13,6 +13,9 @@ potential ln(1 + |mu|^2).  This module owns the conventions:
   contracts with its inverse.  The constant is pinned so that the
   first-order commutator law of the operator layer holds with factor +1j;
   an exactly soluble rank-one case in the test suite locks the sign,
+* two-point pairing: ``pairing`` is the one place where 1 + mu . conj(nu)
+  is formed, for one pair or arrays of pairs; the diastasis and the
+  reproducing kernel (``hilbert.kernel_L``, ``hilbert.log_kernel``) read it,
 * derivatives: ``gradients`` is the one place that decides how a function
   is differentiated.  A declared ``grad(points) -> (d/dmu, d/dmubar)`` (every
   registry function and every covariant symbol) is evaluated and never
@@ -22,6 +25,7 @@ potential ln(1 + |mu|^2).  This module owns the conventions:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,32 +36,32 @@ PAIRING_TOL = 1e-14
 WIRTINGER_STEP = 1e-5
 
 
-def as_point(mu, d: int | None = None) -> np.ndarray:
-    """Coerce to a 1-d complex coordinate vector, validating shape and finiteness."""
+def as_point(mu, d: int | None = None, batch: bool = False) -> np.ndarray:
+    """Coerce to a complex vector (d,), or with ``batch`` points (..., d), checking finiteness."""
     arr = np.atleast_1d(np.asarray(mu, dtype=complex))
-    if arr.ndim != 1:
+    if arr.ndim != 1 and not batch:
         raise DimensionMismatch(f"chart point must be a vector, got shape {arr.shape}")
-    if d is not None and arr.shape[0] != d:
-        raise DimensionMismatch(f"expected dimension {d}, got {arr.shape[0]}")
+    if d is not None and arr.shape[-1] != d:
+        raise DimensionMismatch(f"expected dimension {d}, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("chart point has non-finite coordinates")
     return arr
 
 
-def pairing(mu, nu) -> complex:
-    """Kernel pairing 1 + mu . conj(nu) of two chart points."""
-    mu = as_point(mu)
-    nu = as_point(nu, d=mu.shape[0])
-    # vdot conjugates its first argument: sum_i mu_i * conj(nu_i)
-    return 1.0 + complex(np.vdot(nu, mu))
+def pairing(mu, nu, d: int | None = None):
+    """Kernel pairing 1 + mu . conj(nu): the one place where it is formed.
 
-
-def require_admissible(mu, nu) -> complex:
-    """Return the pairing, rejecting pairs on (or numerically at) its zero set."""
-    w = pairing(mu, nu)
-    if abs(w) < PAIRING_TOL:
-        raise SingularPair(f"|1 + mu.conj(nu)| = {abs(w):.3e} below {PAIRING_TOL}")
-    return w
+    One (d,) pair gives a complex; points (..., d), broadcast against each
+    other, give an array, each entry its pair's bitwise: the sum runs one
+    column at a time in real arithmetic.  ``d`` checks the dimension.
+    """
+    mu = as_point(mu, d, batch=True)
+    nu = as_point(nu, mu.shape[-1], batch=True)
+    cols = list(zip(np.moveaxis(mu, -1, 0), np.moveaxis(nu, -1, 0)))
+    re = functools.reduce(np.add, [a.real * b.real + a.imag * b.imag for a, b in cols])
+    im = functools.reduce(np.add, [a.imag * b.real - a.real * b.imag for a, b in cols])
+    w = (1.0 + re) + 1j * im
+    return complex(w) if np.ndim(w) == 0 else w
 
 
 def on_branch_cut(mu, nu, tol: float = 1e-12) -> bool:
@@ -77,9 +81,9 @@ def fs_potential(mu, nu=None) -> complex:
     With ``nu`` omitted this is the real potential at ``mu``.  Raises
     SingularPair when the pairing modulus falls below 1e-14.
     """
-    if nu is None:
-        nu = mu
-    w = require_admissible(mu, nu)
+    w = pairing(mu, mu if nu is None else nu)
+    if abs(w) < PAIRING_TOL:
+        raise SingularPair(f"|1 + mu.conj(nu)| = {abs(w):.3e} below {PAIRING_TOL}")
     return complex(np.log(w))
 
 
@@ -90,16 +94,14 @@ def fs_metric(mu) -> np.ndarray:
     respect to (mu_i, conj(mu_j)).
     """
     mu = as_point(mu)
-    s = float(np.vdot(mu, mu).real)
-    outer = np.outer(np.conj(mu), mu)
-    return ((1.0 + s) * np.eye(mu.shape[0]) - outer) / (1.0 + s) ** 2
+    a = pairing(mu, mu).real  # 1 + |mu|^2
+    return (a * np.eye(mu.shape[0]) - np.outer(np.conj(mu), mu)) / a ** 2
 
 
 def fs_metric_inverse(mu) -> np.ndarray:
     """Closed-form inverse metric (1 + |mu|^2) * (I + outer(conj(mu), mu))."""
     mu = as_point(mu)
-    s = float(np.vdot(mu, mu).real)
-    return (1.0 + s) * (np.eye(mu.shape[0]) + np.outer(np.conj(mu), mu))
+    return pairing(mu, mu).real * (np.eye(mu.shape[0]) + np.outer(np.conj(mu), mu))
 
 
 def fs_form(mu) -> np.ndarray:
@@ -119,8 +121,7 @@ def fs_form_inverse(mu) -> np.ndarray:
 def volume_density(mu) -> float:
     """Chart volume factor (1 + |mu|^2)^-(d+1) (against 2^d Lebesgue)."""
     mu = as_point(mu)
-    s = float(np.vdot(mu, mu).real)
-    return float((1.0 + s) ** (-(mu.shape[0] + 1)))
+    return float(pairing(mu, mu).real ** (-(mu.shape[0] + 1)))
 
 
 def lebesgue_volume_density(mu) -> float:
@@ -129,22 +130,19 @@ def lebesgue_volume_density(mu) -> float:
     return float(2 ** mu.shape[0]) * volume_density(mu)
 
 
-def diastasis(mu, nu) -> float:
-    """Two-point diastasis, real, <= 0, and exactly 0.0 at nu == mu.
+def diastasis(mu, nu):
+    """Two-point diastasis, real, <= 0, and exactly 0.0 at nu == mu; shapes as ``pairing``.
 
-    Computed as log(p / (a b)) with p = |1 + nu . conj(mu)|^2 and
-    a, b the diagonal pairings; all three go through the same vdot
-    reduction so the coincidence ratio is bitwise 1.0.
+    log(p / (a b)) with p = |1 + mu . conj(nu)|^2 and a, b the diagonal
+    pairings: at nu == mu the pairing is exactly a, so the ratio is bitwise
+    1.0.  SingularPair when any pair sits at the pairing's zero set.
     """
-    mu = as_point(mu)
-    nu = as_point(nu, d=mu.shape[0])
-    w = 1.0 + complex(np.vdot(mu, nu))  # 1 + nu . conj(mu)
+    w = pairing(mu, nu)
     p = w.real * w.real + w.imag * w.imag
-    a = 1.0 + float(np.vdot(mu, mu).real)
-    b = 1.0 + float(np.vdot(nu, nu).real)
-    if p < PAIRING_TOL**2:
+    if np.any(p < PAIRING_TOL**2):
         raise SingularPair("diastasis undefined: pairing at its zero set")
-    return float(np.log(p / (a * b)))
+    out = np.log(p / (pairing(mu, mu).real * pairing(nu, nu).real))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def wirtinger(f: Callable, mu):

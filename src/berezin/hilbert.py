@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import quadrature
+from . import geometry, quadrature
 from .errors import DimensionMismatch, IndexOutOfRange
 from .functions import REGISTRY
 from .geometry import as_point
@@ -501,21 +501,19 @@ def coherent_coeffs(spec: BasisSpec, mu) -> np.ndarray:
     return np.conj(eval_matrix(spec, as_point(mu, d=spec.d))[0])
 
 
-def kernel_L(spec: BasisSpec, mu, nu) -> complex:
-    """Two-point reproducing kernel (1 + mu . conj(nu))^m."""
-    mu = as_point(mu, d=spec.d)
-    nu = as_point(nu, d=spec.d)
-    return complex((1.0 + np.vdot(nu, mu)) ** spec.m)
+def kernel_L(spec: BasisSpec, mu, nu):
+    """Two-point reproducing kernel (1 + mu . conj(nu))^m; shapes as ``geometry.pairing``."""
+    out = np.power(geometry.pairing(mu, nu, spec.d), spec.m)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
-def log_kernel(spec: BasisSpec, mu, nu) -> complex:
-    """Principal logarithm of the kernel, m * log(1 + mu . conj(nu)).
+def log_kernel(spec: BasisSpec, mu, nu):
+    """Principal logarithm of the kernel, m * log(1 + mu . conj(nu)); shapes as ``kernel_L``.
 
     Safe at magnitudes where the kernel itself would overflow a double.
     """
-    mu = as_point(mu, d=spec.d)
-    nu = as_point(nu, d=spec.d)
-    return complex(spec.m * np.log(1.0 + np.vdot(nu, mu)))
+    out = spec.m * np.log(geometry.pairing(mu, nu, spec.d))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def inner_product(spec: BasisSpec, f: Callable, g: Callable) -> complex:
@@ -572,7 +570,7 @@ def _power(z: np.ndarray, m: int) -> np.ndarray:
         z *= z
 
 
-def reproducing_residual(spec: BasisSpec, v, mu):
+def reproducing_residual(spec: BasisSpec, v, mu, relative: bool = False):
     """|<psi_mu, v> - v(mu)| with the pairing done by numeric integration.
 
     ``mu`` is one point (d,), which gives a float, or k points (k, d), which
@@ -580,7 +578,9 @@ def reproducing_residual(spec: BasisSpec, v, mu):
     runs over blocks of whole radial nodes, about _BLOCK_BYTES of unit lifts
     (``_lifts``) but at least one radial node, with wr times ``synthesize``
     on the block.  Each point's pairing with a block is added to its sum in
-    block order.
+    block order.  ``relative`` divides by 1 + |v(mu)| in the normalized frame,
+    |c_m <ehat_mu, v> - ehat(mu) v| / ((1+|mu|^2)^(-m/2) + |ehat(mu) v|):
+    finite where (1+|mu|^2)^(m/2) overflows.
 
     Contract: <= 1e-8 * (1 + |v(mu)|) at the spec's level.
     """
@@ -595,28 +595,34 @@ def reproducing_residual(spec: BasisSpec, v, mu):
         wv, lift = synthesize(spec, nd, v, blk) * nd.wr[blk.r], _lifts(nd, blk)
         for j in range(pts.shape[0]):
             paired[j] += _power(np.conj(lift @ lifts[j].conj()), spec.m) @ wv
-    rows = _lift_rows(spec, lifts)
-    scale = np.exp(0.5 * spec.m * np.log1p(np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)))
-    out = np.array([abs(spec.c_m * paired[j] - rows[j] @ v) * scale[j]
-                    for j in range(pts.shape[0])])
+    value = np.sum(_lift_rows(spec, lifts) * v, axis=1)
+    diff = np.abs(spec.c_m * paired - value)
+    log1ps = np.log1p(np.sum(pts.real ** 2 + pts.imag ** 2, axis=1))
+    out = (diff / (np.exp(-0.5 * spec.m * log1ps) + np.abs(value)) if relative
+           else diff * np.exp(0.5 * spec.m * log1ps))
     return float(out[0]) if single else out
 
 
-def resolution_check(spec: BasisSpec, v1, v2) -> float:
-    """Defect of the resolution of the identity on a vector pair.
+def resolution_check(spec: BasisSpec, v1, v2):
+    """Defect of the resolution of the identity on vectors (N,), a float, or columns (N, k).
 
-    |c_m * integral <v1, psi_mu><psi_mu, v2> dweight - <v1, v2>|.  The
-    (1+s)^(+-m) factors cancel analytically and are cancelled here too, and
-    the node sum is taken in the order v1^H G v2 with G the cached Gram
+    |c_m * integral <v1, psi_mu><psi_mu, v2> dweight - <v1, v2>|, per column
+    bitwise the single pair's: each column is summed as one contiguous row.
+    The (1+s)^(+-m) factors cancel analytically and are cancelled here too,
+    and the node sum is taken in the order v1^H G v2 with G the cached Gram
     bands: the same discrete sum as on the nodes.
     """
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
-    for v in (v1, v2):
-        if v.shape != (spec.N,):
-            raise DimensionMismatch(f"coefficient vector has shape {v.shape}, expected ({spec.N},)")
+    v1, v2 = np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)
+    if v1.shape != v2.shape or v1.shape[:1] != (spec.N,) or v1.ndim > 2:
+        raise DimensionMismatch(f"coefficient vectors have shapes {v1.shape} and {v2.shape}, "
+                                f"expected ({spec.N},) or ({spec.N}, k) for both")
+
+    def dot(a, b):
+        return np.sum(np.ascontiguousarray(a.T).conj() * np.ascontiguousarray(b.T), axis=-1)
+
     gram_v2 = _band_dot(_gram(spec, spec.node_data()), v2)
-    return float(abs(complex(np.vdot(v1, gram_v2)) - complex(np.vdot(v1, v2))))
+    out = np.abs(dot(v1, gram_v2) - dot(v1, v2))
+    return float(out) if out.ndim == 0 else out
 
 
 def _payload(spec: BasisSpec) -> dict:

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, hilbert, operators, quadrature
-from .errors import DimensionMismatch, OddLevel, OutOfDomain, PathTooCoarse, SingularPair
+from .errors import DimensionMismatch, OddLevel, OutOfDomain, PathTooCoarse
 from .hilbert import BasisSpec
 from .operators import OperatorMatrix
 
@@ -139,10 +139,7 @@ def measure_factor(chart: DiffeoChart, params) -> np.ndarray:
     the chart equals integral of F(tau(p)) h(p) over plain Lebesgue dp.
     """
     p = chart._params(params)
-    z = chart.forward(p)
-    s = np.sum(np.abs(z) ** 2, axis=1)
-    dens = np.exp(-(chart.d + 1.0) * np.log1p(s))
-    return (2.0 ** chart.d) * dens * chart.jacobian_det(p)
+    return (2.0 ** chart.d) * _core_weights(1.0, chart.forward(p)) * chart.jacobian_det(p)
 
 
 @dataclass(eq=False)
@@ -201,10 +198,11 @@ def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2) -> co
     (``hilbert._row_blocks``).  The Lebesgue weight w / (2^d |det J|) times
     ``measure_factor`` is w (1 + s)^-(d+1): the Jacobian cancels and is never
     evaluated.  An ``equivariant`` chart streams nothing: the sum is v1^H G v2
-    with G its Gram matrix from the radial points (``_radial_gram``).
+    with G the bands of its Gram matrix from the radial points (``_radial_gram``,
+    applied by ``hilbert._band_dot``).  ``v1`` and ``v2`` are (N,) vectors.
     """
     if chart.equivariant:
-        return complex(np.vdot(v1, _radial_gram(spec, chart, chart) @ np.asarray(v2)))
+        return complex(np.vdot(v1, hilbert._band_dot(_radial_gram(spec, chart, chart), v2)))
     v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
     total = 0j
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
@@ -235,14 +233,15 @@ def _row_scale(spec: BasisSpec, z_a: np.ndarray, mapped: np.ndarray,
 
 
 def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
-                 psi: Callable) -> np.ndarray:
+                 psi: Callable) -> OperatorMatrix:
     """Gram matrix of chart b's basis carried by ``psi``, under chart a's measure.
 
     c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
     chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
     The Jacobian cancels in wleb h = w (1 + s_a)^-(d+1) (``_core_weights``).
     When ``psi`` is the identity and both charts are ``equivariant`` the
-    angles are summed in closed form (``_radial_gram``).  Otherwise the rule
+    angles are summed in closed form (``_radial_gram``) and the operator
+    holds its bands.  Otherwise it holds the dense matrix: the rule
     is transported, ``psi`` included, one node block at a time
     (``hilbert._row_blocks``), and the rescaling and sqrt(wleb h) (> 0) scale
     each block in place.  With S the real (rows, 2N) view of a block (columns
@@ -251,7 +250,7 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     product: half the flops of the complex product, exactly Hermitian.
     """
     if psi is _identity_map and chart_a.equivariant and chart_b.equivariant:
-        return _radial_gram(spec, chart_a, chart_b)
+        return OperatorMatrix(spec, bands=_radial_gram(spec, chart_a, chart_b))
     P, prod = np.zeros((2 * spec.N, 2 * spec.N)), np.empty((2 * spec.N, 2 * spec.N))
     for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
         params = chart_a.inverse(nodes)
@@ -263,11 +262,11 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
         P += np.matmul(S.T, S, out=prod)
     gram = (P[0::2, 0::2] + P[1::2, 1::2]) + 1j * (P[0::2, 1::2] - P[1::2, 0::2])
     gram *= spec.c_m
-    return gram
+    return OperatorMatrix(spec, gram)
 
 
-def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) -> np.ndarray:
-    """``_pulled_gram`` of two equivariant charts under the identity ``psi``.
+def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) -> dict:
+    """Bands {delta: (rows, cols, vals)} of ``_pulled_gram``: equivariant charts, identity ``psi``.
 
     Both charts carry node (r, k) to their images of radii[r] times the
     angular characters of k: s_a, s_b and the weight are radial, and the row
@@ -275,6 +274,7 @@ def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) ->
     exp(i (J - I) . theta_k) over the angles leaves the bands of the constant
     mode (``hilbert.band_modes``), c_m sum_r conj(E_rI) E_r(I-delta) with E_r
     scaled by the rescaling and sqrt(n_theta^d wleb h): ``hilbert._contract``, F = 1.
+    Entries off the bands are exactly zero; nothing (N, N) is formed.
     """
     rule = spec.node_data().rule
     params = chart_a.inverse(rule.radii)
@@ -283,7 +283,7 @@ def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) ->
     E *= _row_scale(spec, z_a, mapped, rule.n_theta ** spec.d * rule.radii_weights)[:, None]
     reach = hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta, (1,) * spec.d)
     ones = [(0, np.ones((E.shape[0], 1)))]
-    return hilbert._densify(spec, hilbert._contract(spec, reach, ones, E))
+    return hilbert._contract(spec, reach, ones, E)
 
 
 @dataclass
@@ -333,14 +333,19 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
         psi = _identity_map
     rng = np.random.default_rng(0) if rng is None else rng
 
-    gram = _pulled_gram(spec, chart_a, chart_b, psi)
-    ip_dev = float(np.max(np.abs(gram - np.eye(spec.N))))
+    # max |G - I|; off the bands of a banded G both are exactly zero.
+    dev = _pulled_gram(spec, chart_a, chart_b, psi) - operators.identity_operator(spec)
+    ip_dev = float(np.max(np.abs(dev.mat if dev.bands is None else
+                                 np.concatenate([band[2] for band in dev.bands.values()]))))
 
     z = _kernel_pairs(chart_a, chart_b, psi, rng, pairs)
-    # |K_b / K_a - 1| in log form (the kernels overflow at large m); a NaN
-    # ratio propagates, so the report shows it and the pair is not equivalent.
-    log_k = spec.m * np.log(1.0 + np.sum(np.conj(z[:, :, 1]) * z[:, :, 0], axis=2))
-    kernel_dev = np.max(np.abs(np.expm1(log_k[1] - log_k[0])))
+    # |K_b / K_a - 1| in log form (the kernels overflow at large m).  A chart
+    # point that is not finite (``geometry.pairing`` refuses it) or a NaN
+    # ratio gives a NaN deviation: the report shows it, not equivalent.
+    kernel_dev = np.nan
+    if np.all(np.isfinite(z)):
+        log_k = hilbert.log_kernel(spec, z[:, :, 0], z[:, :, 1])
+        kernel_dev = np.max(np.abs(np.expm1(log_k[1] - log_k[0])))
 
     return EquivalenceReport(
         inner_product_deviation=float(ip_dev),
@@ -356,8 +361,9 @@ def _kernel_pairs(chart_a: DiffeoChart, chart_b: DiffeoChart, psi: Callable, rng
 
     Candidates, two rows of ``chart_a.sample`` each, come in batches of the
     pairs still needed, at most 200 * pairs in all.  Admissible: the rows in
-    chart a's domain, their ``psi`` images in b's, and exp(diastasis / 2) >=
-    0.5 under a (SingularPair at the kernel's zero set, as ``diastasis``).
+    chart a's domain, their ``psi`` images in b's, and exp(D / 2) >= 0.5 for
+    D the ``geometry.diastasis`` of all of them under a, which raises
+    SingularPair at the kernel's zero set.
     """
     kept, used, attempts = [np.empty((2, 0, 2, chart_a.d), dtype=complex)], 0, 0
     while used < pairs:
@@ -370,12 +376,7 @@ def _kernel_pairs(chart_a: DiffeoChart, chart_b: DiffeoChart, psi: Callable, rng
         ok = (chart_a.in_domain(pa) & chart_b.in_domain(pb)).reshape(-1, 2).all(axis=1).repeat(2)
         z = np.stack([chart_a.forward(pa[ok]), chart_b.forward(pb[ok])])
         z = z.reshape(2, -1, 2, chart_a.d)
-        w = 1.0 + np.sum(np.conj(z[0, :, 0]) * z[0, :, 1], axis=1)
-        p = w.real * w.real + w.imag * w.imag
-        if np.any(p < geometry.PAIRING_TOL ** 2):
-            raise SingularPair("diastasis undefined: pairing at its zero set")
-        a, b = 1.0 + np.sum(z[0].real ** 2 + z[0].imag ** 2, axis=2).T
-        kept.append(z[:, np.exp(0.5 * np.log(p / (a * b))) >= 0.5])
+        kept.append(z[:, np.exp(0.5 * geometry.diastasis(z[0, :, 0], z[0, :, 1])) >= 0.5])
         used += kept[-1].shape[1]
     return np.concatenate(kept, axis=1)
 

@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -81,9 +82,11 @@ def test_kernel_check_survives_kernel_overflow(capsys, tmp_path, monkeypatch):
 
 def test_kernel_check_matches_per_pair_reference(capsys, tmp_path):
     # The reference checks one pair at a time, drawing mu, nu, va, vb per
-    # pair.  The command draws every pair first and batches the reproducing
-    # residuals, so equal kernel and resolution columns prove the draw order
-    # unchanged; the reproducing column moves at rounding level only.
+    # pair, through the library's single-pair calls.  The command draws every
+    # pair first and forms each column in one array pass, so equal kernel and
+    # resolution columns prove the draw order unchanged and the array forms
+    # bitwise the single-pair ones; the reproducing column, formed in the
+    # normalized frame, moves at rounding level only.
     d, m, pairs, seed = 2, 6, 20, 31
     out = tmp_path / "kc.csv"
     rc, _, _ = run(capsys, "kernel-check", "--d", str(d), "--m", str(m), "--pairs",
@@ -96,15 +99,15 @@ def test_kernel_check_matches_per_pair_reference(capsys, tmp_path):
     for k in range(pairs):
         mu, nu = cli._admissible_pair(rng, spec.d)
         log_rhs = spec.m * (geometry.diastasis(mu, nu)
-                            + np.log1p(float(np.vdot(mu, mu).real))
-                            + np.log1p(float(np.vdot(nu, nu).real)))
+                            + np.log(geometry.pairing(mu, mu).real)
+                            + np.log(geometry.pairing(nu, nu).real))
         rel_kernel = abs(np.expm1(2.0 * hilbert.log_kernel(spec, mu, nu).real - log_rhs))
         value = abs(hilbert.section_eval(spec, v, mu.reshape(1, -1))[0])
         rel_repro = hilbert.reproducing_residual(spec, v, mu) / (1.0 + value)
         va = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
         vb = rng.normal(0.0, 1.0, spec.N) + 1j * rng.normal(0.0, 1.0, spec.N)
-        rel_ident = (hilbert.resolution_check(spec, va, vb)
-                     / float(np.linalg.norm(va) * np.linalg.norm(vb)))
+        norm_a, norm_b = (np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)) for x in (va, vb))
+        rel_ident = hilbert.resolution_check(spec, va, vb) / (norm_a * norm_b)
         want.append((k, rel_kernel, rel_repro, rel_ident))
     got = np.loadtxt(out, delimiter=",", skiprows=1)
     want = np.array(want)
@@ -122,6 +125,25 @@ def test_kernel_check_d1_m512_memory(tmp_path, child_process):
     assert returncode == 0, err
     assert json.loads((tmp_path / "kc.json").read_text())["passed"] is True
     assert peak < 96 * 1024  # KiB on Linux
+
+
+def test_kernel_check_d1_m1024_is_finite(capsys, tmp_path):
+    # (1 + |mu|^2)^(m/2) and v(mu) overflow at m = 1024, and their quotient
+    # read NaN (exit 1); the relative reproducing error is formed in the
+    # normalized frame instead.
+    out = tmp_path / "kc.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run(capsys, "kernel-check", "--m", "1024", "--pairs", "50",
+                         "--out", str(out))
+    assert rc == 0, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    meta = json.loads(out.with_suffix(".json").read_text())
+    assert meta["passed"] is True
+    for key in ("worst_kernel_rel_err", "worst_reproducing_rel_err",
+                "worst_resolution_rel_err"):
+        assert np.isfinite(meta[key]) and meta[key] <= meta["tol"], key
+    assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
 
 def test_kernel_check_d3_m16_memory(tmp_path, child_process):
@@ -386,7 +408,7 @@ def test_nan_fails_the_torus_and_kernel_gates(capsys, tmp_path, monkeypatch):
     # instead of passing as max(0.0, nan) = 0.0.
     monkeypatch.setattr(pullback, "torus_holonomy", lambda *args, **kwargs: complex("nan"))
     monkeypatch.setattr(hilbert, "reproducing_residual",
-                        lambda spec, v, mus: np.full(len(mus), np.nan))
+                        lambda spec, v, mus, **kwargs: np.full(len(mus), np.nan))
     for argv in (("torus-holonomy", "--m", "2", "--kmax", "1"),
                  ("kernel-check", "--m", "4", "--pairs", "3")):
         out = tmp_path / f"{argv[0]}.csv"

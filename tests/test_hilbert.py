@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from berezin import cli, geometry, hilbert, operators, pullback, quadrature, toeplitz
-from berezin.errors import DimensionMismatch, IndexOutOfRange
+from berezin.errors import DimensionMismatch, IndexOutOfRange, SingularPair
 from berezin.functions import REGISTRY
 from conftest import admissible, layout_nodes, sample_ball
 
@@ -662,6 +662,49 @@ def test_log_kernel_consistency(basis):
     mu, nu = [0.8 + 0.1j], [0.5 - 0.6j]
     assert np.exp(hilbert.log_kernel(spec, mu, nu)) == pytest.approx(
         hilbert.kernel_L(spec, mu, nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pair_arrays_match_single_pairs_bitwise(basis, d):
+    # 50 random pairs and 5 whose two points coincide: the array forms of
+    # the pairing, the diastasis, the kernel and its logarithm, and the
+    # resolution defect on columns equal the single-pair calls bit for bit.
+    # The resolution defect also runs below the default level, where the
+    # Gram matrix has more than one band.
+    rng = np.random.default_rng(27 + d)
+    mu, nu = (rng.normal(0.0, 0.7, (55, d)) + 1j * rng.normal(0.0, 0.7, (55, d))
+              for _ in range(2))
+    nu[50:] = mu[50:]
+    spec = basis(d, 6)
+
+    def bitwise(got, want):
+        want = np.array(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    forms = [geometry.pairing, geometry.diastasis,
+             lambda a, b: hilbert.kernel_L(spec, a, b),
+             lambda a, b: hilbert.log_kernel(spec, a, b)]
+    for form in forms:
+        bitwise(form(mu, nu), [form(a, b) for a, b in zip(mu, nu)])
+        # (2, 55, d) pairs, as the chart-equivalence probe passes them, and
+        # one point broadcast against many.
+        bitwise(form(np.stack([mu, nu]), np.stack([nu, mu])),
+                [[form(a, b) for a, b in zip(mu, nu)], [form(b, a) for a, b in zip(mu, nu)]])
+        bitwise(form(mu[0], nu), [form(mu[0], b) for b in nu])
+    assert np.all(geometry.diastasis(mu[50:], nu[50:]) == 0.0)
+    assert all(geometry.diastasis(a, a) == 0.0 for a in mu)
+    zero = np.zeros(d, dtype=complex)
+    zero[0] = 1.0
+    for a, b in ((zero, -zero), (np.vstack([mu[:3], zero]), np.vstack([nu[:3], -zero]))):
+        with pytest.raises(SingularPair):
+            geometry.diastasis(a, b)
+    for level in (None, 1):
+        spec = basis(d, 6, level)
+        va, vb = (rng.normal(size=(spec.N, 55)) + 1j * rng.normal(size=(spec.N, 55))
+                  for _ in range(2))
+        vb[:, 50:] = va[:, 50:]
+        bitwise(hilbert.resolution_check(spec, va, vb),
+                [hilbert.resolution_check(spec, a, b) for a, b in zip(va.T, vb.T)])
 
 
 def test_section_eval_linear_combination(basis, rng):

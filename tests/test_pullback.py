@@ -288,7 +288,7 @@ def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
         charts.append(torus)
     for chart_a, chart_b, psi in cases:
         want = dense_gram(spec, chart_a, chart_b, psi)
-        got = pullback._pulled_gram(spec, chart_a, chart_b, psi)
+        got = pullback._pulled_gram(spec, chart_a, chart_b, psi).mat
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), \
             (chart_a.name, chart_b.name)
         assert np.array_equal(got, got.conj().T), (chart_a.name, chart_b.name)
@@ -316,15 +316,15 @@ def test_radial_gram_matches_streamed_and_dense(basis, d, m, level):
     spec = basis(d, m, level)
     ident, rot = pullback.identity_chart(d), pullback.rotation_chart(0.9, d)
     for chart_b in (rot, pullback.scaling_chart(2.0, d)):
-        got = pullback._radial_gram(spec, ident, chart_b)
+        got = hilbert._densify(spec, pullback._radial_gram(spec, ident, chart_b))
         assert np.array_equal(got, got.conj().T), chart_b.name
-        for want in (pullback._pulled_gram(spec, ident, chart_b, lambda p: p),
+        for want in (pullback._pulled_gram(spec, ident, chart_b, lambda p: p).mat,
                      dense_gram(spec, ident, chart_b, pullback._identity_map, chunk=8192)):
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), \
                 chart_b.name
     numeric = dataclasses.replace(ident, name="identity_numeric_jacobian", jacobian_fn=None)
-    got = pullback._radial_gram(spec, numeric, rot)
-    assert np.array_equal(got, pullback._radial_gram(spec, ident, rot))
+    got = hilbert._densify(spec, pullback._radial_gram(spec, numeric, rot))
+    assert np.array_equal(got, hilbert._densify(spec, pullback._radial_gram(spec, ident, rot)))
     if spec.node_data().rule.node_count <= 10_000:
         want = dense_gram(spec, numeric, rot, pullback._identity_map)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -416,6 +416,24 @@ def test_pulled_gram_d2_m12_traced_peak(basis):
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20
+
+
+def test_equivalence_d2_m48_traced_peak(basis):
+    # The stock charts' Gram matrix stays in bands: max |G - I| is read off
+    # them.  Densified, each probe peaked at 58.1 MiB; the rest is the
+    # (n_r^d, N) radial rows and the band contraction's gathers.
+    spec = basis(2, 48)
+    spec.node_data()
+    ident = pullback.identity_chart(2)
+    for other in (pullback.rotation_chart(0.8, d=2), pullback.scaling_chart(2.0, d=2)):
+        tracemalloc.start()
+        try:
+            rep = pullback.equivalence_check(spec, ident, other, rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.equivalent == (other.descriptor["kind"] == "rotation")
+        assert peak < 40 * 2 ** 20, other.name
 
 
 def sequential_kernel_probe(spec, chart_a, chart_b, psi, rng, pairs):
