@@ -12,7 +12,8 @@ the unit lift zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) of the chart C^d into
 C^(d+1): the normalized values ehat_I = Psi_I (1 + |nu|^2)^(-m/2) =
 sqrt(1/D_I) zeta^(I, m-|I|) and the pairing zeta(nu) . conj(zeta(mu)) are
 products of factors of modulus <= 1, finite at any m and any finite nu.
-Off-grid points (raw values, symbols, pullbacks) go through them.
+Rows at any points (raw values, symbols, the radial table, blocks a caller
+streams into its own buffer) come from one evaluator, ``_lift_rows``.
 
 The index set is held once, as the exponent table Ihat = (I, m - |I|) of
 ``BasisSpec``, read by array operations with no loop over indices and no
@@ -180,7 +181,12 @@ def build_basis(d: int, m: int, level: int | None = None) -> BasisSpec:
     ratio = math.factorial(m + d) // math.factorial(m)
     c_m = ratio / (2.0 * math.pi) ** d
     lv = quadrature.level_for(m) if level is None else int(level)
-    return BasisSpec(d=d, m=m, N=exps.shape[0], D=(1.0 / mult).astype(float),
+    try:
+        D = (1.0 / mult).astype(float)
+    except OverflowError:
+        raise OverflowError(f"build_basis(d={d}, m={m}): the largest multinomial "
+                            "m!/(I!(m-|I|)!) exceeds the double range") from None
+    return BasisSpec(d=d, m=m, N=exps.shape[0], D=D,
                      c_m=c_m, hbar=1.0 / m, level=lv, _exponents=exps)
 
 
@@ -238,24 +244,6 @@ def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
     return -(spec.m / 2.0) * np.log1p(eps)
 
 
-def _row_blocks(spec: BasisSpec, nd: _NodeData):
-    """(nodes, weights, rows) per block of ``quadrature.node_blocks``, in node order.
-
-    ``rows(points)`` evaluates basis rows at the block's (say, transported)
-    points into one reused (block, N) buffer.  Blocks hold about _BLOCK_BYTES
-    of rows but at least 2N rows.
-    """
-    buf = None
-
-    def rows(points):
-        return _lift_rows(spec, unit_lift(points), buf)
-
-    for blk in quadrature.node_blocks(nd.rule, 16 * spec.N, 2 * spec.N):
-        if buf is None:  # the first block is the largest
-            buf = np.empty((blk.r.size, spec.N), dtype=complex)
-        yield blk.nodes, blk.weights, rows
-
-
 def _rows(nd: _NodeData, blk) -> np.ndarray:
     """Basis rows of a node block, R[r] times ``quadrature.roots`` at (k . I) mod n_theta."""
     n = nd.rule.n_theta
@@ -269,10 +257,11 @@ def _lifts(nd: _NodeData, blk) -> np.ndarray:
 
 
 def _lift_rows(spec: BasisSpec, lift: np.ndarray, out=None) -> np.ndarray:
-    """eval_matrix_normalized from the (n, d+1) unit lifts of the points.
+    """eval_matrix_normalized from the (n, d+1) unit lifts of the points: the one row evaluator.
 
-    Writes into the first n rows of ``out`` when given, else into a fresh array
-    of the lifts' dtype (real lifts, real rows); gathers use at most _BLOCK_BYTES.
+    Writes into the first n rows of ``out`` when given (a caller streaming
+    blocks of points reuses one buffer), else into a fresh array of the
+    lifts' dtype (real lifts, real rows); gathers use at most _BLOCK_BYTES.
     """
     n = lift.shape[0]
     E = np.empty((n, spec.N), dtype=lift.dtype) if out is None else out[:n]

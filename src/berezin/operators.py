@@ -71,6 +71,10 @@ class OperatorMatrix:
 
     def dot(self, x, transpose: bool = False) -> np.ndarray:
         """A x (A^T x with ``transpose``) for x of shape (N,) or (N, k), from the bands if any."""
+        x = np.asarray(x)
+        if x.shape[:1] != (self.spec.N,):
+            raise DimensionMismatch(f"vector has shape {x.shape}, expected ({self.spec.N},) "
+                                    f"or ({self.spec.N}, k)")
         if self.bands is not None:
             return hilbert._band_dot(self.bands, x, transpose)
         return (self.mat.T if transpose else self.mat) @ x

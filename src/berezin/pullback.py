@@ -191,25 +191,22 @@ def pulled_star(op1: PulledOperator, op2: PulledOperator, p) -> complex:
 
 
 def inner_product_on_manifold(spec: BasisSpec, chart: DiffeoChart, v1, v2) -> complex:
-    """Inner product of two pulled-back sections, computed in parameter space.
+    """Inner product of two pulled-back (N,) sections, computed in parameter space.
 
-    Transports the chart rule through the inverse map and sums the normalized
-    sections against the transported rule, one bounded node block at a time
-    (``hilbert._row_blocks``).  The Lebesgue weight w / (2^d |det J|) times
-    ``measure_factor`` is w (1 + s)^-(d+1): the Jacobian cancels and is never
-    evaluated.  An ``equivariant`` chart streams nothing: the sum is v1^H G v2
-    with G the bands of its Gram matrix from the radial points (``_radial_gram``,
-    applied by ``hilbert._band_dot``).  ``v1`` and ``v2`` are (N,) vectors.
+    The sum of vdot(E v1, E v2) over the blocks E of the chart's rows carried
+    to its own measure (``_carried``); through an ``equivariant`` chart it is
+    v1^H G v2 with G the banded Gram matrix of the chart against itself.
     """
+    v1, v2 = np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)
+    if v1.shape != (spec.N,) or v2.shape != (spec.N,):
+        raise DimensionMismatch(f"coefficient vectors have shapes {v1.shape} and {v2.shape}, "
+                                f"expected ({spec.N},)")
     if chart.equivariant:
-        return complex(np.vdot(v1, hilbert._band_dot(_radial_gram(spec, chart, chart), v2)))
-    v = np.column_stack([np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)])
+        return complex(np.vdot(v1, _pulled_gram(spec, chart, chart, _identity_map).dot(v2)))
     total = 0j
-    for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
-        z = chart.forward(chart.inverse(nodes))
-        f = rows(z) @ v
-        total += complex(np.sum(_core_weights(weights, z) * np.conj(f[:, 0]) * f[:, 1]))
-    return spec.c_m * total
+    for rows in _carried(spec, chart, chart, _identity_map, _node_stream(spec)):
+        total += np.vdot(rows @ v1, rows @ v2)
+    return spec.c_m * complex(total)
 
 
 def _core_weights(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -218,72 +215,69 @@ def _core_weights(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
     return weights * np.exp(-(z.shape[1] + 1.0) * np.log1p(s))
 
 
-def _row_scale(spec: BasisSpec, z_a: np.ndarray, mapped: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """Per transported point: (1 + s_b)^(m/2) / (1 + s_a)^(m/2) times sqrt(wleb h).
+def _node_stream(spec: BasisSpec):
+    """(nodes, weights) of the rule in node order: blocks of about _BLOCK_BYTES of rows, >= 2N."""
+    blocks = quadrature.node_blocks(spec.node_data().rule, 16 * spec.N, 2 * spec.N)
+    return ((blk.nodes, blk.weights) for blk in blocks)
 
-    The ratio moves a row at chart b's point ``mapped`` to chart a's weight
-    at ``z_a``; wleb h is ``_core_weights`` (> 0).
+
+def _carried(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
+             psi: Callable, blocks):
+    """Chart b's basis rows carried by ``psi`` to chart a's measure, one (n, N) block at a time.
+
+    Per (points, weights) of ``blocks``, params = tau_a^-1(points): the
+    normalized rows at mapped = tau_b(psi(params)), written into one buffer
+    sized by the first (largest) block, times (1 + s_b)^(m/2) / (1 + s_a)^(m/2)
+    at z_a = tau_a(params) and sqrt(wleb h) = sqrt(``_core_weights``) (> 0).
+    The Lebesgue weight's Jacobian cancels in wleb h and is never evaluated.
     """
-    s_a = np.sum(np.abs(z_a) ** 2, axis=1)
-    s_b = np.sum(np.abs(mapped) ** 2, axis=1)
-    scale = np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
-    scale *= np.sqrt(_core_weights(weights, z_a))
-    return scale
+    buf = None
+    for points, weights in blocks:
+        params = chart_a.inverse(points)
+        z_a = chart_a.forward(params)
+        mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
+        if buf is None:
+            buf = np.empty((mapped.shape[0], spec.N), dtype=complex)
+        rows = hilbert._lift_rows(spec, hilbert.unit_lift(mapped), buf)
+        s_a, s_b = np.sum(np.abs(z_a) ** 2, axis=1), np.sum(np.abs(mapped) ** 2, axis=1)
+        rows *= (np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
+                 * np.sqrt(_core_weights(weights, z_a)))[:, None]
+        yield rows
 
 
 def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
                  psi: Callable) -> OperatorMatrix:
     """Gram matrix of chart b's basis carried by ``psi``, under chart a's measure.
 
-    c_m sum_n wleb_n h_n conj(e_nI) e_nJ, where e_n is the normalized row at
-    chart b's point tau_b(psi(p_n)) rescaled to chart a's (1 + s_a)^(-m/2).
-    The Jacobian cancels in wleb h = w (1 + s_a)^-(d+1) (``_core_weights``).
-    When ``psi`` is the identity and both charts are ``equivariant`` the
-    angles are summed in closed form (``_radial_gram``) and the operator
-    holds its bands.  Otherwise it holds the dense matrix: the rule
-    is transported, ``psi`` included, one node block at a time
-    (``hilbert._row_blocks``), and the rescaling and sqrt(wleb h) (> 0) scale
-    each block in place.  With S the real (rows, 2N) view of a block (columns
-    re e_I, im e_I interleaved), blk^H blk is read off the symmetric S^T S, a
-    rank-k update (BLAS syrk) of one triangle into one reused (2N, 2N)
-    product: half the flops of the complex product, exactly Hermitian.
+    c_m sum of E^H E over the blocks E of ``_carried``.  When ``psi`` is the
+    identity and both charts are ``equivariant``, both carry node (r, k) to
+    their images of radii[r] times the angular characters of k: the scale
+    is radial, and the row is E_r, carried from the radial point, times
+    exp(i I . theta_k).  Summing exp(i (J - I) . theta_k) over the angles
+    leaves the bands of the constant mode (``hilbert.band_modes``), c_m
+    sum_r conj(E_rI) E_r(I-delta) with E from the one block (radii, n_theta^d
+    radii_weights): ``hilbert._contract``, F = 1.  The operator holds these
+    bands; off them the entries are exactly zero.  Otherwise it holds the
+    dense matrix, carried over ``_node_stream``: with S the real (rows, 2N)
+    view of a block (columns re e_I, im e_I interleaved), E^H E is read off
+    the symmetric S^T S, a rank-k update (BLAS syrk) of one triangle into one
+    reused (2N, 2N) product, half the flops of the complex one and exactly
+    Hermitian.
     """
     if psi is _identity_map and chart_a.equivariant and chart_b.equivariant:
-        return OperatorMatrix(spec, bands=_radial_gram(spec, chart_a, chart_b))
+        rule = spec.node_data().rule
+        radial = [(rule.radii, rule.n_theta ** spec.d * rule.radii_weights)]
+        E = next(_carried(spec, chart_a, chart_b, psi, radial))
+        reach = hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta, (1,) * spec.d)
+        ones = [(0, np.ones((E.shape[0], 1)))]
+        return OperatorMatrix(spec, bands=hilbert._contract(spec, reach, ones, E))
     P, prod = np.zeros((2 * spec.N, 2 * spec.N)), np.empty((2 * spec.N, 2 * spec.N))
-    for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
-        params = chart_a.inverse(nodes)
-        z_a = chart_a.forward(params)
-        mapped = chart_b.forward(np.asarray(psi(params), dtype=float))
-        blk = rows(mapped)
-        blk *= _row_scale(spec, z_a, mapped, weights)[:, None]
+    for blk in _carried(spec, chart_a, chart_b, psi, _node_stream(spec)):
         S = blk.view(float)
         P += np.matmul(S.T, S, out=prod)
     gram = (P[0::2, 0::2] + P[1::2, 1::2]) + 1j * (P[0::2, 1::2] - P[1::2, 0::2])
     gram *= spec.c_m
     return OperatorMatrix(spec, gram)
-
-
-def _radial_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart) -> dict:
-    """Bands {delta: (rows, cols, vals)} of ``_pulled_gram``: equivariant charts, identity ``psi``.
-
-    Both charts carry node (r, k) to their images of radii[r] times the
-    angular characters of k: s_a, s_b and the weight are radial, and the row
-    is E_r, the row at the radial point, times exp(i I . theta_k).  Summing
-    exp(i (J - I) . theta_k) over the angles leaves the bands of the constant
-    mode (``hilbert.band_modes``), c_m sum_r conj(E_rI) E_r(I-delta) with E_r
-    scaled by the rescaling and sqrt(n_theta^d wleb h): ``hilbert._contract``, F = 1.
-    Entries off the bands are exactly zero; nothing (N, N) is formed.
-    """
-    rule = spec.node_data().rule
-    params = chart_a.inverse(rule.radii)
-    z_a, mapped = chart_a.forward(params), chart_b.forward(params)
-    E = hilbert.eval_matrix_normalized(spec, mapped)
-    E *= _row_scale(spec, z_a, mapped, rule.n_theta ** spec.d * rule.radii_weights)[:, None]
-    reach = hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta, (1,) * spec.d)
-    ones = [(0, np.ones((E.shape[0], 1)))]
-    return hilbert._contract(spec, reach, ones, E)
 
 
 @dataclass
@@ -318,12 +312,10 @@ def equivalence_check(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChar
     Equivalent only when both deviations are <= tol; a NaN deviation is
     reported as NaN and is not equivalent.  Presentations differing by a
     kernel isometry (a rotation) pass; a same-domain rescaling changes the
-    two-point geometry and fails.  When ``psi`` is None and both charts are
-    ``equivariant`` (the stock identity, rotation and scaling charts), the
-    Gram matrix is summed from the rule's radial points alone, its angles in
-    closed form.  For any other pair or ``psi`` the rule is transported and
-    the Gram matrix accumulated one bounded node block at a time, so memory
-    stays within a few blocks and (2N, 2N) products whatever the node count.
+    two-point geometry and fails.  The Gram matrix is ``_pulled_gram``'s:
+    from the rule's radial points alone when ``psi`` is None and both charts
+    are ``equivariant`` (the stock identity, rotation and scaling charts),
+    else carried over bounded node blocks into (2N, 2N) products.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be >= 1, got {pairs}")

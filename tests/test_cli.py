@@ -146,6 +146,14 @@ def test_kernel_check_d1_m1024_is_finite(capsys, tmp_path):
     assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
 
+def test_basis_overflow_names_the_level(capsys):
+    # From m = 1030 at d = 1 the largest multinomial m!/(I!(m-|I|)!) has no
+    # double; the refusal names the level and the cause, exit 3.
+    rc, _, err = run(capsys, "kernel-check", "--m", "1030", "--pairs", "1")
+    assert rc == 3, err
+    assert "m=1030" in err and "multinomial" in err
+
+
 def test_kernel_check_d3_m16_memory(tmp_path, child_process):
     # 4.9M nodes.  The residuals run over one block of radial nodes at a
     # time, so no array spans the grid; with the node-length lifts, weights

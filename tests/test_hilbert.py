@@ -501,37 +501,6 @@ def test_node_sums_hold_one_block_at_a_time():
     assert np.max(np.abs(op.mat - np.eye(spec.N))) <= 1e-12
 
 
-@pytest.mark.parametrize("d, m, budget", [(1, 8, 0), (2, 12, None), (3, 5, None)])
-def test_row_blocks_fill_one_buffer_bitwise(monkeypatch, basis, d, m, budget):
-    # Every block's nodes and weights are the rule's, and its rows, written
-    # into one reused buffer, are bitwise the fresh evaluation; the last
-    # block is short (at d = 1 the budget is cut to 0, so the 2N floor sets
-    # the block; at d = 3 a radial node's rows exceed the budget, and the
-    # last piece of each is short).  With the budget cut to 7 rows the
-    # gathers of a fresh evaluation run in passes.
-    if budget is not None:
-        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
-    spec = basis(d, m)
-    rule = spec.node_data().rule
-    all_nodes, all_weights = layout_nodes(rule)
-    sizes, buffers = [], set()
-    for nodes, weights, rows in hilbert._row_blocks(spec, spec.node_data()):
-        lo, hi = sum(sizes), sum(sizes) + nodes.shape[0]
-        sizes.append(hi - lo)
-        assert nodes.tobytes() == all_nodes[lo:hi].tobytes()
-        assert weights.tobytes() == all_weights[lo:hi].tobytes()
-        got = rows(nodes)
-        buffers.add(got.__array_interface__["data"][0])
-        assert got.tobytes() == hilbert.eval_matrix_normalized(spec, nodes).tobytes()
-    assert sum(sizes) == rule.node_count and len(buffers) == 1
-    assert sizes[0] >= 2 * spec.N and 0 < sizes[-1] < sizes[0]
-    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 16 * spec.N)
-    pts, out = all_nodes[:50], np.empty((60, spec.N), dtype=complex)
-    got = hilbert._lift_rows(spec, hilbert.unit_lift(pts), out)
-    assert np.shares_memory(got, out)
-    assert got.tobytes() == hilbert.eval_matrix_normalized(spec, pts).tobytes()
-
-
 @pytest.mark.parametrize("d, m", [(1, 16), (2, 8), (3, 4)])
 def test_radial_weights_are_the_node_weights_per_radius(d, m):
     # wr gathered by the blocks' radial indices, the per-node factor of every

@@ -263,6 +263,89 @@ def dense_inner_product(spec, chart, v1, v2):
     return spec.c_m * complex(np.sum(wleb * h * np.conj(ehat @ v1) * (ehat @ v2)))
 
 
+@pytest.mark.parametrize("d, m, budget", [(1, 8, 0), (2, 12, None), (3, 5, None)])
+def test_carried_rows_fill_one_buffer_bitwise(monkeypatch, basis, d, m, budget):
+    # The node stream yields the rule's nodes and weights in node order, in
+    # blocks of at least 2N nodes with a short last one (at d = 1 the budget
+    # is cut to 0, so the 2N floor sets the block; at d = 3 a radial node's
+    # rows exceed the budget, and the last piece of each is short).  The
+    # carried rows of every block, written into one buffer, are bitwise a
+    # fresh evaluation at the mapped points times the scale.  With the budget
+    # cut to 7 rows the gathers of a fresh evaluation run in passes.
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    spec = basis(d, m)
+    rule = spec.node_data().rule
+    all_nodes, all_weights = layout_nodes(rule)
+    ident, other = pullback.identity_chart(d), pullback.scaling_chart(1.3, d)
+    q, _ = np.linalg.qr(np.arange(4 * d * d).reshape(2 * d, 2 * d) % 5 + np.eye(2 * d))
+
+    def psi(p):
+        return p @ q.T
+
+    sizes, buffers = [], set()
+    carried = pullback._carried(spec, ident, other, psi, pullback._node_stream(spec))
+    for (nodes, weights), got in zip(pullback._node_stream(spec), carried, strict=True):
+        lo, hi = sum(sizes), sum(sizes) + nodes.shape[0]
+        sizes.append(hi - lo)
+        assert nodes.tobytes() == all_nodes[lo:hi].tobytes()
+        assert weights.tobytes() == all_weights[lo:hi].tobytes()
+        buffers.add(got.__array_interface__["data"][0])
+        params = ident.inverse(nodes)
+        z_a, mapped = ident.forward(params), other.forward(psi(params))
+        s_a, s_b = (np.sum(np.abs(z) ** 2, axis=1) for z in (z_a, mapped))
+        scale = (np.exp((spec.m / 2.0) * (np.log1p(s_b) - np.log1p(s_a)))
+                 * np.sqrt(pullback._core_weights(weights, z_a)))
+        want = hilbert.eval_matrix_normalized(spec, mapped) * scale[:, None]
+        assert got.tobytes() == want.tobytes()
+    assert sum(sizes) == rule.node_count and len(buffers) == 1
+    assert sizes[0] >= 2 * spec.N and 0 < sizes[-1] < sizes[0]
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 16 * spec.N)
+    pts, out = all_nodes[:50], np.empty((60, spec.N), dtype=complex)
+    got = hilbert._lift_rows(spec, hilbert.unit_lift(pts), out)
+    assert np.shares_memory(got, out)
+    assert got.tobytes() == hilbert.eval_matrix_normalized(spec, pts).tobytes()
+
+
+@pytest.mark.parametrize("d, m, chart", [
+    (1, 6, pullback.torus_chart()), (1, 12, pullback.torus_chart()),
+    (2, 6, dataclasses.replace(pullback.identity_chart(2), equivariant=False))])
+def test_streamed_inner_product_is_the_gram_form(basis, rng, d, m, chart):
+    # The streamed inner product and the streamed Gram matrix of the chart
+    # against itself sum the same carried rows: v1^H G v2 to 1e-13.
+    spec = basis(d, m)
+    v1, v2 = (rng.normal(size=spec.N) + 1j * rng.normal(size=spec.N) for _ in range(2))
+    v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+    gram = pullback._pulled_gram(spec, chart, chart, pullback._identity_map)
+    assert gram.bands is None
+    got = pullback.inner_product_on_manifold(spec, chart, v1, v2)
+    assert abs(got - np.vdot(v1, gram.mat @ v2)) <= 1e-13
+
+
+def test_vectors_of_the_wrong_length_are_refused(basis):
+    # A vector longer than N was read up to N by the banded product, which
+    # returned a vector as long as it: the radial inner product summed it.
+    # Every path now refuses any first axis but N.
+    spec2, spec1 = basis(2, 4), basis(1, 4)
+    for spec, chart in [(spec2, pullback.identity_chart(2)), (spec1, pullback.torus_chart())]:
+        good = np.ones(spec.N)
+        for bad in (np.ones(spec.N + 3), np.ones(spec.N - 1), np.ones((spec.N, 1))):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(DimensionMismatch):
+                    pullback.inner_product_on_manifold(spec, chart, *args)
+    tc, p = pullback.torus_chart(), interior_grid(2)
+    for base in (operators.identity_operator(spec1),
+                 operators.OperatorMatrix(spec1, np.eye(spec1.N))):
+        assert np.allclose(pullback.pulled_apply(pullback.PulledOperator(base, tc),
+                                                 np.eye(spec1.N)[1], p),
+                           pullback.pull_section(spec1, tc, np.eye(spec1.N)[1], p))
+        for bad in (np.ones(spec1.N + 3), np.ones(spec1.N - 1)):
+            with pytest.raises(DimensionMismatch):
+                pullback.pulled_apply(pullback.PulledOperator(base, tc), bad, p)
+            with pytest.raises(DimensionMismatch):
+                base.dot(bad[:, None], transpose=True)
+
+
 @pytest.mark.parametrize("d, m", [(1, 6), (2, 4), (2, 8)])
 def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
     # A budget below 2N rows gives blocks of the 2N floor rounded down to
@@ -270,7 +353,7 @@ def test_streamed_rows_match_dense_formula(basis, rng, monkeypatch, d, m):
     # relative to the largest one.
     spec = basis(d, m)
     monkeypatch.setattr(quadrature, "_BLOCK_BYTES", 7 * 16 * spec.N)
-    assert len(list(hilbert._row_blocks(spec, spec.node_data()))) > 1
+    assert len(list(pullback._node_stream(spec))) > 1
     ident = pullback.identity_chart(d)
     # The identity chart without its jacobian_fn: the reference takes the
     # Jacobian by finite differences, the streamed sums never take it.
@@ -315,16 +398,22 @@ def test_radial_gram_matches_streamed_and_dense(basis, d, m, level):
     # differences, one loop over the nodes, so only up to 10,000 nodes.
     spec = basis(d, m, level)
     ident, rot = pullback.identity_chart(d), pullback.rotation_chart(0.9, d)
+
+    def radial_gram(chart_a, chart_b):
+        gram = pullback._pulled_gram(spec, chart_a, chart_b, pullback._identity_map)
+        assert gram.bands is not None
+        return gram.mat
+
     for chart_b in (rot, pullback.scaling_chart(2.0, d)):
-        got = hilbert._densify(spec, pullback._radial_gram(spec, ident, chart_b))
+        got = radial_gram(ident, chart_b)
         assert np.array_equal(got, got.conj().T), chart_b.name
         for want in (pullback._pulled_gram(spec, ident, chart_b, lambda p: p).mat,
                      dense_gram(spec, ident, chart_b, pullback._identity_map, chunk=8192)):
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), \
                 chart_b.name
     numeric = dataclasses.replace(ident, name="identity_numeric_jacobian", jacobian_fn=None)
-    got = hilbert._densify(spec, pullback._radial_gram(spec, numeric, rot))
-    assert np.array_equal(got, hilbert._densify(spec, pullback._radial_gram(spec, ident, rot)))
+    got = radial_gram(numeric, rot)
+    assert np.array_equal(got, radial_gram(ident, rot))
     if spec.node_data().rule.node_count <= 10_000:
         want = dense_gram(spec, numeric, rot, pullback._identity_map)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -349,7 +438,7 @@ def test_equivariant_inner_product_streams_no_node_blocks(monkeypatch, basis, rn
               pullback.scaling_chart(2.0, d=2)]
     undeclared = [dataclasses.replace(chart, equivariant=False) for chart in charts]
     streamed = [pullback.inner_product_on_manifold(spec, chart, v1, v2) for chart in undeclared]
-    monkeypatch.setattr(hilbert, "_row_blocks", refuse)
+    monkeypatch.setattr(pullback, "_node_stream", refuse)
     for chart, want in zip(charts, streamed):
         got = pullback.inner_product_on_manifold(spec, chart, v1, v2)
         assert abs(got - want) <= 1e-13, chart.name
@@ -370,7 +459,7 @@ def test_stock_equivalence_transports_no_node_blocks(monkeypatch, basis):
     def refuse(*args):
         raise Streamed
 
-    monkeypatch.setattr(hilbert, "_row_blocks", refuse)
+    monkeypatch.setattr(pullback, "_node_stream", refuse)
     spec = basis(2, 6)
     ident = pullback.identity_chart(2)
     assert pullback.equivalence_check(spec, ident, pullback.rotation_chart(0.8, d=2)).equivalent
@@ -516,7 +605,7 @@ def test_equivalence_nan_kernel_ratio_is_not_equivalent(basis):
     # NaN on every sampled pair: the NaN ratio is reported, not dropped.
     spec = basis(1, 4)
     ident = pullback.identity_chart(1)
-    on_rule = {row.tobytes() for nodes, _, _ in hilbert._row_blocks(spec, spec.node_data())
+    on_rule = {row.tobytes() for nodes, _ in pullback._node_stream(spec)
                for row in ident.inverse(nodes)}
 
     def psi(p):
