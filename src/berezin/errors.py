@@ -22,7 +22,7 @@ class DerivativeFailure(QuantizationError):
 
 
 class ResourceLimit(QuantizationError):
-    """A requested computation exceeds the configured node budget."""
+    """A requested computation exceeds the bound on radial points (quadrature.RADIAL_CAP)."""
 
 
 class NonFiniteIntegrand(QuantizationError):

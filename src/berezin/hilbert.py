@@ -12,7 +12,7 @@ the unit lift zeta(nu) = (nu, 1) / sqrt(1 + |nu|^2) of the chart C^d into
 C^(d+1): the normalized values ehat_I = Psi_I (1 + |nu|^2)^(-m/2) =
 sqrt(1/D_I) zeta^(I, m-|I|) and the pairing zeta(nu) . conj(zeta(mu)) are
 products of factors of modulus <= 1, finite at any m and any finite nu.
-Rows at any points (raw values, symbols, the radial table, blocks a caller
+Rows at any points (raw values, symbols, radial rows, blocks a caller
 streams into its own buffer) come from one evaluator, ``_lift_rows``.
 
 The index set is held once, as the exponent table Ihat = (I, m - |I|) of
@@ -21,20 +21,21 @@ inverse table: ``_band_index`` reads positions off it, as shifts keep order.
 
 Node tables use the U(1)^d symmetry of the weight: the quadrature rule is a
 radial grid times a uniform angular grid, so on it ehat_I(r, theta) =
-R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the real radial table R
-(n_r^d, N), basis rows at the radial points, and the radial weights.  Node
-sums walk ``quadrature.node_blocks``, one bounded block at a time, with rows
-and unit lifts the radial ones times ``quadrature.roots`` (``_rows``,
+R_I(r) e^(i I . theta) exactly.  ``node_data`` keeps the radial lifts and
+weights, and ``_NodeData.radial`` forms rows R of radial points where read.
+Node sums walk ``quadrature.node_blocks``, one bounded block at a time, with
+rows and unit lifts the radial ones times ``quadrature.roots`` (``_rows``,
 ``_lifts``).  ``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x)
-run through the angular FFT, one radial node at a time.  Compression (c_m
-sum_n w_n f_n conj(ehat_nI) ehat_nJ: the Toeplitz matrices, and the Gram
-matrix of the constant 1) uses the symmetry once more.  A function with
-angular modes K (a callable that declares none: every mode of the rule's
-angles) has entries only on the bands I - J in K, each one radial column of
-Fourier coefficients times R.  ``_contract``, the one band contraction,
-returns {delta: (rows, cols, vals)}, applied by ``_band_dot`` and densified
-only by ``_densify``.  Node sums hold about quadrature._BLOCK_BYTES at a
-time; the rule's node cap, quadrature.NODE_CAP, bounds the rest.
+run through the angular FFT.  Compression (c_m sum_n w_n f_n conj(ehat_nI)
+ehat_nJ: the Toeplitz matrices, and the Gram matrix of the constant 1) uses
+the symmetry once more.  A function with angular modes K (a callable that
+declares none: every mode of the rule's angles) has entries only on the
+bands I - J in K, each one radial column of Fourier coefficients times R.
+``_contract``, the one band contraction, returns {delta: (rows, cols,
+vals)}, applied by ``_band_dot`` and densified only by ``_densify``.  Node
+sums hold about quadrature._BLOCK_BYTES, contractions _FOURIER_BYTES; only
+the radial grid (quadrature.RADIAL_CAP) is grid-sized: memory is bounded,
+time is not.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
 
-# Fourier coefficients held by ``_compress_bands``; the arrays of an empty band.
+# Bytes of one chunk of ``_contract``'s input (its F and rows); the arrays of an empty band.
 _FOURIER_BYTES = 2 ** 21
 _NO_INDEX, _NO_VALUE = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
 
@@ -85,22 +86,30 @@ class _NodeData:
     """Cached per-rule radial arrays: the factors of the basis table and weight pieces.
 
     At node (r, k) the normalized basis row is R[r] * exp(i I . theta_k)
-    (``_rows``); the angular mode of index I is ``flat[I]``, the C-order flat
-    index of I mod n_theta on the (n_theta,)^d grid.
+    (``_rows``, ``radial``); the angular mode of index I is ``flat[I]``, the
+    C-order flat index of I mod n_theta on the (n_theta,)^d grid.
     """
     rule: quadrature.QuadratureRule
+    spec: BasisSpec = field(repr=False)
     hr: np.ndarray       # (n_r^d,) (1+s)^(-m/2) at the radial points
     rlift: np.ndarray    # (n_r^d, d+1) unit lifts of the radial points
-    R: np.ndarray        # (n_r^d, N) real radial factor
     flat: np.ndarray     # (N,) angular mode of each index
     wr: np.ndarray       # (n_r^d,) radial weights times (1+s)^(-(d+1))
     gram: dict | None = None  # bands of the compression of the constant 1, set by _gram
+    _last: tuple = field(default=(0, 0, None), repr=False)  # (lo, hi, rows) of ``radial``
+
+    def radial(self, lo: int, hi: int) -> np.ndarray:
+        """Read-only real rows R[lo:hi] by ``_lift_rows`` at the radial lifts; keeps the last."""
+        if self._last[:2] != (lo, hi):
+            self._last = (lo, hi, _lift_rows(self.spec, self.rlift[lo:hi]))
+            self._last[2].flags.writeable = False
+        return self._last[2]
 
     @functools.cached_property
     def ehat(self) -> np.ndarray:
         """Dense (n, N) basis table; its only reader is the benchmark tracer (bench/tracer.py)."""
-        out = np.empty((self.rule.node_count, self.R.shape[1]), dtype=complex)
-        for blk in quadrature.node_blocks(self.rule, 16 * self.R.shape[1]):
+        out = np.empty((self.rule.node_count, self.spec.N), dtype=complex)
+        for blk in quadrature.node_blocks(self.rule, 16 * self.spec.N):
             out[blk.lo:blk.lo + blk.r.size] = _rows(self, blk)
         return out
 
@@ -154,8 +163,7 @@ class BasisSpec:
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
 
-        The one accessor of other levels.  They hold the radial factor R of
-        the basis table, not the table; the Gram matrix is cached on them.
+        The one accessor of other levels; the Gram matrix is cached on them.
         """
         lv = self.level if level is None else int(level)
         if lv not in self._nodes:
@@ -246,9 +254,9 @@ def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
 
 def _rows(nd: _NodeData, blk) -> np.ndarray:
     """Basis rows of a node block, R[r] times ``quadrature.roots`` at (k . I) mod n_theta."""
-    n = nd.rule.n_theta
+    n, R = nd.rule.n_theta, nd.radial(blk.r[0], blk.r[-1] + 1)
     modes = np.array(np.unravel_index(nd.flat, (n,) * nd.rule.d))
-    return quadrature.roots(n)[(blk.k @ modes) % n] * nd.R[blk.r]
+    return quadrature.roots(n)[(blk.k @ modes) % n] * R[blk.r - blk.r[0]]
 
 
 def _lifts(nd: _NodeData, blk) -> np.ndarray:
@@ -290,32 +298,27 @@ def _node_data(spec: BasisSpec, rule: quadrature.QuadratureRule) -> _NodeData:
     """Node tables from the rule's factored form (``quadrature`` layout).
 
     At node (r, k) the lift is zeta_j = |zeta_j(radii[r])| exp(2 pi i k_j /
-    n_theta), so ehat_I = R_rI Phi_kI with the real radial factor R_rI, the
-    normalized row at the real point radii[r] (``_lift_rows``, rounding
-    scale included), and the character Phi_kI = exp(2 pi i ((k . I) mod
-    n_theta) / n_theta), ``quadrature.roots`` at exact integers.  Rows are
-    evaluated at the n_r^d radial points only; no array over the nodes is built.
+    n_theta), so ehat_I = R_rI Phi_kI: R_rI the real row at radii[r]
+    (``_NodeData.radial``) and Phi_kI = exp(2 pi i ((k . I) mod n_theta) /
+    n_theta), ``quadrature.roots`` at exact integers.  No row is formed here.
     """
     d, n_theta = spec.d, rule.n_theta
-    rlift = unit_lift(rule.radii)                       # real (n_rad, d+1)
     flat = np.ravel_multi_index(tuple(spec._exponents[:, :d].T % n_theta), (n_theta,) * d)
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
-    return _NodeData(rule=rule, hr=np.exp(-(spec.m / 2.0) * log1ps), rlift=rlift,
-                     R=_lift_rows(spec, rlift), flat=flat,
+    return _NodeData(rule=rule, spec=spec, hr=np.exp(-(spec.m / 2.0) * log1ps),
+                     rlift=unit_lift(rule.radii), flat=flat,
                      wr=rule.radii_weights * np.exp(-(d + 1.0) * log1ps))
 
 
-def synthesize(spec: BasisSpec, nd: _NodeData, v, blk=None) -> np.ndarray:
-    """ehat @ v: node values (n,) or (n, k) of coefficients v, (N,) or (N, k).
+def synthesize(spec: BasisSpec, nd: _NodeData, v, blk) -> np.ndarray:
+    """ehat @ v at ``blk``'s nodes (whole radial nodes), (n,) or (n, k), of v (N,) or (N, k).
 
     At radial node r, R_rI v_I goes to angular mode ``flat[I]`` and an
     unnormalized inverse d-dim FFT over the angles gives sum_I R_rI v_I
     exp(i I . theta_k).  Below the default level n_theta can be <= m, and
-    indices that agree mod n_theta share a mode; np.add.at sums them.  Only
-    the node values of ``blk``, whole radial nodes, when one is given.
+    indices that agree mod n_theta share a mode; np.add.at sums them.
     """
-    R = nd.R if blk is None else nd.R[blk.r[0]:blk.r[-1] + 1]
-    v = np.asarray(v, dtype=complex)
+    R, v = nd.radial(blk.r[0], blk.r[-1] + 1), np.asarray(v, dtype=complex)
     n_rad, n_theta, tail = R.shape[0], nd.rule.n_theta, v.shape[1:]
     grid = np.zeros((n_rad, n_theta ** spec.d) + tail, dtype=complex)
     np.add.at(grid, (slice(None), nd.flat), R.reshape(R.shape + (1,) * len(tail)) * v)
@@ -324,14 +327,13 @@ def synthesize(spec: BasisSpec, nd: _NodeData, v, blk=None) -> np.ndarray:
     return out.reshape((-1,) + tail)
 
 
-def analyze(spec: BasisSpec, nd: _NodeData, x, blk=None) -> np.ndarray:
-    """ehat^H x: coefficients (N,) or (N, k) of node values x, (n,) or (n, k).
+def analyze(spec: BasisSpec, nd: _NodeData, x, blk) -> np.ndarray:
+    """ehat^H x: coefficients (N,) or (N, k) of values x, (n,) or (n, k), at ``blk``'s nodes.
 
     A forward d-dim FFT over the angles per radial node, read at angular
-    mode ``flat[I]`` and summed over radial nodes with weights R_rI.  With
-    ``blk`` of whole radial nodes, x and the sum are the block's.
+    mode ``flat[I]`` and summed over the block's radial nodes with weights R_rI.
     """
-    x, R = np.asarray(x), (nd.R if blk is None else nd.R[blk.r[0]:blk.r[-1] + 1])
+    x, R = np.asarray(x), nd.radial(blk.r[0], blk.r[-1] + 1)
     n_rad, n_theta, tail = R.shape[0], nd.rule.n_theta, x.shape[1:]
     F = np.fft.fftn(x.reshape((n_rad,) + (n_theta,) * spec.d + tail),
                     axes=tuple(range(1, spec.d + 1)))
@@ -370,20 +372,19 @@ def _band_index(spec: BasisSpec, delta) -> tuple[np.ndarray, np.ndarray]:
     return admissible(delta), admissible([-q for q in delta])
 
 
-def _contract(spec: BasisSpec, reach: dict, chunks, X: np.ndarray) -> dict:
+def _contract(spec: BasisSpec, reach: dict, chunks) -> dict:
     """The one band contraction, {delta: (rows, cols, vals)} with rows, cols from ``_band_index``.
 
     vals = c_m sum_r F_r[delta] conj(X_rI) X_r(I - delta), where ``chunks``
-    yields (lo, A) for the radial rows lo, lo + 1, ... of X in order and
-    F[delta] sums the columns ``reach[delta]`` of A.  A real X takes one
+    yields (A, X) for consecutive radial points, the rows X at them and
+    F[delta] the sum of the columns ``reach[delta]`` of A.  A real X takes one
     (2, rows) x (rows, band) product of re F and im F per band and chunk.  A
     complex X takes real A: the diagonal is sum F (re^2 + im^2) and each
     -delta band the conjugate of the delta band, exactly Hermitian.
     """
-    index = {delta: _band_index(spec, delta) for delta in reach}
-    vals, hermitian = {}, X.dtype.kind == "c"
-    for lo, A in chunks:
-        x, parts = X[lo:lo + A.shape[0]], np.empty((2, A.shape[0]))
+    index, vals = {delta: _band_index(spec, delta) for delta in reach}, {}
+    for A, x in chunks:
+        hermitian, parts = x.dtype.kind == "c", np.empty((2, A.shape[0]))
         for delta, (rows, cols) in index.items():
             if not rows.size or hermitian and delta < tuple(-q for q in delta):
                 continue
@@ -412,7 +413,7 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
     F_r[delta] n_theta^d wr_r times the Fourier coefficients f_k(r) of the
     modes k that reach delta (``band_modes``), exact from an FFT of f at
     2 B_j + 1 angles in dimension j, B_j = max |k_j|: n_r^d prod_j (2 B_j + 1)
-    points, held _FOURIER_BYTES and sampled _BLOCK_BYTES of points at a time.
+    points, held _FOURIER_BYTES with their rows R and sampled _BLOCK_BYTES at a time.
     """
     d, n_theta, radii = spec.d, nd.rule.n_theta, nd.rule.radii
     if modes is None:  # every mode of the rule's angles, k in [-B, B]^d, 2 B + 1 = n_theta
@@ -420,7 +421,7 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
     n_s = tuple(2 * max(abs(k[j]) for k in modes) + 1 for j in range(d))
     n_ang, n_rad = math.prod(n_s), radii.shape[0]
     angles = np.exp(2j * np.pi * np.indices(n_s).reshape(d, -1).T / np.array(n_s))
-    step = max(1, _FOURIER_BYTES // (16 * n_ang))
+    step = max(1, _FOURIER_BYTES // (16 * n_ang + 8 * spec.N))
     piece = max(1, quadrature._BLOCK_BYTES // (16 * d * n_ang))
 
     def chunks():
@@ -433,9 +434,9 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
                 fhat[a - lo:b - lo] = np.fft.fftn(
                     vals.reshape((-1,) + n_s), axes=tuple(range(1, d + 1))).reshape(-1, n_ang)
             fhat[:hi - lo] *= (nd.wr[lo:hi] * (n_theta ** d / n_ang))[:, None]
-            yield lo, fhat[:hi - lo]
+            yield fhat[:hi - lo], nd.radial(lo, hi)
 
-    return _contract(spec, band_modes(spec, modes, n_theta, n_s), chunks(), nd.R)
+    return _contract(spec, band_modes(spec, modes, n_theta, n_s), chunks())
 
 
 def _densify(spec: BasisSpec, bands: dict) -> np.ndarray:

@@ -268,12 +268,12 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
     n_ang = nd.rule.n_theta ** spec.d
     for ket in quadrature.node_blocks(nd.rule, 16 * n_ang):
         lift = hilbert._lifts(nd, ket).conj().T
-        bra_sum = 0
+        ket_rows, bra_sum = hilbert._rows(nd, ket) * nd.wr[ket.r, None], 0
         for bra in quadrature.node_blocks(nd.rule, 16 * ket.r.size, n_ang):
             what = hilbert._lifts(nd, bra) @ lift
             mid = np.asarray(symbol(bra.nodes, ket.nodes)) * hilbert._power(what, spec.m)
             bra_sum = bra_sum + hilbert.analyze(spec, nd, nd.wr[bra.r, None] * mid, bra)
-        out += bra_sum @ (hilbert._rows(nd, ket) * nd.wr[ket.r, None])
+        out += bra_sum @ ket_rows
     return OperatorMatrix(spec, spec.c_m ** 2 * out)
 
 

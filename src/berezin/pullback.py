@@ -255,22 +255,22 @@ def _pulled_gram(spec: BasisSpec, chart_a: DiffeoChart, chart_b: DiffeoChart,
     is radial, and the row is E_r, carried from the radial point, times
     exp(i I . theta_k).  Summing exp(i (J - I) . theta_k) over the angles
     leaves the bands of the constant mode (``hilbert.band_modes``), c_m
-    sum_r conj(E_rI) E_r(I-delta) with E from the one block (radii, n_theta^d
-    radii_weights): ``hilbert._contract``, F = 1.  The operator holds these
-    bands; off them the entries are exactly zero.  Otherwise it holds the
-    dense matrix, carried over ``_node_stream``: with S the real (rows, 2N)
-    view of a block (columns re e_I, im e_I interleaved), E^H E is read off
-    the symmetric S^T S, a rank-k update (BLAS syrk) of one triangle into one
-    reused (2N, 2N) product, half the flops of the complex one and exactly
-    Hermitian.
+    sum_r conj(E_rI) E_r(I-delta) with E from blocks (radii, n_theta^d
+    radii_weights) of _FOURIER_BYTES of rows: ``hilbert._contract``, F = 1.
+    The operator holds these bands; off them the entries are exactly zero.
+    Otherwise it holds the dense matrix, carried over ``_node_stream``: with
+    S the real (rows, 2N) view of a block (columns re e_I, im e_I
+    interleaved), E^H E is read off the symmetric S^T S, a rank-k update
+    (BLAS syrk) of one triangle into one reused (2N, 2N) product, half the
+    flops of the complex one and exactly Hermitian.
     """
     if psi is _identity_map and chart_a.equivariant and chart_b.equivariant:
-        rule = spec.node_data().rule
-        radial = [(rule.radii, rule.n_theta ** spec.d * rule.radii_weights)]
-        E = next(_carried(spec, chart_a, chart_b, psi, radial))
+        rule, step = spec.node_data().rule, max(1, hilbert._FOURIER_BYTES // (16 * spec.N))
+        w = rule.n_theta ** spec.d * rule.radii_weights
+        radial = ((rule.radii[lo:lo + step], w[lo:lo + step]) for lo in range(0, w.size, step))
         reach = hilbert.band_modes(spec, [(0,) * spec.d], rule.n_theta, (1,) * spec.d)
-        ones = [(0, np.ones((E.shape[0], 1)))]
-        return OperatorMatrix(spec, bands=hilbert._contract(spec, reach, ones, E))
+        chunks = ((np.ones((len(E), 1)), E) for E in _carried(spec, chart_a, chart_b, psi, radial))
+        return OperatorMatrix(spec, bands=hilbert._contract(spec, reach, chunks))
     P, prod = np.zeros((2 * spec.N, 2 * spec.N)), np.empty((2 * spec.N, 2 * spec.N))
     for blk in _carried(spec, chart_a, chart_b, psi, _node_stream(spec)):
         S = blk.view(float)

@@ -38,11 +38,11 @@ uniform angles per dimension.  Node r * n_theta^d + k, radial index outer
 and angle inner, is radii[r] * exp(2 pi i k_vec / n_theta) with weight
 radii_weights[r], where k_vec is the C-order multi-index of k over
 (n_theta,) * d.  ``node_blocks`` is the one loop over the nodes: it yields
-them in this order, a bounded block at a time, and no array over all of a
-rule's nodes is ever formed.  ``NodeBlock.radial``, rows of a radial table
-times the characters exp(2 pi i k_vec / n_theta), forms the nodes and the
-unit lifts of ``hilbert``, whose node tables rely on the layout to factor
-each basis row into a radial part times an angular character (``roots``).
+them in this order, a bounded block at a time; no array over all of a
+rule's nodes is formed, and only the radial grid is bounded (``RADIAL_CAP``).
+``NodeBlock.radial``, rows of a radial table times the characters, forms
+the nodes and unit lifts of ``hilbert``, whose node tables rely on the layout
+to factor each basis row into a radial part times an angular character.
 
 Rules are plain data; ``integrate`` evaluates the integrand vectorized over
 each block, reduces it with numpy's fixed pairwise summation and adds the
@@ -60,7 +60,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteIntegrand, ResourceLimit
 
-NODE_CAP = 10_000_000
+# Radial points n_r^d of a rule: the one grid-sized thing still allocated.
+RADIAL_CAP = 2 ** 22
 
 # Bytes of per-node data in one block of ``node_blocks``.
 _BLOCK_BYTES = 2 ** 19
@@ -223,23 +224,22 @@ def build_rule(d: int, level: int, *, exact_family: bool = False) -> QuadratureR
     Counts per dimension are n_theta = 4 * level + 1 angular and n_r =
     8 * level radial nodes, or n_r = 2 * level + ceil(d / 2) with
     ``exact_family`` (exact for the module's weighted-polynomial family and
-    nothing more).  Total nodes (n_r * n_theta)^d must stay within
-    ``NODE_CAP`` (read at call time) or ResourceLimit is raised before
-    anything is allocated, also for callers that never assemble the full
-    grid (a known limitation: ``toeplitz-sweep`` from m = 74 at d = 2, and
-    from m = 14 at d = 3, where the bracket's weight degree 3 needs level 5,
-    252^3 nodes; d = 3 ``kernel-check`` reaches the cap at m = 17).  The
+    nothing more).  More than ``RADIAL_CAP`` radial points n_r^d are refused
+    before anything is allocated; the node count is not bounded.  The
     error-estimate companion is not built here (``integrate``).
     """
     if d < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {d}")
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    n_r, n_theta = _counts(d, level, exact_family)
-    total = (n_r * n_theta) ** d
-    if total > NODE_CAP:
-        raise ResourceLimit(f"rule would need {total} nodes, cap is {NODE_CAP}")
+    check_radial(_counts(d, level, exact_family)[0] ** d, "rule")
     return _make_rule(d, level, exact_family)
+
+
+def check_radial(points: int, what: str) -> None:
+    """Raise ResourceLimit when ``points`` radial points exceed RADIAL_CAP (read at call time)."""
+    if points > RADIAL_CAP:
+        raise ResourceLimit(f"{what} would need {points} radial points, cap is {RADIAL_CAP}")
 
 
 def _values(f: Callable, pts: np.ndarray) -> np.ndarray:

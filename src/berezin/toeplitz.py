@@ -31,6 +31,8 @@ normed by the SVD.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import geometry, hilbert, quadrature
@@ -173,16 +175,18 @@ def sup_estimate(f, d: int) -> float:
     grid plus a ring at u = 1 - 1e-12, times 16 uniform angles, or theta_j = 0
     alone if f declares modes and none touches j (f is then constant in theta_j).
     The grid hits u in {0, 1/2, 1} and the coordinate axes, where the bundled
-    family takes its extrema: exact for all of them.  Blocks of _SUP_BLOCK.
+    family takes its extrema: exact for all of them.  Blocks of _SUP_BLOCK,
+    after its 17^d radial points pass the rules' bound.
     """
     u = np.append(np.linspace(0.0, 1.0, 16, endpoint=False), 1.0 - 1e-12)
+    quadrature.check_radial(u.size ** d, "sup grid")
     r = np.sqrt(u / (1.0 - u))
     theta = 2.0 * np.pi * np.arange(16) / 16
     modes = f.modes(d) if getattr(f, "modes", None) is not None else None
     angles = [theta if modes is None or any(k[j] for k in modes) else theta[:1] for j in range(d)]
     rings = [(r[:, None] * np.exp(1j * t)[None, :]).ravel() for t in angles]
     shape = tuple(ring.size for ring in rings)
-    n, best = int(np.prod(shape)), 0.0
+    n, best = math.prod(shape), 0.0
     for lo in range(0, n, _SUP_BLOCK):
         k = np.unravel_index(np.arange(lo, min(lo + _SUP_BLOCK, n)), shape)
         pts = np.stack([ring[kj] for ring, kj in zip(rings, k)], axis=1)

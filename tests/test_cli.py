@@ -328,17 +328,29 @@ def test_linear_algebra_failure_is_a_numeric_failure(capsys, monkeypatch):
 
 
 def test_over_budget_table_is_a_numeric_failure(capsys, monkeypatch):
-    # d=3 m=20 needs 252^3 = 16.0M nodes, over quadrature.NODE_CAP: refused
-    # before any rule is assembled
+    # d=8 m=8 needs 8^8 = 16.8M radial points, over quadrature.RADIAL_CAP:
+    # refused before any rule is assembled
     def never(*args):
         raise AssertionError("rule assembled for an over-budget request")
 
     monkeypatch.setattr(quadrature, "_assemble", never)
     start = time.perf_counter()
-    rc, _, err = run(capsys, "kernel-check", "--d", "3", "--m", "20")
+    rc, _, err = run(capsys, "kernel-check", "--d", "8", "--m", "8")
     assert time.perf_counter() - start < 1.0
     assert rc == 3
-    assert "numeric failure" in err
+    assert "numeric failure" in err and "radial points" in err
+
+
+def test_over_budget_sup_grid_is_a_numeric_failure(capsys):
+    # The sup grid of a d=20 sweep has 17^20 radial points, over
+    # quadrature.RADIAL_CAP: refused before any sampling, not reported as a
+    # configuration error by an overflowing grid count.
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "toeplitz-sweep", "--d", "20", "--m-list", "1",
+                     "--f", "abs2_rational", "--g", "im_rational")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    assert "numeric failure" in err and "radial points" in err, err
 
 
 def test_torus_holonomy_artifacts(capsys, tmp_path):

@@ -105,22 +105,47 @@ def test_index_tables_build_no_position_grid():
 
 
 def test_radial_table_is_built_real():
-    # The radial table R is evaluated in the real dtype of the radial lifts,
-    # with no complex twin: the node data build at d = 2, m = 48 peaks at
-    # most 1.5 R.nbytes, and the d = 2 Toeplitz sweep at m = 73 at most
-    # 110 MiB.  Both bounds were fixed before the first run.
+    # Radial rows R are evaluated in the real dtype of the radial lifts,
+    # with no complex twin: at d = 2, m = 48 the node data build and the
+    # rows of all radial points each peak at most 1.5 R.nbytes, and the d = 2
+    # Toeplitz sweep at m = 73 at most 110 MiB.  The bounds were fixed before
+    # the first run.
     spec = hilbert.build_basis(2, 48)
     tracemalloc.start()
     try:
         nd = spec.node_data()
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        R = nd.radial(0, nd.rlift.shape[0])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         toeplitz.toeplitz_sweep(REGISTRY["abs2_rational"], REGISTRY["im_rational"], [73], d=2)
         sweep_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nd.R.dtype == np.float64 and peak <= 1.5 * nd.R.nbytes, (peak, nd.R.nbytes)
+    assert R.dtype == np.float64 and R.shape == (nd.rlift.shape[0], spec.N)
+    assert max(build_peak, peak) <= 1.5 * R.nbytes, (build_peak, peak, R.nbytes)
     assert sweep_peak <= 110 * 2 ** 20, sweep_peak
+
+
+def test_sweeps_build_no_grid_sized_radial_table(tmp_path):
+    # At d = 2, m = 128 the radial rows of the bracket's rule would be a
+    # (4,489, 8,385) table, 301 MB.  A Toeplitz sweep and a correspondence
+    # sweep there form radial rows one chunk at a time: each peaks under
+    # 32 MiB traced.  The bound was fixed before the first run.
+    peaks = []
+    for run in (lambda: toeplitz.toeplitz_sweep(REGISTRY["abs2_rational"],
+                                                REGISTRY["im_rational"], [128], d=2),
+                lambda: cli.main(["star-sweep", "--d", "2", "--m-list", "128",
+                                  "--f", "re_rational", "--g", "im_rational",
+                                  "--out", str(tmp_path / "star.csv")])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 32 * 2 ** 20, peaks
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -260,8 +285,9 @@ def test_factored_table_matches_the_evaluator(d, m):
     lifts = np.concatenate([hilbert._lifts(nd, blk)
                             for blk in quadrature.node_blocks(nd.rule, 2 ** 14)])
     assert np.max(np.abs(lifts - hilbert.unit_lift(nodes))) <= 8 * np.finfo(float).eps
-    n_ang = nd.rule.n_theta ** d
-    assert np.array_equal(nd.ehat.reshape(-1, n_ang, spec.N)[:, 0], nd.R.astype(complex))
+    n_ang, n_rad = nd.rule.n_theta ** d, nd.rlift.shape[0]
+    assert np.array_equal(nd.ehat.reshape(-1, n_ang, spec.N)[:, 0],
+                          nd.radial(0, n_rad).astype(complex))
 
 
 @pytest.mark.parametrize("d, m, blocks", [(1, 12, None), (2, 12, None), (3, 8, 3)])
@@ -274,11 +300,12 @@ def test_rows_and_node_blocks_share_one_table_of_roots(d, m, blocks):
     spec = hilbert.build_basis(d, m)
     nd = spec.node_data()
     assert nd.rule.n_theta >= 9
+    R = nd.radial(0, nd.rlift.shape[0])
     for blk in itertools.islice(quadrature.node_blocks(nd.rule, 16 * spec.N), blocks):
         rows, chars = hilbert._rows(nd, blk), blk.radial(np.ones_like(nd.rule.radii))
         for j, e_j in enumerate(np.eye(d, dtype=int)):
             k = spec.position(e_j)
-            assert np.array_equal(rows[:, k], nd.R[blk.r, k] * chars[:, j]), (d, j)
+            assert np.array_equal(rows[:, k], R[blk.r, k] * chars[:, j]), (d, j)
 
 
 # (d, m, level): the default levels of the table test above, and two levels
@@ -290,12 +317,13 @@ TRANSFORM_CASES = [(1, 8, None), (1, 256, None), (2, 12, None), (3, 5, None),
 @pytest.mark.parametrize("d, m, level", TRANSFORM_CASES)
 def test_transforms_match_the_dense_table(monkeypatch, d, m, level):
     # synthesize = E v and analyze = E^H x against the dense evaluator E at
-    # the rule's nodes.  Columns have unit l1 norm, so the table's entry
-    # error (8 m eps, the bound above) moves a result by at most 8 m eps; the
-    # FFT adds O(log n_theta^d) eps.  The bound, 16 m eps, was fixed first.
-    # The same on blocks of whole radial nodes, several per block and (with
-    # the budget cut to 0) one: synthesize gives the block's rows of E v, and
-    # analyze summed over the blocks gives E^H x.
+    # the rule's nodes, on blocks of whole radial nodes: synthesize gives the
+    # block's rows of E v, and analyze summed over the blocks gives E^H x.
+    # Columns have unit l1 norm, so the table's entry error (8 m eps, the
+    # bound above) moves a result by at most 8 m eps; the FFT adds
+    # O(log n_theta^d) eps.  The bound, 16 m eps, was fixed first.  The
+    # same with several radial nodes per block and (with the budget cut to
+    # 0) one.
     spec = hilbert.build_basis(d, m, level=level)
     nd = spec.node_data()
     if level is not None:
@@ -303,19 +331,21 @@ def test_transforms_match_the_dense_table(monkeypatch, d, m, level):
     E = hilbert.eval_matrix_normalized(spec, layout_nodes(nd.rule)[0])
     rng = np.random.default_rng(d * 1000 + m)
     bound = 16 * m * np.finfo(float).eps
+    n_ang = nd.rule.n_theta ** d
+    blocks = list(quadrature.node_blocks(nd.rule, 16, n_ang))
     for shape in ((spec.N,), (spec.N, 3)):
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         v /= np.sum(np.abs(v), axis=0)
-        got = hilbert.synthesize(spec, nd, v)
+        got = np.concatenate([hilbert.synthesize(spec, nd, v, blk) for blk in blocks])
         assert got.shape == (E.shape[0],) + shape[1:]
         assert np.max(np.abs(got - E @ v)) <= bound
     for shape in ((E.shape[0],), (E.shape[0], 3)):
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         x /= np.sum(np.abs(x), axis=0)
-        got = hilbert.analyze(spec, nd, x)
+        got = sum(hilbert.analyze(spec, nd, x[blk.lo:blk.lo + blk.r.size], blk)
+                  for blk in blocks)
         assert got.shape == (spec.N,) + shape[1:]
         assert np.max(np.abs(got - E.conj().T @ x)) <= bound
-    n_ang = nd.rule.n_theta ** d
     for budget in (None, 0):
         if budget is not None:
             monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
@@ -369,28 +399,45 @@ def test_no_query_reads_the_dense_table(monkeypatch, capsys, tmp_path):
 
 
 def test_node_data_does_not_call_the_evaluator(monkeypatch):
-    # A node-data build evaluates basis rows once, through the one row
-    # evaluator, at the n_r^d radial points only: never at the nodes.
+    # A node-data build evaluates no basis row.  Its readers form rows through
+    # the one row evaluator at ranges of the radial lifts only, never at the
+    # nodes: the Gram contraction one chunk of _FOURIER_BYTES (cut to 2 KiB
+    # here, so several) at a time, the node walk of the dense table the
+    # radial points of one block, and a range read again in a row is kept.
     def refuse(*args, **kwargs):
         raise AssertionError("node tables are built from their factors")
 
     lift_rows, seen = hilbert._lift_rows, []
 
     def spy(spec, lift):
-        seen.append(lift.shape[0])
+        seen.append(lift)
         return lift_rows(spec, lift)
+
+    def ranges(nd):
+        # (lo, hi) of each lift evaluated since the last call, a view of the radial lifts.
+        assert all(lift.base is nd.rlift for lift in seen)
+        out = [(lo, lo + lift.shape[0]) for lift in seen
+               for lo in [(lift.ctypes.data - nd.rlift.ctypes.data) // nd.rlift.strides[0]]]
+        seen.clear()
+        return out
 
     monkeypatch.setattr(hilbert, "eval_matrix_normalized", refuse)
     monkeypatch.setattr(hilbert, "_lift_rows", spy)
+    monkeypatch.setattr(hilbert, "_FOURIER_BYTES", 2 ** 11)
     spec = hilbert.build_basis(2, 6)
-    want = []
     for level in (None, spec.level + 1):
         nd = spec.node_data(level)
-        want.append(nd.rule.radii.shape[0])
-        assert nd.ehat.shape == (nd.rule.node_count, spec.N)
+        n_rad = nd.rlift.shape[0]
+        assert not seen
         gram = hilbert._densify(spec, hilbert._gram(spec, nd))
         assert np.max(np.abs(gram - np.eye(spec.N))) <= 1e-13
-        assert seen == want
+        chunk = hilbert._FOURIER_BYTES // (16 + 8 * spec.N)  # `one`: one angular sample
+        want = [(lo, min(lo + chunk, n_rad)) for lo in range(0, n_rad, chunk)]
+        assert len(want) > 1 and ranges(nd) == want
+        assert nd.ehat.shape == (nd.rule.node_count, spec.N)
+        spans = [(int(blk.r[0]), int(blk.r[-1]) + 1)
+                 for blk in quadrature.node_blocks(nd.rule, 16 * spec.N)]
+        assert ranges(nd) == [s for k, s in enumerate(spans) if k == 0 or s != spans[k - 1]]
 
 
 def test_registry_sweeps_build_no_full_grid(monkeypatch, tmp_path):

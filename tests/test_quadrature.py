@@ -84,9 +84,11 @@ def test_build_rule_rejections(monkeypatch):
         quadrature.build_rule(0, 1)
     with pytest.raises(ValueError):
         quadrature.build_rule(1, 0)
+    # 48^4 = 5.3M radial points, over RADIAL_CAP, refused before assembly
+    monkeypatch.setattr(quadrature, "_assemble", None)
     with pytest.raises(ResourceLimit):
-        quadrature.build_rule(2, 12)
-    monkeypatch.setattr(quadrature, "NODE_CAP", 10)
+        quadrature.build_rule(4, 6)
+    monkeypatch.setattr(quadrature, "RADIAL_CAP", 10)
     with pytest.raises(ResourceLimit):
         quadrature.build_rule(1, 2)
 

@@ -55,11 +55,11 @@ def dense_compress(spec, nd, values, rows=20_000):
     _, weights = layout_nodes(rule)
     log1ps = np.log1p(np.sum(rule.radii ** 2, axis=1))
     wcore = weights * np.repeat(np.exp(-(d + 1.0) * log1ps), n_ang)
-    out = np.zeros((spec.N, spec.N), dtype=complex)
+    out, R = np.zeros((spec.N, spec.N), dtype=complex), nd.radial(0, rule.radii.shape[0])
     for lo in range(0, rule.node_count, rows):
         hi = min(lo + rows, rule.node_count)
         r, k = np.divmod(np.arange(lo, hi), n_ang)
-        E = roots[(k_all[k] @ modes) % n] * nd.R[r]
+        E = roots[(k_all[k] @ modes) % n] * R[r]
         out += (E.conj().T * (wcore[lo:hi] * values[lo:hi])) @ E
     return spec.c_m * out
 
@@ -206,10 +206,9 @@ def test_registry_brackets_match_the_ladder_reference(rng, d, m, raise_level):
     # lift, {f, g} = x^H C x for C = i [A_f, A_g].  Each of the 25 registry
     # brackets is checked pointwise against that form first, then T_{f,g}
     # entrywise against its ladder operator (conftest.ladder_operator), at
-    # the brackets' default rule and, below d = 4 (where one level above
-    # exceeds NODE_CAP), one level above it.  {re, im} = (|x_1|^2 - |x_h|^2)
-    # / 2 is no registry function at d >= 2.  Both bounds, 1e-13, were fixed
-    # before the first run.
+    # the brackets' default rule and, below d = 4, one level above it.
+    # {re, im} = (|x_1|^2 - |x_h|^2) / 2 is no registry function at d >= 2.
+    # Both bounds, 1e-13, were fixed before the first run.
     spec = hilbert.build_basis(d, m)
     if raise_level:  # {re, im} has the largest weight degree, 3
         top = toeplitz._default_level(spec, toeplitz.bracket_function(REGISTRY["re_rational"],
