@@ -156,7 +156,7 @@ def _admissible_pair(rng, d: int):
         mu = rng.normal(0.0, 0.7, d) + 1j * rng.normal(0.0, 0.7, d)
         nu = rng.normal(0.0, 0.7, d) + 1j * rng.normal(0.0, 0.7, d)
         bound = 1.0 + float(np.sum(np.abs(mu) * np.abs(nu)))
-        pair = abs(1.0 + complex(np.vdot(nu, mu)))
+        pair = abs(pairing(mu, nu))
         if bound <= 2.0 * pair:
             return mu, nu
 

@@ -27,10 +27,10 @@ Node sums walk ``quadrature.node_blocks``, one bounded block at a time, with
 rows and unit lifts the radial ones times ``quadrature.roots`` (``_rows``,
 ``_lifts``).  ``synthesize`` (node values ehat v) and ``analyze`` (ehat^H x)
 run through the angular FFT.  Compression (c_m sum_n w_n f_n conj(ehat_nI)
-ehat_nJ: the Toeplitz matrices, and the Gram matrix of the constant 1) uses
-the symmetry once more.  A function with angular modes K (a callable that
-declares none: every mode of the rule's angles) has entries only on the
-bands I - J in K, each one radial column of Fourier coefficients times R.
+ehat_nJ: the Toeplitz matrices, and the Gram matrix T_1, ``_NodeData.gram``)
+uses the symmetry once more.  A function with angular modes K (a callable
+that declares none: every mode of the rule's angles) has entries only on
+the bands I - J in K, each one radial column of Fourier coefficients times R.
 ``_contract``, the one band contraction, returns {delta: (rows, cols,
 vals)}, applied by ``_band_dot`` and densified only by ``_densify``.  Node
 sums hold about quadrature._BLOCK_BYTES, contractions _FOURIER_BYTES; only
@@ -51,7 +51,6 @@ import numpy as np
 
 from . import geometry, quadrature
 from .errors import DimensionMismatch, IndexOutOfRange
-from .functions import REGISTRY
 from .geometry import as_point
 
 SCHEMA = "berezin.basis/1"
@@ -59,6 +58,11 @@ SCHEMA = "berezin.basis/1"
 # Bytes of one chunk of ``_contract``'s input (its F and rows); the arrays of an empty band.
 _FOURIER_BYTES = 2 ** 21
 _NO_INDEX, _NO_VALUE = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
+
+
+def _one(pts: np.ndarray) -> np.ndarray:
+    """The constant 1 at (n, d) points, whose compression is the Gram matrix."""
+    return np.ones(pts.shape[0])
 
 
 def _index_table(d: int, m: int) -> np.ndarray:
@@ -95,7 +99,6 @@ class _NodeData:
     rlift: np.ndarray    # (n_r^d, d+1) unit lifts of the radial points
     flat: np.ndarray     # (N,) angular mode of each index
     wr: np.ndarray       # (n_r^d,) radial weights times (1+s)^(-(d+1))
-    gram: dict | None = None  # bands of the compression of the constant 1, set by _gram
     _last: tuple = field(default=(0, 0, None), repr=False)  # (lo, hi, rows) of ``radial``
 
     def radial(self, lo: int, hi: int) -> np.ndarray:
@@ -104,6 +107,11 @@ class _NodeData:
             self._last = (lo, hi, _lift_rows(self.spec, self.rlift[lo:hi]))
             self._last[2].flags.writeable = False
         return self._last[2]
+
+    @functools.cached_property
+    def gram(self) -> dict:
+        """Bands of T_1, the Gram matrix on this rule (diagonal at the default level)."""
+        return _compress_bands(self.spec, self, _one, [(0,) * self.spec.d])
 
     @functools.cached_property
     def ehat(self) -> np.ndarray:
@@ -163,7 +171,7 @@ class BasisSpec:
     def node_data(self, level: int | None = None) -> _NodeData:
         """Node tables on the exact-family rule of ``level`` (default: the spec's), built once.
 
-        The one accessor of other levels; the Gram matrix is cached on them.
+        The one accessor of other levels; each keeps its own Gram bands (``_NodeData.gram``).
         """
         lv = self.level if level is None else int(level)
         if lv not in self._nodes:
@@ -255,7 +263,7 @@ def _log_row_scale(spec: BasisSpec, lift: np.ndarray) -> np.ndarray:
 def _rows(nd: _NodeData, blk) -> np.ndarray:
     """Basis rows of a node block, R[r] times ``quadrature.roots`` at (k . I) mod n_theta."""
     n, R = nd.rule.n_theta, nd.radial(blk.r[0], blk.r[-1] + 1)
-    modes = np.array(np.unravel_index(nd.flat, (n,) * nd.rule.d))
+    modes = nd.spec._exponents[:, :nd.rule.d].T % n
     return quadrature.roots(n)[(blk.k @ modes) % n] * R[blk.r - blk.r[0]]
 
 
@@ -350,7 +358,8 @@ def band_modes(spec: BasisSpec, modes, n_theta: int, n_s) -> dict:
     below it, n_theta <= m and a mode also reaches its aliases.
     """
     out: dict = {}
-    for k, c in zip(modes, np.ravel_multi_index(tuple(np.mod(modes, n_s).T), n_s).tolist()):
+    ks = np.reshape(np.asarray(modes, dtype=np.intp), (-1, len(n_s)))  # (0, d) for no modes
+    for k, c in zip(modes, np.ravel_multi_index(tuple(np.mod(ks, n_s).T), n_s).tolist()):
         axes = [range(-spec.m + (q + spec.m) % n_theta, spec.m + 1, n_theta) for q in k]
         for delta in itertools.product(*axes):
             out.setdefault(delta, []).append(c)
@@ -418,9 +427,10 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
     d, n_theta, radii = spec.d, nd.rule.n_theta, nd.rule.radii
     if modes is None:  # every mode of the rule's angles, k in [-B, B]^d, 2 B + 1 = n_theta
         modes = (np.indices((n_theta,) * d).reshape(d, -1).T - n_theta // 2).tolist()
-    n_s = tuple(2 * max(abs(k[j]) for k in modes) + 1 for j in range(d))
+    n_s = tuple(2 * max((abs(k[j]) for k in modes), default=0) + 1 for j in range(d))
     n_ang, n_rad = math.prod(n_s), radii.shape[0]
-    angles = np.exp(2j * np.pi * np.indices(n_s).reshape(d, -1).T / np.array(n_s))
+    angles = np.column_stack([quadrature.roots(n)[k]
+                              for n, k in zip(n_s, np.indices(n_s).reshape(d, -1))])
     step = max(1, _FOURIER_BYTES // (16 * n_ang + 8 * spec.N))
     piece = max(1, quadrature._BLOCK_BYTES // (16 * d * n_ang))
 
@@ -522,23 +532,12 @@ def inner_product(spec: BasisSpec, f: Callable, g: Callable) -> complex:
     return spec.c_m * total
 
 
-def _gram(spec: BasisSpec, nd: _NodeData) -> dict:
-    """The Gram matrix on the node data as bands, computed on first use and cached there.
-
-    At the default level it has one band, the diagonal.
-    """
-    if nd.gram is None:
-        one = REGISTRY["one"]
-        nd.gram = _compress_bands(spec, nd, one, one.modes(spec.d))
-    return nd.gram
-
-
 def gram_matrix(spec: BasisSpec) -> np.ndarray:
     """Numeric Gram matrix of the basis; identity when normalizations are right.
 
     Returns a dense copy of the bands cached on ``spec.node_data()``.
     """
-    return _densify(spec, _gram(spec, spec.node_data()))
+    return _densify(spec, spec.node_data().gram)
 
 
 def _power(z: np.ndarray, m: int) -> np.ndarray:
@@ -610,7 +609,7 @@ def resolution_check(spec: BasisSpec, v1, v2):
     def dot(a, b):
         return np.sum(np.ascontiguousarray(a.T).conj() * np.ascontiguousarray(b.T), axis=-1)
 
-    gram_v2 = _band_dot(_gram(spec, spec.node_data()), v2)
+    gram_v2 = _band_dot(spec.node_data().gram, v2)
     out = np.abs(dot(v1, gram_v2) - dot(v1, v2))
     return float(out) if out.ndim == 0 else out
 

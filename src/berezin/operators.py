@@ -187,14 +187,14 @@ class CovariantSymbol:
         """Two-point symbol on a (K, L) grid of (bra, ket) points.
 
         The quotient of <ehat_nu, A ehat_mu> by what^m, with the power taken
-        by repeated squaring (``hilbert._power``).
+        by repeated squaring (``hilbert._power``); rows and what share one unit lift.
         """
-        nu_pts = hilbert._as_points(self.spec, nu_pts)
-        mu_pts = hilbert._as_points(self.spec, mu_pts)
-        ehat_nu = hilbert.eval_matrix_normalized(self.spec, nu_pts)
-        ehat_mu = hilbert.eval_matrix_normalized(self.spec, mu_pts)
+        lift_nu, lift_mu = (hilbert.unit_lift(hilbert._as_points(self.spec, pts))
+                            for pts in (nu_pts, mu_pts))
+        ehat_nu = hilbert._lift_rows(self.spec, lift_nu)
+        ehat_mu = hilbert._lift_rows(self.spec, lift_mu)
         weighted_vals = self.op.dot(ehat_nu.T, transpose=True).T @ ehat_mu.conj().T
-        what = hilbert.normalized_pairing(nu_pts, mu_pts)
+        what = lift_nu @ lift_mu.conj().T
         mag = np.abs(what)
         bad = (mag == 0.0) | (self.spec.m * np.log(np.where(mag > 0, mag, 1.0))
                               < math.log(DEGENERATE_TOL))
@@ -242,8 +242,7 @@ def star_product(op1: OperatorMatrix, op2: OperatorMatrix, mu) -> complex:
     _same_spec(op1, op2)
     spec = op1.spec
     mu = geometry.as_point(mu, d=spec.d)
-    gram = hilbert._gram(spec, spec.node_data())
-    row = hilbert.eval_matrix_normalized(spec, mu)[0]
+    gram, row = spec.node_data().gram, hilbert.eval_matrix_normalized(spec, mu)[0]
     left = hilbert._band_dot(gram, op1.dot(row, transpose=True), transpose=True)
     return complex(left @ op2.dot(row.conj()))
 
@@ -262,7 +261,7 @@ def operator_from_symbol(spec: BasisSpec, symbol) -> OperatorMatrix:
     (bra, ket) table holds about _BLOCK_BYTES; the bra sum is ``hilbert.analyze``.
     """
     if isinstance(symbol, CovariantSymbol):
-        gram = OperatorMatrix(spec, bands=hilbert._gram(spec, spec.node_data()), adjoint_sign=1)
+        gram = OperatorMatrix(spec, bands=spec.node_data().gram, adjoint_sign=1)
         return gram @ symbol.op @ gram
     nd, out = spec.node_data(), np.zeros((spec.N, spec.N), dtype=complex)
     n_ang = nd.rule.n_theta ** spec.d

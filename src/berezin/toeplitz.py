@@ -24,9 +24,9 @@ functions it is Hermitian with bands K_f + K_g (band products, O(|K_f|
 |K_g| N)), so a registry sweep holds one block stack at a time and never an
 (N, N) operator.  At d = 2, m = 48 (N = 1,225) a norm (a defect) takes
 10-20 ms (10 ms) from the blocks, 1.0 s (0.4 s) densely.  ``sup_estimate``
-samples angles only where a mode is.  A plain callable has every mode of
-the rule's angles, its bands are densified once, and its defect is dense,
-normed by the SVD.
+samples angles only where a mode is, a node block of points at a time.  A
+plain callable has every mode of the rule's angles, its bands are densified
+once, and its defect is dense, normed by the SVD.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ import numpy as np
 from . import geometry, hilbert, quadrature
 from .hilbert import BasisSpec
 from .operators import OperatorMatrix, SweepResult, _fit_slope, commutator
-
-# Grid points per block of sup_estimate: d = 2 takes three blocks, and the
-# 20M points of d = 3 (1 GB as one array) stay a few MB at a time.
-_SUP_BLOCK = 2 ** 15
-
 
 def _weight_degree(f) -> int:
     return int(getattr(f, "weight_degree", 1))
@@ -172,23 +167,24 @@ def sup_estimate(f, d: int) -> float:
     """Estimate sup |f| over the compactified chart by dense grid sampling.
 
     Per dimension j: radii from u = r^2/(1+r^2) on a 16-point uniform [0, 1)
-    grid plus a ring at u = 1 - 1e-12, times 16 uniform angles, or theta_j = 0
-    alone if f declares modes and none touches j (f is then constant in theta_j).
+    grid plus a ring at u = 1 - 1e-12, times 16 uniform angles (the
+    characters ``quadrature.roots(16)``), or theta_j = 0 alone if f declares
+    modes and none touches j (f is then constant in theta_j).
     The grid hits u in {0, 1/2, 1} and the coordinate axes, where the bundled
-    family takes its extrema: exact for all of them.  Blocks of _SUP_BLOCK,
-    after its 17^d radial points pass the rules' bound.
+    family takes its extrema: exact for all of them.  The grid is walked in
+    blocks of quadrature._BLOCK_BYTES of (n, d) points (2^15 at d = 1), after
+    its 17^d radial points pass the rules' bound.
     """
     u = np.append(np.linspace(0.0, 1.0, 16, endpoint=False), 1.0 - 1e-12)
     quadrature.check_radial(u.size ** d, "sup grid")
-    r = np.sqrt(u / (1.0 - u))
-    theta = 2.0 * np.pi * np.arange(16) / 16
+    r, chars = np.sqrt(u / (1.0 - u)), quadrature.roots(16)
     modes = f.modes(d) if getattr(f, "modes", None) is not None else None
-    angles = [theta if modes is None or any(k[j] for k in modes) else theta[:1] for j in range(d)]
-    rings = [(r[:, None] * np.exp(1j * t)[None, :]).ravel() for t in angles]
-    shape = tuple(ring.size for ring in rings)
+    angles = [chars if modes is None or any(k[j] for k in modes) else chars[:1] for j in range(d)]
+    rings = [(r[:, None] * t[None, :]).ravel() for t in angles]
+    shape, step = tuple(ring.size for ring in rings), quadrature._BLOCK_BYTES // (16 * d)
     n, best = math.prod(shape), 0.0
-    for lo in range(0, n, _SUP_BLOCK):
-        k = np.unravel_index(np.arange(lo, min(lo + _SUP_BLOCK, n)), shape)
+    for lo in range(0, n, step):
+        k = np.unravel_index(np.arange(lo, min(lo + step, n)), shape)
         pts = np.stack([ring[kj] for ring, kj in zip(rings, k)], axis=1)
         best = max(best, float(np.max(np.abs(np.asarray(f(pts))))))
     return best

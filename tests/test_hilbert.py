@@ -429,7 +429,7 @@ def test_node_data_does_not_call_the_evaluator(monkeypatch):
         nd = spec.node_data(level)
         n_rad = nd.rlift.shape[0]
         assert not seen
-        gram = hilbert._densify(spec, hilbert._gram(spec, nd))
+        gram = hilbert._densify(spec, nd.gram)
         assert np.max(np.abs(gram - np.eye(spec.N))) <= 1e-13
         chunk = hilbert._FOURIER_BYTES // (16 + 8 * spec.N)  # `one`: one angular sample
         want = [(lo, min(lo + chunk, n_rad)) for lo in range(0, n_rad, chunk)]

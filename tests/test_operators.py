@@ -412,6 +412,32 @@ def test_operator_from_symbol_roundtrip(basis, rng, monkeypatch):
     assert np.max(np.abs(back2.mat - op.mat)) <= 1e-10 * scale
 
 
+def test_gram_is_formed_once_per_node_data(monkeypatch):
+    # The Gram matrix T_1 belongs to the node data: star products, the
+    # resolution check, the operator of a covariant symbol and gram_matrix
+    # all read the one compression of the spec's level, and the node data of
+    # another level form their own.
+    spec = hilbert.build_basis(2, 6)
+    a, b = (toeplitz.toeplitz_matrix(spec, REGISTRY[name])
+            for name in ("re_rational", "im_rational"))
+    compress_bands, levels = hilbert._compress_bands, []
+
+    def spy(spec, nd, f, modes):
+        levels.append(nd.rule.level)
+        return compress_bands(spec, nd, f, modes)
+
+    monkeypatch.setattr(hilbert, "_compress_bands", spy)
+    mu, v = np.array([0.3 + 0.2j, -0.1j]), np.arange(spec.N) + 1j
+    operators.star_product(a, b, mu)
+    operators.star_product(b, a, mu)
+    hilbert.resolution_check(spec, v, v)
+    operators.operator_from_symbol(spec, operators.CovariantSymbol(a))
+    hilbert.gram_matrix(spec)
+    assert levels == [spec.level]
+    nd = spec.node_data(spec.level + 1)
+    assert nd.gram is nd.gram and levels == [spec.level, spec.level + 1]
+
+
 def test_operator_from_symbol_pairs_nodes_from_the_node_data(basis, monkeypatch):
     # The callable path takes the node pairings from the radial unit lifts
     # times the characters: no block lifts all n nodes again.

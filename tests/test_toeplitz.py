@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_declared_functions_never_reach_the_node_loop(basis, monkeypatch):
             assert sampled(toeplitz.toeplitz_matrix, spec, fn)[1] == want < rule.node_count
         for level in {1, spec.level, spec.level + 1}:
             nd = spec.node_data(level)
-            assert sampled(hilbert._gram, spec, nd)[1] == nd.rule.radii.shape[0]
+            assert sampled(lambda: nd.gram)[1] == nd.rule.radii.shape[0]
 
     def one(pts):
         return np.ones(pts.shape[0])
@@ -563,6 +564,38 @@ def test_sup_estimate_samples_every_angle_without_modes():
         return np.abs(pts[:, 1].imag) / (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
 
     assert toeplitz.sup_estimate(f, 2) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_plain_callable_sup_grid_walks_node_block_budget():
+    # The d = 3 grid of a plain callable has 17^3 16^3 = 20M points (1 GB
+    # as one array); it is walked in blocks of quadrature._BLOCK_BYTES of
+    # points, so the traced peak stays within 3 MiB, the bound fixed before
+    # the first run.
+    def f(pts):
+        return np.abs(pts[:, 0]) / (1.0 + np.sum(np.abs(pts) ** 2, axis=1))
+
+    tracemalloc.start()
+    try:
+        sup = toeplitz.sup_estimate(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sup == 0.5 and peak <= 3 * 2 ** 20, (sup, peak)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_function_with_no_modes_compresses_to_no_bands(d):
+    # A function that declares no angular mode (here the zero function) has
+    # an operator with no band: its norm is 0, and so is its commutator
+    # defect against abs2_rational, whose bracket with it has no mode either.
+    def zero(pts):
+        return np.zeros(pts.shape[0])
+
+    zero.modes, zero.real = (lambda d: ()), True
+    spec = hilbert.build_basis(d, 4)
+    op = toeplitz.toeplitz_matrix(spec, zero)
+    assert op.bands == {} and toeplitz.operator_norm(op) == 0.0
+    assert toeplitz.commutator_defect(spec, zero, REGISTRY["abs2_rational"]) == 0.0
 
 
 def test_sweep_reads_only_the_declared_angles(monkeypatch):
