@@ -1,27 +1,27 @@
-"""Command-line front end.
+"""Command-line front end: basis, kernel-check, star-sweep, toeplitz-sweep, torus-holonomy.
 
-Subcommands:
-    basis           build a level basis, print its size, optionally save JSON
-    kernel-check    sampled two-point kernel and reproducing identities
-    star-sweep      star-product correspondence errors over a level list
-    toeplitz-sweep  norm saturation and commutator correspondence sweeps
-    torus-holonomy  cycle holonomy table for the square-torus presentation
+The tables FLAGS and COMMANDS state the interface once: each flag's
+converter, default, accepted range and help, and each subcommand's handler,
+flags and required flags.  argv and --config FILE (key=value lines, '#'
+comments allowed; explicit flags win) both convert through FLAGS, and
+``_settle`` fills the defaults and applies the ranges before any handler runs.
 
 Exit codes: 0 success, 1 property violation (a numerical gate failed),
 2 configuration error (bad flags, config file, or requested objects),
 3 numeric failure (integrand blew up, kernel degenerate, path too coarse,
 linear algebra did not converge, overflow, out of memory).
 
-Flags may also be supplied via --config FILE with key=value lines
-('#' comments allowed); explicit flags win.  CSV floats are written with
-%.17g so outputs round-trip and runs are byte-reproducible.
+CSV floats are written with %.17g so outputs round-trip and runs are
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +45,6 @@ _NUMERIC_ERRORS = (NonFiniteIntegrand, ResourceLimit, DegenerateKernel,
                    np.linalg.LinAlgError, OverflowError, MemoryError)
 _CONFIG_ERRORS = (ValueError, KeyError, OSError, DimensionMismatch,
                   IndexOutOfRange, OddLevel, OutOfDomain)
-
-_CONVERTERS = {
-    "d": int, "m": int, "level": int, "seed": int, "pairs": int,
-    "kmax": int, "segments": int, "tol": float,
-    "m_list": lambda s: [int(tok) for tok in str(s).replace(" ", "").split(",") if tok],
-    "f": str, "g": str, "out": str,
-}
 
 
 def _fmt(x) -> str:
@@ -78,38 +71,6 @@ def _write_sidecar(path: str | None, payload: dict) -> None:
         Path(path).with_suffix(".json").write_text(text)
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    raw = Path(args.config).read_text()
-    for lineno, line in enumerate(raw.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in _CONVERTERS:
-            raise ValueError(f"{args.config}:{lineno}: unknown key {key.strip()!r}")
-        if not hasattr(args, dest):
-            continue  # key valid globally but unused by this subcommand
-        if getattr(args, dest) is None:
-            setattr(args, dest, _CONVERTERS[dest](value.strip()))
-
-
-def _require(args, names: list) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _default(args, **kwargs) -> None:
-    for name, value in kwargs.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
-
-
 def _decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
@@ -118,24 +79,11 @@ def _slope_ok(slope) -> bool:
     return slope is not None and SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]
 
 
-def _sweep_functions(args):
-    """Validate a sweep's --m-list, --f and --g; return the two functions."""
-    _require(args, ["m_list", "f", "g"])
-    _default(args, d=1)
-    if args.d < 1:
-        raise ValueError(f"--d must be >= 1, got {args.d}")
-    if not args.m_list or sorted(set(args.m_list)) != args.m_list:
-        raise ValueError("m-list must be non-empty and strictly increasing")
-    return get_function(args.f), get_function(args.g)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_basis(args) -> int:
-    _require(args, ["m"])
-    _default(args, d=1)
     spec = hilbert.build_basis(args.d, args.m, level=args.level)
     sys.stdout.write(f"d={spec.d} m={spec.m} N={spec.N} level={spec.level} "
                      f"c_m={_fmt(spec.c_m)}\n")
@@ -172,14 +120,6 @@ def _draws(rng, spec, pairs: int):
 
 
 def _cmd_kernel_check(args) -> int:
-    _require(args, ["m"])
-    _default(args, d=1, seed=1234, pairs=50, tol=1e-8)
-    if args.pairs < 1:
-        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if not 0.0 < args.tol < float("inf"):
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     spec = hilbert.build_basis(args.d, args.m, level=args.level)
     v, mus, nus, va, vb = _draws(np.random.default_rng(args.seed), spec, args.pairs)
     # |K(mu, nu)|^2 against its closed form, in log form: no overflow.
@@ -204,7 +144,7 @@ def _cmd_kernel_check(args) -> int:
 
 
 def _cmd_star_sweep(args) -> int:
-    f, g = _sweep_functions(args)
+    f, g = get_function(args.f), get_function(args.g)
     mu0 = np.zeros(args.d, dtype=complex)
     mu0[0] = MU0
 
@@ -228,7 +168,7 @@ def _cmd_star_sweep(args) -> int:
 
 
 def _cmd_toeplitz_sweep(args) -> int:
-    f, g = _sweep_functions(args)
+    f, g = get_function(args.f), get_function(args.g)
     result = toeplitz.toeplitz_sweep(f, g, args.m_list, d=args.d)
     ndef = [r[2] for r in result.rows]
     cdef = [r[3] for r in result.rows]
@@ -251,10 +191,6 @@ def _cmd_toeplitz_sweep(args) -> int:
 
 
 def _cmd_torus_holonomy(args) -> int:
-    _require(args, ["m"])
-    _default(args, kmax=3, segments=4096)
-    if args.kmax < 0:
-        raise ValueError(f"--kmax must be >= 0, got {args.kmax}")
     # Both coordinates off the square's center lines, where a cycle integral
     # vanishes by parity; at 1/4 each cycle carries +-pi/sqrt(2).
     base = (0.25, 0.25)
@@ -281,54 +217,105 @@ def _cmd_torus_holonomy(args) -> int:
 # parser and dispatch
 
 
+def _levels(text: str) -> list:
+    return [int(tok) for tok in str(text).replace(" ", "").split(",") if tok]
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low), f">= {low}"
+
+
+# One option: its converter (argv and --config), help, default and accepted
+# range (predicate, wording).  --level's range is hilbert.build_basis's.
+Flag = namedtuple("Flag", "convert text default rule", defaults=(None, None))
+FLAGS = {
+    "out": Flag(str, "CSV output path (JSON sidecar beside it)"),
+    "d": Flag(int, "chart dimension", 1, _at_least(1)),
+    "m": Flag(int, "quantization level", None, _at_least(1)),
+    "m_list": Flag(_levels, "comma-separated levels", None,
+                   ((lambda v: bool(v) and v[0] >= 1 and sorted(set(v)) == v),
+                    "non-empty, strictly increasing and >= 1")),
+    "level": Flag(int, "quadrature level override"),
+    "seed": Flag(int, "rng seed", 1234, _at_least(0)),
+    "f": Flag(str, "first registry function"),
+    "g": Flag(str, "second registry function"),
+    "pairs": Flag(int, "sample pairs", 50, _at_least(1)),
+    "tol": Flag(float, "gate tolerance", 1e-8,
+                ((lambda v: math.isfinite(v) and v > 0.0), "finite and > 0")),
+    "kmax": Flag(int, "max |k| per cycle", 3, _at_least(0)),
+    "segments": Flag(int, "path segments", 4096, _at_least(1)),
+}
+
+# subcommand: (handler, help, flags in --help order, required flags)
+COMMANDS = {
+    "basis": (_cmd_basis, "build a level basis", ("out", "d", "m", "level"), ("m",)),
+    "kernel-check": (_cmd_kernel_check, "sampled kernel and reproducing identities",
+                     ("out", "d", "m", "level", "seed", "pairs", "tol"), ("m",)),
+    "star-sweep": (_cmd_star_sweep, "star-product correspondence sweep",
+                   ("out", "d", "m_list", "f", "g"), ("m_list", "f", "g")),
+    "toeplitz-sweep": (_cmd_toeplitz_sweep, "norm and commutator sweeps",
+                       ("out", "d", "m_list", "f", "g"), ("m_list", "f", "g")),
+    "torus-holonomy": (_cmd_torus_holonomy, "torus cycle holonomy table",
+                       ("out", "m", "kmax", "segments"), ("m",)),
+}
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _help(flag: Flag) -> str:
+    notes = [] if flag.default is None else [f"default {flag.default}"]
+    notes += [] if flag.rule is None else [f"must be {flag.rule[1]}"]
+    return flag.text + (f" ({'; '.join(notes)})" if notes else "")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="berezin",
                                      description="Berezin quantization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *names):
+    for command, (func, text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", default=None, help="key=value defaults file")
-        p.add_argument("--out", default=None, help="CSV output path (JSON sidecar beside it)")
-        if "d" in names:
-            p.add_argument("--d", type=int, default=None, help="chart dimension (default 1)")
-        if "m" in names:
-            p.add_argument("--m", type=int, default=None, help="quantization level")
-        if "m_list" in names:
-            p.add_argument("--m-list", dest="m_list", type=_CONVERTERS["m_list"],
-                           default=None, help="comma-separated increasing levels")
-        if "level" in names:
-            p.add_argument("--level", type=int, default=None, help="quadrature level override")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=None, help="rng seed (default 1234)")
-        if "fg" in names:
-            p.add_argument("--f", default=None, help="first registry function")
-            p.add_argument("--g", default=None, help="second registry function")
-
-    p = sub.add_parser("basis", help="build a level basis")
-    common(p, "d", "m", "level")
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("kernel-check", help="sampled kernel and reproducing identities")
-    common(p, "d", "m", "level", "seed")
-    p.add_argument("--pairs", type=int, default=None, help="sample pairs (default 50)")
-    p.add_argument("--tol", type=float, default=None, help="gate tolerance (default 1e-8)")
-    p.set_defaults(func=_cmd_kernel_check)
-
-    p = sub.add_parser("star-sweep", help="star-product correspondence sweep")
-    common(p, "d", "m_list", "fg")
-    p.set_defaults(func=_cmd_star_sweep)
-
-    p = sub.add_parser("toeplitz-sweep", help="norm and commutator sweeps")
-    common(p, "d", "m_list", "fg")
-    p.set_defaults(func=_cmd_toeplitz_sweep)
-
-    p = sub.add_parser("torus-holonomy", help="torus cycle holonomy table")
-    common(p, "m")
-    p.add_argument("--kmax", type=int, default=None, help="max |k| per cycle (default 3)")
-    p.add_argument("--segments", type=int, default=None, help="path segments (default 4096)")
-    p.set_defaults(func=_cmd_torus_holonomy)
-
+        for name in flags:
+            # default None: --config fills only what argv left unset
+            p.add_argument(_option(name), type=FLAGS[name].convert, default=None,
+                           help=_help(FLAGS[name]))
+        p.set_defaults(func=func)
     return parser
+
+
+def _merge_config(args: argparse.Namespace) -> None:
+    if not args.config:
+        return
+    raw = Path(args.config).read_text()
+    for lineno, line in enumerate(raw.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        dest = key.strip().replace("-", "_")
+        if dest not in FLAGS:
+            raise ValueError(f"{args.config}:{lineno}: unknown key {key.strip()!r}")
+        # a key valid globally but unused by this subcommand is skipped
+        if dest in COMMANDS[args.command][2] and getattr(args, dest) is None:
+            setattr(args, dest, FLAGS[dest].convert(value.strip()))
+
+
+def _settle(args: argparse.Namespace) -> None:
+    """Refuse a missing required flag, fill the defaults and apply the ranges."""
+    _, _, flags, required = COMMANDS[args.command]
+    for name in required:
+        if getattr(args, name) is None:
+            raise ValueError(f"missing required option {_option(name)}")
+    for name in flags:
+        flag, value = FLAGS[name], getattr(args, name)
+        value = flag.default if value is None else value
+        setattr(args, name, value)
+        if flag.rule is not None and not flag.rule[0](value):
+            raise ValueError(f"{_option(name)} must be {flag.rule[1]}, got {value}")
 
 
 def main(argv=None) -> int:
@@ -339,6 +326,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _merge_config(args)
+        _settle(args)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

@@ -26,7 +26,7 @@ class ResourceLimit(QuantizationError):
 
 
 class NonFiniteIntegrand(QuantizationError):
-    """An integrand returned NaN or Inf at a quadrature node."""
+    """An integrand returned NaN or Inf at a quadrature node or sup grid point."""
 
 
 class IndexOutOfRange(QuantizationError):

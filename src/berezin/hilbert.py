@@ -427,6 +427,8 @@ def _compress_bands(spec: BasisSpec, nd: _NodeData, f: Callable, modes) -> dict:
     d, n_theta, radii = spec.d, nd.rule.n_theta, nd.rule.radii
     if modes is None:  # every mode of the rule's angles, k in [-B, B]^d, 2 B + 1 = n_theta
         modes = (np.indices((n_theta,) * d).reshape(d, -1).T - n_theta // 2).tolist()
+    if not len(modes):  # no band: nothing to sample
+        return {}
     n_s = tuple(2 * max((abs(k[j]) for k in modes), default=0) + 1 for j in range(d))
     n_ang, n_rad = math.prod(n_s), radii.shape[0]
     angles = np.column_stack([quadrature.roots(n)[k]

@@ -610,6 +610,8 @@ def torus_holonomy(k1: int, k2: int, m: int, tail=None, segments: int = 4096,
     crosses the seam at infinity, whose transition phase exp(i m pi) is
     trivial only then.
     """
+    if m < 1:
+        raise ValueError(f"torus cycle holonomy needs a level m >= 1, got m = {m}")
     if m % 2 != 0:
         raise OddLevel(
             f"torus cycle holonomy needs an even level, got m = {m}: the seam "

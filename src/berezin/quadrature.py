@@ -251,6 +251,16 @@ def _values(f: Callable, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _finite_values(f: Callable, pts: np.ndarray, lo: int, where: str) -> np.ndarray:
+    """``_values``, refused with NonFiniteIntegrand naming the first non-finite point (lo + k)."""
+    vals = _values(f, pts)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NonFiniteIntegrand(f"integrand non-finite at {where} {lo + k}: {pts[k]}")
+    return vals
+
+
 def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> IntegrationResult:
     """Integrate f over the chart against the 2^d Lebesgue convention.
 
@@ -264,13 +274,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> In
     def reduce(rule):
         total = 0j
         for blk in node_blocks(rule, 16 * (rule.d + 3)):
-            vals = _values(f, blk.nodes)
-            bad = ~np.isfinite(vals)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise NonFiniteIntegrand(
-                    f"integrand non-finite at node {blk.lo + k}: {blk.nodes[k]}")
-            total += complex(np.sum(blk.weights * vals))
+            total += complex(np.sum(blk.weights * _finite_values(f, blk.nodes, blk.lo, "node")))
         return total
 
     value = reduce(rule)

@@ -173,7 +173,8 @@ def sup_estimate(f, d: int) -> float:
     The grid hits u in {0, 1/2, 1} and the coordinate axes, where the bundled
     family takes its extrema: exact for all of them.  The grid is walked in
     blocks of quadrature._BLOCK_BYTES of (n, d) points (2^15 at d = 1), after
-    its 17^d radial points pass the rules' bound.
+    its 17^d radial points pass the rules' bound.  Raises NonFiniteIntegrand
+    naming the first non-finite sample.
     """
     u = np.append(np.linspace(0.0, 1.0, 16, endpoint=False), 1.0 - 1e-12)
     quadrature.check_radial(u.size ** d, "sup grid")
@@ -186,7 +187,8 @@ def sup_estimate(f, d: int) -> float:
     for lo in range(0, n, step):
         k = np.unravel_index(np.arange(lo, min(lo + step, n)), shape)
         pts = np.stack([ring[kj] for ring, kj in zip(rings, k)], axis=1)
-        best = max(best, float(np.max(np.abs(np.asarray(f(pts))))))
+        vals = quadrature._finite_values(f, pts, lo, "sup grid point")
+        best = max(best, float(np.max(np.abs(vals))))
     return best
 
 

@@ -1,9 +1,11 @@
 """CLI surface: exit codes, artifact formats, config merging, determinism."""
 
+import argparse
 import json
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +412,9 @@ BAD_ARGUMENTS = [
     (("kernel-check", "--m", "4", "--tol", "-1"), "--tol must be finite and > 0"),
     (("kernel-check", "--m", "4", "--tol", "nan"), "--tol must be finite and > 0"),
     (("kernel-check", "--m", "4", "--seed", "-1"), "--seed must be >= 0"),
+    (("torus-holonomy", "--m", "0"), "--m must be >= 1"),
+    (("torus-holonomy", "--m", "-2"), "--m must be >= 1"),
+    (("toeplitz-sweep", "--m-list", "0,4") + SWEEP_FG, "strictly increasing and >= 1"),
 ]
 
 
@@ -435,6 +440,87 @@ def test_nan_fails_the_torus_and_kernel_gates(capsys, tmp_path, monkeypatch):
         rc, _, _ = run(capsys, *argv, "--out", str(out))
         assert rc == 1, argv
         assert json.loads(out.with_suffix(".json").read_text())["passed"] is False
+
+
+def test_non_finite_sup_sample_is_a_numeric_failure(capsys, tmp_path, monkeypatch):
+    # The sup grid refuses a NaN sample and names it; Python's max dropped it.
+    monkeypatch.setattr(cli, "get_function",
+                        lambda name: lambda pts: np.full(pts.shape[0], np.nan))
+    rc, _, err = run(capsys, "toeplitz-sweep", "--m-list", "4", *SWEEP_FG,
+                     "--out", str(tmp_path / "tp.csv"))
+    assert rc == 3
+    assert "numeric failure" in err and "sup grid point" in err, err
+
+
+# Each subcommand's options, as --help listed them before the flag table.
+SURFACE = {
+    "basis": "--config --out --d --m --level",
+    "kernel-check": "--config --out --d --m --level --seed --pairs --tol",
+    "star-sweep": "--config --out --d --m-list --f --g",
+    "toeplitz-sweep": "--config --out --d --m-list --f --g",
+    "torus-holonomy": "--config --out --m --kmax --segments",
+}
+
+
+def test_each_parser_exposes_its_table_row():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(cli.COMMANDS) == list(SURFACE)
+    for command, sub in subparsers.choices.items():
+        options = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        assert options == ["--config", *map(cli._option, cli.COMMANDS[command][2])]
+        assert options == SURFACE[command].split()
+    # --config keys and defaults as before the table
+    assert set(cli.FLAGS) == {"out", "d", "m", "m_list", "level", "seed", "f", "g",
+                              "pairs", "tol", "kmax", "segments"}
+    assert {name: flag.default for name, flag in cli.FLAGS.items() if flag.default is not None} \
+        == {"d": 1, "seed": 1234, "pairs": 50, "tol": 1e-8, "kmax": 3, "segments": 4096}
+
+
+def test_readme_flag_table_matches_the_table():
+    rows = {}
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("| `--"):
+            option, *cells = (cell.strip(" `") for cell in line.strip("|").split("|"))
+            rows[option] = cells
+    assert list(rows) == [cli._option(name) for name in cli.FLAGS]
+    for name, flag in cli.FLAGS.items():
+        default, accepted, commands = rows[cli._option(name)]
+        listed = list(cli.COMMANDS) if commands == "all" else commands.split(", ")
+        assert listed == [command for command, row in cli.COMMANDS.items() if name in row[2]]
+        if flag.default is not None:
+            assert float(default) == flag.default, name
+        if flag.rule is not None:
+            assert accepted.startswith(flag.rule[1]), name
+
+
+# One value per flag, as a user types it.
+FLAG_TEXT = {"out": "x.csv", "d": "2", "m": "4", "m_list": "4, 8,16", "level": "3",
+             "seed": "7", "f": "re_rational", "g": "im_rational", "pairs": "5",
+             "tol": "1e-6", "kmax": "2", "segments": "128"}
+
+
+def settled(argv):
+    args = cli.build_parser().parse_args(argv)
+    cli._merge_config(args)
+    cli._settle(args)
+    return {key: value for key, value in vars(args).items() if key != "config"}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_flags_and_config_file_settle_alike(tmp_path, command):
+    # Every flag, then only the required ones (the rest take their defaults).
+    _, _, flags, required = cli.COMMANDS[command]
+    cfg = tmp_path / "run.cfg"
+    for names in (flags, required):
+        argv = [tok for name in names for tok in (cli._option(name), FLAG_TEXT[name])]
+        cfg.write_text("".join(f"{name.replace('_', '-')} = {FLAG_TEXT[name]}\n"
+                               for name in names))
+        from_flags = settled([command, *argv])
+        assert settled([command, "--config", str(cfg)]) == from_flags
+        assert from_flags == {"command": command, "func": cli.COMMANDS[command][0],
+                              **{name: (cli.FLAGS[name].convert(FLAG_TEXT[name]) if name in names
+                                        else cli.FLAGS[name].default) for name in flags}}
 
 
 def test_config_file_merging(capsys, tmp_path):

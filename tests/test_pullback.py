@@ -747,6 +747,14 @@ def test_odd_levels_rejected():
         pullback.torus_holonomy(1, 0, 5)
 
 
+def test_levels_below_one_rejected():
+    # m = 0 is even, so the parity check passed it, and the cycle read a
+    # trivial holonomy; m = -2 read the inverse of the m = 2 holonomy.
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m >= 1"):
+            pullback.torus_holonomy(1, 0, m)
+
+
 def test_segments_below_one_rejected():
     # Zero segments gave a NaN holonomy and negative ones a trivial one.
     for segments in (0, -5):

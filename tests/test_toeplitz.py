@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berezin import geometry, hilbert, operators, quadrature, toeplitz
+from berezin.errors import NonFiniteIntegrand
 from berezin.functions import REGISTRY, get_function
 from conftest import ladder_operator, ladder_registry, layout_nodes, moment_matrix, sample_ball
 
@@ -596,6 +597,33 @@ def test_a_function_with_no_modes_compresses_to_no_bands(d):
     op = toeplitz.toeplitz_matrix(spec, zero)
     assert op.bands == {} and toeplitz.operator_norm(op) == 0.0
     assert toeplitz.commutator_defect(spec, zero, REGISTRY["abs2_rational"]) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_function_with_no_modes_is_never_sampled(d):
+    # No mode reaches a band, so the compression returns before it samples
+    # f at the rule's radial points (1,000 evaluations at d = 3, m = 12).
+    calls = []
+
+    def zero(pts):
+        calls.append(len(pts))
+        return np.zeros(pts.shape[0])
+
+    zero.modes, zero.real = (lambda d: ()), True
+    op = toeplitz.toeplitz_matrix(hilbert.build_basis(d, 12), zero)
+    assert op.bands == {} and calls == []
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_sup_estimate_refuses_a_non_finite_sample(fill):
+    # Python's max(best, nan) keeps best, so a NaN block read a sup of 0.0;
+    # a non-finite sample is refused and named, as quadrature.integrate does.
+    def f(pts):
+        return np.where(np.abs(pts[:, 0]) > 1e3, fill, 0.5)
+
+    for d in (1, 2):
+        with pytest.raises(NonFiniteIntegrand, match="sup grid point"):
+            toeplitz.sup_estimate(f, d)
 
 
 def test_sweep_reads_only_the_declared_angles(monkeypatch):
